@@ -3,12 +3,14 @@ dynamics on the unit sphere S^{n-1}, with a particle simulator for
 cross-validation."""
 
 from .harmonics import (
+    SpectralBasis,
     ZonalCoefficients,
     ZonalProfile,
     c_lambda,
     decompose,
     omega_n,
     reconstruct,
+    spectral_basis,
     sphere_integral,
     triple_product_integral,
     y_l0,

@@ -11,9 +11,9 @@ are emitted as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -34,13 +34,6 @@ from .specfun import gauss_jacobi_rule
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SPHERE_MV_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,16 +89,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 def _load_spec(args: argparse.Namespace) -> KernelSpec:
     spec = kernel_spec_from_json(args.kernel)
     if args.n is not None and args.n != spec.n:
-        spec = KernelSpec(
-            n=args.n,
-            family=spec.family,
-            beta=spec.beta,
-            p=spec.p,
-            epsilon=spec.epsilon,
-            profile=spec.profile,
-            profile_derivative=spec.profile_derivative,
-            derivative_bound=spec.derivative_bound,
-        )
+        spec = dataclasses.replace(spec, n=args.n)
     return spec
 
 
@@ -214,19 +198,13 @@ def _cmd_branch(args) -> int:
     header = _resolved_config(args)
     if diagnostic:
         header["diagnostic"] = diagnostic
-    rows = [
-        (
-            bp.gamma,
-            bp.dominant_mode,
-            bp.amplitude,
-            free_energy(coeffs, bp.density, bp.gamma).entropy,
-            free_energy(coeffs, bp.density, bp.gamma).interaction,
-            bp.free_energy,
-            bp.residual,
-            bp.iterations,
+    rows = []
+    for bp in branch:
+        report = free_energy(coeffs, bp.density, bp.gamma)
+        rows.append(
+            (bp.gamma, bp.dominant_mode, bp.amplitude, report.entropy, report.interaction,
+             bp.free_energy, bp.residual, bp.iterations)
         )
-        for bp in branch
-    ]
     cols = ["gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual", "iterations"]
     _emit(args, header, rows, cols)
     return 0
@@ -273,7 +251,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

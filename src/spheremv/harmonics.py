@@ -8,6 +8,7 @@ normalized zonal harmonic Y_{l,0}(t) = A_l C_l^{(n-2)/2}(t) satisfies
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import numpy as np
 
 from .specfun import (
     QuadratureRule,
+    gauss_jacobi_rule,
     gegenbauer_all,
     gegenbauer_eval,
     gegenbauer_norm_sq,
@@ -24,6 +26,7 @@ from .specfun import (
 )
 
 __all__ = [
+    "SpectralBasis",
     "ZonalCoefficients",
     "ZonalProfile",
     "TripleProduct",
@@ -31,6 +34,7 @@ __all__ = [
     "decompose",
     "omega_n",
     "reconstruct",
+    "spectral_basis",
     "sphere_integral",
     "triple_product_integral",
     "y_l0",
@@ -63,6 +67,55 @@ def zonal_norm_constant(l: int, n: int) -> float:
 def y_l0(l: int, n: int, t) :
     """Normalized zonal harmonic Y_{l,0}(t) = A_l C_l^{(n-2)/2}(t)."""
     return zonal_norm_constant(l, n) * gegenbauer_eval(l, 0.5 * (n - 2), t)
+
+
+@dataclass(frozen=True)
+class SpectralBasis:
+    """Gegenbauer analysis/synthesis pair of degree K on the order-M rule of S^{n-1}.
+
+    Spherical convolution is diagonal in this basis (Funk-Hecke), so every
+    zonal transform is one of its two matrices:
+      analysis  (K+1, M): g_hat = analysis @ g(t_i)    (`decompose`)
+      synthesis (M, K+1): g(t_i) = synthesis @ g_hat   (`reconstruct` at the nodes)
+    All arrays are read-only; one instance is shared per (n, K, M).
+    """
+
+    n: int
+    K: int
+    rule: QuadratureRule
+    table: np.ndarray  # C_k^lam(t_i), (K+1, M)
+    at_one: np.ndarray  # C_k^lam(1)
+    norm: np.ndarray  # A_l of Y_{l,0} = A_l C_l^lam
+    factors: np.ndarray  # synthesis factors (2k+n-2)/(n-2)
+    c_lam: float
+    analysis: np.ndarray
+    synthesis: np.ndarray
+
+
+def spectral_basis(n: int, K: int, M: int) -> SpectralBasis:
+    """The shared basis of degree K on gauss_jacobi_rule(n, M); needs M >= K + 2."""
+    if M < K + 2:
+        raise ValueError(f"quadrature order {M} insufficient for K={K} (need >= K+2)")
+    return _spectral_basis(n, K, M)
+
+
+@functools.lru_cache(maxsize=64)  # a scan needs one or two; the bound caps memory in sweeps
+def _spectral_basis(n: int, K: int, M: int) -> SpectralBasis:
+    rule = gauss_jacobi_rule(n, M)
+    lam = 0.5 * (n - 2)
+    table = gegenbauer_all(K, lam, rule.nodes)
+    at_one = np.array([gegenbauer_value_at_one(k, lam) for k in range(K + 1)])
+    norm = np.array([zonal_norm_constant(k, n) for k in range(K + 1)])
+    factors = (2.0 * np.arange(K + 1) + n - 2.0) / (n - 2.0)
+    c_lam = c_lambda(lam)
+    analysis = c_lam * (table / at_one[:, None]) * rule.weights[None, :]
+    synthesis = (table * factors[:, None]).T
+    for array in (table, at_one, norm, factors, analysis, synthesis):
+        array.flags.writeable = False
+    return SpectralBasis(
+        n=n, K=K, rule=rule, table=table, at_one=at_one, norm=norm, factors=factors,
+        c_lam=c_lam, analysis=analysis, synthesis=synthesis,
+    )
 
 
 @dataclass(frozen=True)
@@ -138,17 +191,10 @@ def decompose(profile: ZonalProfile, K: int) -> ZonalCoefficients:
     g_hat_k = c_lambda int g(t) C_k(t)/C_k(1) (1-t^2)^{(n-3)/2} dt, evaluated
     with the profile's quadrature rule, which must have order >= K + 2.
     """
-    if profile.rule.order < K + 2:
-        raise ValueError(
-            f"quadrature order {profile.rule.order} insufficient for K={K} (need >= K+2)"
-        )
-    n = profile.n
-    lam = 0.5 * (n - 2)
-    table = gegenbauer_all(K, lam, profile.rule.nodes)
-    at_one = np.array([gegenbauer_value_at_one(k, lam) for k in range(K + 1)])
-    weighted = profile.rule.weights * profile.values
-    coeffs = c_lambda(lam) * (table @ weighted) / at_one
-    return ZonalCoefficients(n=n, coeffs=coeffs)
+    basis = spectral_basis(profile.n, K, profile.rule.order)
+    # = basis.analysis @ values; this product order keeps outputs stable to the last digit
+    weighted = basis.rule.weights * profile.values
+    return ZonalCoefficients(n=profile.n, coeffs=basis.c_lam * (basis.table @ weighted) / basis.at_one)
 
 
 def reconstruct(coeffs: ZonalCoefficients, t_grid) -> np.ndarray:
@@ -184,25 +230,10 @@ def triple_product_integral(l: int, n: int) -> TripleProduct:
     """Quadrature value of the cubic self-resonance integral for Y_{l,0}."""
     if l < 0 or n < 3:
         raise ValueError(f"need l >= 0 and n >= 3, got ({l}, {n})")
-    lam = 0.5 * (n - 2)
-    rule = _cached_rule(n, max(2 * l + 4, 8))
-    cl = gegenbauer_eval(l, lam, rule.nodes)
-    cube = rule.integrate(cl**3)
+    basis = spectral_basis(n, l, max(2 * l + 4, 8))
+    cube = basis.rule.integrate(basis.table[l] ** 3)
     if l % 2 == 1:
         cube = 0.0  # odd integrand against an even weight
-    a3 = zonal_norm_constant(l, n) ** 3
-    one_d = a3 * cube
+    one_d = basis.norm[l] ** 3 * cube
     sigma = omega_n(n - 1) * one_d
     return TripleProduct(l=l, n=n, one_d=one_d, sigma=sigma, normalized=sigma / omega_n(n))
-
-
-_RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
-
-
-def _cached_rule(n: int, order: int) -> QuadratureRule:
-    key = (n, order)
-    if key not in _RULE_CACHE:
-        from .specfun import gauss_jacobi_rule
-
-        _RULE_CACHE[key] = gauss_jacobi_rule(n, order)
-    return _RULE_CACHE[key]

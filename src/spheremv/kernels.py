@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammasgn
 
-from .harmonics import ZonalCoefficients, ZonalProfile, decompose
+from .harmonics import ZonalCoefficients, ZonalProfile, decompose, spectral_basis
 from .specfun import (
     bessel_i,
     gauss_jacobi_rule,
@@ -179,7 +179,7 @@ def _heat_derivative(spec: KernelSpec, t, order: int) -> np.ndarray:
     if K < order:
         return np.zeros_like(t)
     table = gegenbauer_all(K - order, lam + order, t)
-    return scale * (factors[order:] @ table)
+    return scale * np.tensordot(factors[order:], table, axes=1)
 
 
 def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
@@ -267,15 +267,11 @@ def quadrature_coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] 
     """
     order = quad_order or max(2 * K + 8, 64)
     if spec.family == "onsager":
-        from .harmonics import c_lambda
-        from .specfun import gegenbauer_all, gegenbauer_value_at_one
-
         n = spec.n
-        lam = 0.5 * (n - 2)
+        basis = spectral_basis(n, K, order)
         rule_up = gauss_jacobi_rule(n + 1, order)
-        table = gegenbauer_all(K, lam, rule_up.nodes)
-        at_one = np.array([gegenbauer_value_at_one(k, lam) for k in range(K + 1)])
-        coeffs = c_lambda(lam) * (table @ rule_up.weights) / at_one
+        table = gegenbauer_all(K, 0.5 * (n - 2), rule_up.nodes)
+        coeffs = basis.c_lam * (table @ rule_up.weights) / basis.at_one
         return ZonalCoefficients(n=n, coeffs=coeffs)
     rule = gauss_jacobi_rule(spec.n, order)
     values = profile_values(spec, rule.nodes)

@@ -18,13 +18,11 @@ import numpy as np
 from .harmonics import (
     ZonalCoefficients,
     ZonalProfile,
-    c_lambda,
     decompose,
     omega_n,
-    reconstruct,
-    zonal_norm_constant,
+    spectral_basis,
 )
-from .specfun import QuadratureRule, gegenbauer_value_at_one
+from .specfun import QuadratureRule
 
 __all__ = [
     "EnergyReport",
@@ -55,6 +53,10 @@ class ZonalDensity:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if vals.shape != self.rule.nodes.shape:
+            raise ValueError(f"value count {vals.size} does not match rule order {self.rule.order}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite density value")
         if np.any(vals < 0.0):
             raise ValueError("density must be nonnegative at all nodes")
         if abs(self.mass() - 1.0) > _MASS_TOL:
@@ -69,13 +71,9 @@ class ZonalDensity:
         u_hat_l = <u, Y_{l,0}> under the omega_n^{-1} dsigma inner product;
         the l = 0 entry is zero by mass conservation.
         """
-        n = self.n
-        lam = 0.5 * (n - 2)
-        K = self.coeffs.K
-        at_one = np.array([gegenbauer_value_at_one(k, lam) for k in range(K + 1)])
-        a = np.array([zonal_norm_constant(k, n) for k in range(K + 1)])
-        s = a * at_one * self.coeffs.coeffs  # <rho, Y_l> per mode
-        u_hat = omega_n(n) * s
+        basis = spectral_basis(self.n, self.coeffs.K, self.rule.order)
+        s = basis.norm * basis.at_one * self.coeffs.coeffs  # <rho, Y_l> per mode
+        u_hat = omega_n(self.n) * s
         u_hat[0] = 0.0
         return u_hat
 
@@ -112,8 +110,8 @@ def convolve(kernel: ZonalCoefficients, density: ZonalDensity) -> ZonalProfile:
     if kernel.K < K:
         raise ValueError(f"kernel truncation {kernel.K} below density truncation {K}")
     conv_coeffs = omega_n(density.n) * kernel.coeffs[: K + 1] * density.coeffs.coeffs
-    zc = ZonalCoefficients(n=density.n, coeffs=conv_coeffs)
-    return ZonalProfile(n=density.n, rule=density.rule, values=reconstruct(zc, density.rule.nodes))
+    basis = spectral_basis(density.n, K, density.rule.order)
+    return ZonalProfile(n=density.n, rule=density.rule, values=basis.synthesis @ conv_coeffs)
 
 
 def entropy(density: ZonalDensity) -> float:

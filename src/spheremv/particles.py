@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError(f"gamma must be positive (inf allowed), got {self.gamma}")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError(f"burn_in fraction must lie in [0, 1), got {self.burn_in}")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 def uniform_ensemble(n: int, count: int, seed: int = 0) -> ParticleEnsemble:

@@ -17,25 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .harmonics import (
-    ZonalCoefficients,
-    c_lambda,
-    omega_n,
-    y_l0,
-    zonal_norm_constant,
-)
+from .harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
 from .meanfield import (
     ZonalDensity,
     free_energy,
     make_density,
     uniform_density,
 )
-from .specfun import (
-    QuadratureRule,
-    gauss_jacobi_rule,
-    gegenbauer_all,
-    gegenbauer_value_at_one,
-)
+from .specfun import QuadratureRule, gauss_jacobi_rule
 
 __all__ = [
     "BifurcationSet",
@@ -73,7 +62,7 @@ class SolverConfig:
 
 
 class GibbsOperator:
-    """Gibbs map G and residual on a fixed quadrature grid, matrices precomputed."""
+    """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed."""
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
         if K > kernel.K:
@@ -81,21 +70,16 @@ class GibbsOperator:
         n = rule.n
         if n != kernel.n:
             raise ValueError("dimension mismatch between kernel and rule")
-        lam = 0.5 * (n - 2)
-        table = gegenbauer_all(K, lam, rule.nodes)  # (K+1, M)
-        at_one = np.array([gegenbauer_value_at_one(k, lam) for k in range(K + 1)])
-        decomp = c_lambda(lam) * (table / at_one[:, None]) * rule.weights[None, :]
-        factors = (2.0 * np.arange(K + 1) + n - 2.0) / (n - 2.0)
-        recon = (table * factors[:, None]).T  # (M, K+1)
+        basis = spectral_basis(n, K, rule.order)
         wn = omega_n(n)
         self.n = n
-        self.rule = rule
+        self.rule = basis.rule
         self.K = K
         self.kernel = kernel
-        self.conv_matrix = recon @ (wn * kernel.coeffs[: K + 1, None] * decomp)
+        self.conv_matrix = basis.synthesis @ (wn * kernel.coeffs[: K + 1, None] * basis.analysis)
         self._azimuth = omega_n(n - 1)
         self._wn = wn
-        self._clam = c_lambda(lam)
+        self._clam = basis.c_lam
 
     def gibbs(self, gamma: float, values: np.ndarray) -> np.ndarray:
         expo = -gamma * (self.conv_matrix @ values)
@@ -104,8 +88,9 @@ class GibbsOperator:
         z = self._azimuth * float(np.dot(self.rule.weights, e))
         return e / z
 
-    def residual_values(self, gamma: float, values: np.ndarray) -> float:
-        d = values - self.gibbs(gamma, values)
+    def distance(self, values: np.ndarray, image: np.ndarray) -> float:
+        """Normalized-L2 norm of omega_n (values - image), e.g. image = G(values)."""
+        d = values - image
         norm_sq = self._clam * float(np.dot(self.rule.weights, d * d))
         return self._wn * math.sqrt(max(norm_sq, 0.0))
 
@@ -122,7 +107,7 @@ class SolveResult:
 def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> float:
     """Normalized-L2 distance of rho from its Gibbs image (uniform-scale units)."""
     op = GibbsOperator(kernel, density.rule, density.coeffs.K)
-    return op.residual_values(gamma, density.values)
+    return op.distance(density.values, op.gibbs(gamma, density.values))
 
 
 def gibbs_fixed_point(
@@ -132,18 +117,24 @@ def gibbs_fixed_point(
     config: SolverConfig = SolverConfig(),
     op: Optional[GibbsOperator] = None,
 ) -> SolveResult:
-    """Damped Picard iteration from init until the residual drops below tol."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    """Damped Picard iteration from init until the residual drops below tol.
+
+    The image G(rho) that measures a step's residual also drives the next
+    step, so a solve of i iterations evaluates G exactly i + 1 times.
+    """
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if op is None:
         op = GibbsOperator(kernel, init.rule, init.coeffs.K)
     values = init.values.copy()
     tau = config.tau
-    best_values, best_res = values, op.residual_values(gamma, values)
+    image = op.gibbs(gamma, values)
+    best_values, best_res = values, op.distance(values, image)
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        values = (1.0 - tau) * values + tau * op.gibbs(gamma, values)
-        res = op.residual_values(gamma, values)
+        values = (1.0 - tau) * values + tau * image
+        image = op.gibbs(gamma, values)
+        res = op.distance(values, image)
         if res < best_res:
             best_values, best_res = values, res
         if res <= config.tol:

@@ -1,11 +1,12 @@
 """Special functions and Gauss-Jacobi quadrature underpinning the spectral machinery.
 
-Everything here is pure and reentrant: quadrature rules are frozen after
-construction and safe to share between threads.
+Everything here is pure and reentrant: quadrature rules are built once per
+(n, order), frozen with read-only arrays, and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,20 +56,8 @@ def gegenbauer_eval(k: int, lam: float, t):
         raise ValueError("non-finite evaluation point")
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    out = _gegenbauer_recurrence(k, lam, t_arr)
+    out = gegenbauer_all(k, lam, t_arr)[-1]
     return float(out[0]) if scalar else out
-
-
-def _gegenbauer_recurrence(k: int, lam: float, t: np.ndarray) -> np.ndarray:
-    c_prev = np.ones_like(t)
-    if k == 0:
-        return c_prev
-    c_cur = 2.0 * lam * t
-    for j in range(1, k):
-        # (j+1) C_{j+1} = 2(lam+j) t C_j - (j + 2 lam - 1) C_{j-1}
-        c_next = (2.0 * (lam + j) * t * c_cur - (j + 2.0 * lam - 1.0) * c_prev) / (j + 1.0)
-        c_prev, c_cur = c_cur, c_next
-    return c_cur
 
 
 def gegenbauer_all(max_degree: int, lam: float, t: np.ndarray) -> np.ndarray:
@@ -83,6 +72,7 @@ def gegenbauer_all(max_degree: int, lam: float, t: np.ndarray) -> np.ndarray:
     if max_degree >= 1:
         table[1] = 2.0 * lam * t
     for j in range(1, max_degree):
+        # (j+1) C_{j+1} = 2(lam+j) t C_j - (j + 2 lam - 1) C_{j-1}
         table[j + 1] = (
             2.0 * (lam + j) * t * table[j] - (j + 2.0 * lam - 1.0) * table[j - 1]
         ) / (j + 1.0)
@@ -138,12 +128,18 @@ def gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
 
     Golub-Welsch construction: nodes are eigenvalues of the symmetric
     tridiagonal Jacobi matrix of the three-term recurrence, weights come
-    from the first components of the eigenvectors.
+    from the first components of the eigenvectors.  Each (n, order) rule is
+    built once and shared; its arrays are read-only.
     """
     if n < 3:
         raise ValueError(f"sphere dimension must be >= 3, got {n}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    return _gauss_jacobi_rule(n, order)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
     alpha = 0.5 * (n - 3)  # symmetric Jacobi weight (1-t)^alpha (1+t)^alpha
     j = np.arange(1, order, dtype=float)
     ab = 2.0 * alpha
@@ -162,6 +158,7 @@ def gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
     mu0 = math.exp(log_mu0)
     weights = mu0 * first_row**2
     order_idx = np.argsort(nodes)
-    return QuadratureRule(
-        n=n, order=order, nodes=nodes[order_idx], weights=weights[order_idx]
-    )
+    nodes, weights = nodes[order_idx], weights[order_idx]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(n=n, order=order, nodes=nodes, weights=weights)

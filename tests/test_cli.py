@@ -128,6 +128,14 @@ class TestSimulate:
         assert lines[0].startswith("# {")
         assert lines[1] == "step,moment_1,moment_2"
 
+    def test_heat_kernel_run(self, capsys):
+        heat = '{"n": 3, "family": "heat", "epsilon": 0.3}'
+        argv = ["simulate", "--kernel", heat, "--K", "8", "--gamma", "2.0",
+                "--particles", "32", "--steps", "5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[1] == "step,moment_1,moment_2"
+
 
 class TestErrors:
     def test_malformed_kernel_json_is_config_error(self, capsys):
@@ -146,6 +154,14 @@ class TestErrors:
             capsys, ["solve", "--kernel", ONSAGER, "--K", "8", "--M", "4", "--gamma", "1.0"]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_is_config_error(self, capsys, gamma):
+        code, _, err = _run(
+            capsys, ["solve", "--kernel", ONSAGER, "--K", "8", "--gamma", gamma, "--mode", "2"]
+        )
+        assert code == EXIT_CONFIG
+        assert "gamma" in json.loads(err)["message"]
 
     def test_missing_kernel_file_is_config_error(self, capsys, tmp_path):
         code, _, err = _run(

@@ -229,3 +229,10 @@ class TestProfiles:
         h = 1e-6
         fd = (profile_values(spec, t + h) - profile_values(spec, t - h)) / (2 * h)
         assert np.max(np.abs(profile_derivative(spec, t) - fd)) < 1e-8
+
+    def test_heat_derivative_on_a_block(self):
+        # the particle engine evaluates W' on the (chunk, N) inner-product block
+        spec = _spec(3, "heat", epsilon=0.3)
+        block = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 7))
+        flat = profile_derivative(spec, block.ravel())
+        assert np.array_equal(profile_derivative(spec, block), flat.reshape(block.shape))

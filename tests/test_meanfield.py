@@ -46,6 +46,17 @@ class TestZonalDensity:
         with pytest.raises(ValueError):
             make_density(3, RULE3, vals, 8, normalize=False)
 
+    def test_rejects_non_finite_values(self):
+        vals = np.full(RULE3.order, 1.0 / omega_n(3))
+        vals[5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ZonalDensity(n=3, rule=RULE3, values=vals, coeffs=ZonalCoefficients(3, np.array([1.0])))
+
+    def test_rejects_values_of_wrong_length(self):
+        vals = np.full(RULE3.order - 1, 1.0 / omega_n(3))
+        with pytest.raises(ValueError, match="rule order"):
+            ZonalDensity(n=3, rule=RULE3, values=vals, coeffs=ZonalCoefficients(3, np.array([1.0])))
+
     def test_coefficient_cache_consistent(self):
         d = _perturbed(3, RULE3, 2, 0.3)
         from spheremv.harmonics import ZonalProfile, decompose

@@ -56,6 +56,8 @@ class TestSimConfig:
             SimConfig(gamma=-1.0)
         with pytest.raises(ValueError):
             SimConfig(burn_in=1.0)
+        with pytest.raises(ValueError):
+            SimConfig(record_every=0)
 
     def test_infinite_gamma_allowed(self):
         assert SimConfig(gamma=math.inf).gamma == math.inf
@@ -180,6 +182,13 @@ class TestSimulate:
         cfg = SimConfig(dt=1e-3, steps=7, gamma=2.0, seed=4, record_every=100)
         result = simulate(TRANSFORMER3, cfg, 16)
         assert list(result.recorded_steps) == [7]
+
+    def test_heat_kernel_run(self):
+        heat = KernelSpec(n=3, family="heat", epsilon=0.3)
+        cfg = SimConfig(dt=1e-3, steps=5, gamma=2.0, seed=4, record_every=5)
+        result = simulate(heat, cfg, 32)
+        assert list(result.recorded_steps) == [5]
+        assert np.all(np.isfinite(result.ensemble.positions))
 
     def test_noise_only_run_stays_uniform(self):
         # pure diffusion started from the uniform law must stay uniform: the

@@ -78,6 +78,12 @@ class TestGibbsFixedPoint:
         mode, amp = result.density.dominant_mode()
         assert mode == 2 and abs(amp) > 0.1
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        init = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        with pytest.raises(ValueError, match="gamma"):
+            gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
+
     def test_rejects_nonpositive_gamma(self):
         init = uniform_density(3, RULE3, FAST.K)
         with pytest.raises(ValueError):
