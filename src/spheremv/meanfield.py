@@ -139,6 +139,11 @@ def interaction_energy(kernel: ZonalCoefficients, density: ZonalDensity) -> floa
     return 0.5 * kernel.coeffs[0] + tail
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     entropy: float
@@ -159,8 +164,7 @@ class EnergyReport:
 
 def free_energy(kernel: ZonalCoefficients, density: ZonalDensity, gamma: float) -> EnergyReport:
     """Free energy gamma^{-1} * entropy + interaction, reported componentwise."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     ent = entropy(density)
     inter = interaction_energy(kernel, density)
     return EnergyReport(entropy=ent, interaction=inter, free_energy=ent / gamma + inter, gamma=gamma)
@@ -175,8 +179,7 @@ class StabilitySpectrum:
 
 
 def linear_spectrum(kernel: ZonalCoefficients, gamma: float, L: int) -> StabilitySpectrum:
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     if L > kernel.K:
         raise ValueError(f"L={L} exceeds kernel truncation {kernel.K}")
     n = kernel.n

@@ -3,7 +3,9 @@
 The iteration is damped Picard: rho <- (1 - tau) rho + tau G(rho) with
 G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
-small dense mat-vecs.  Residuals are normalized-L2 norms of omega_n (rho -
+small dense mat-vecs.  The same loop advances a block of densities, one per
+column, with one mat-mat per step: a transition scan solves all its seeds at
+one gamma that way.  Residuals are normalized-L2 norms of omega_n (rho -
 G(rho)), i.e. measured on the scale where the uniform state is 1.
 """
 
@@ -20,6 +22,7 @@ import numpy as np
 from .harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
 from .meanfield import (
     ZonalDensity,
+    _check_gamma,
     free_energy,
     make_density,
     uniform_density,
@@ -62,7 +65,10 @@ class SolverConfig:
 
 
 class GibbsOperator:
-    """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed."""
+    """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed.
+
+    Both act on one density (M,) or column-wise on a block of densities (M, S).
+    """
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
         if K > kernel.K:
@@ -80,19 +86,26 @@ class GibbsOperator:
         self._azimuth = omega_n(n - 1)
         self._wn = wn
         self._clam = basis.c_lam
+        self._gamma, self._exponent_matrix = None, None
 
     def gibbs(self, gamma: float, values: np.ndarray) -> np.ndarray:
-        expo = -gamma * (self.conv_matrix @ values)
-        expo -= expo.max()  # Z is scale invariant; keeps exp in range
+        if gamma != self._gamma:  # -gamma W*, formed once per gamma
+            self._gamma, self._exponent_matrix = gamma, -gamma * self.conv_matrix
+        expo = self._exponent_matrix @ values
+        expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
         e = np.exp(expo)
-        z = self._azimuth * float(np.dot(self.rule.weights, e))
-        return e / z
+        return e / (self._azimuth * np.dot(self.rule.weights, e))
 
-    def distance(self, values: np.ndarray, image: np.ndarray) -> float:
-        """Normalized-L2 norm of omega_n (values - image), e.g. image = G(values)."""
+    def distance(self, values: np.ndarray, image: np.ndarray):
+        """Normalized-L2 norm of omega_n (values - image), e.g. image = G(values).
+
+        A float for one density, an (S,) array for a block.
+        """
         d = values - image
-        norm_sq = self._clam * float(np.dot(self.rule.weights, d * d))
-        return self._wn * math.sqrt(max(norm_sq, 0.0))
+        norm_sq = self._clam * np.dot(self.rule.weights, d * d)
+        if d.ndim == 1:
+            return self._wn * math.sqrt(norm_sq)
+        return self._wn * np.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,38 @@ def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> 
     return op.distance(density.values, op.gibbs(gamma, density.values))
 
 
+def _unsettled(res, tol: float) -> bool:
+    """True while some residual is above tol and finite (NaN compares False)."""
+    if isinstance(res, float):
+        return tol < res < math.inf
+    return bool(np.any((res > tol) & (res < math.inf)))
+
+
+def _damped_picard(
+    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
+) -> tuple[np.ndarray, float | np.ndarray, int]:
+    """Damped Picard steps on one density (M,) or on a block (M, S), column-wise.
+
+    Steps until every residual is at most tol or non-finite, or max_iters
+    steps are done; converged columns keep stepping with the others.  The
+    image G(rho) that measures a step's residual also drives the next step,
+    so i steps evaluate G exactly i + 1 times.  Returns the last iterate,
+    its residuals (as from `op.distance`) and the number of steps.
+    """
+    tau, tol = config.tau, config.tol
+    # an overflow shows up as a non-finite residual, which ends the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = op.gibbs(gamma, values)
+        res = op.distance(values, image)
+        iters = 0
+        while iters < config.max_iters and _unsettled(res, tol):
+            iters += 1
+            values = (1.0 - tau) * values + tau * image
+            image = op.gibbs(gamma, values)
+            res = op.distance(values, image)
+    return values, res, iters
+
+
 def gibbs_fixed_point(
     kernel: ZonalCoefficients,
     gamma: float,
@@ -119,31 +164,23 @@ def gibbs_fixed_point(
 ) -> SolveResult:
     """Damped Picard iteration from init until the residual drops below tol.
 
-    The image G(rho) that measures a step's residual also drives the next
-    step, so a solve of i iterations evaluates G exactly i + 1 times.
+    Stops at once when the residual turns non-finite; the result is then
+    not converged and carries the last finite iterate.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     if op is None:
         op = GibbsOperator(kernel, init.rule, init.coeffs.K)
-    values = init.values.copy()
-    tau = config.tau
-    image = op.gibbs(gamma, values)
-    best_values, best_res = values, op.distance(values, image)
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        values = (1.0 - tau) * values + tau * image
-        image = op.gibbs(gamma, values)
-        res = op.distance(values, image)
-        if res < best_res:
-            best_values, best_res = values, res
-        if res <= config.tol:
-            break
-    density = make_density(init.n, init.rule, best_values, op.K)
-    converged = best_res <= config.tol
-    msg = "" if converged else f"no convergence after {config.max_iters} iterations"
+    values, res, iters = _damped_picard(op, gamma, init.values, config)
+    converged = res <= config.tol
+    if converged:
+        msg = ""
+    elif math.isfinite(res):
+        msg = f"no convergence after {iters} iterations"
+    else:
+        msg = f"non-finite residual at iteration {iters}"
+    density = make_density(init.n, init.rule, values, op.K)
     return SolveResult(
-        density=density, residual=best_res, iterations=iters, converged=converged, message=msg
+        density=density, residual=res, iterations=iters, converged=converged, message=msg
     )
 
 
@@ -392,26 +429,30 @@ def _best_candidate_gap(
     gamma: float,
     op: GibbsOperator,
     uniform: ZonalDensity,
-    seeds: list[tuple[str, ZonalDensity]],
+    labels: list[str],
+    seeds: np.ndarray,
     competitor: Optional[tuple[np.ndarray, float, float]],
     config: SolverConfig,
 ) -> tuple[float, dict]:
+    """Lowest free-energy gap to uniform among the fixed points grown from the
+    seed columns (solved together as one block) and the competitor."""
     f_uniform = free_energy(kernel, uniform, gamma).free_energy
     best_gap, witness = 0.0, {"kind": "uniform"}
-    for label, seed in seeds:
-        result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
-        if not result.converged:
+    values, res, _ = _damped_picard(op, gamma, seeds, config)
+    for label, column, column_res in zip(labels, values.T, res):
+        if not column_res <= config.tol:
             continue
-        gap = free_energy(kernel, result.density, gamma).free_energy - f_uniform
+        density = make_density(kernel.n, op.rule, column, op.K)
+        gap = free_energy(kernel, density, gamma).free_energy - f_uniform
         if gap < best_gap:
-            mode, amp = result.density.dominant_mode()
+            mode, amp = density.dominant_mode()
             best_gap = gap
             witness = {
                 "kind": "fixed-point",
                 "seed": label,
                 "dominant_mode": mode,
                 "amplitude": amp,
-                "residual": result.residual,
+                "residual": float(column_res),
                 "gap": gap,
             }
     if competitor is not None:
@@ -436,7 +477,11 @@ def find_transition(
 
     Candidates at each gamma: the uniform state, Gibbs fixed points grown
     from each unstable mode's eigenvector (several amplitudes, both signs),
-    and the cubic-resonance competitor with the prescribed epsilon.
+    and the cubic-resonance competitor with the prescribed epsilon.  The
+    seeds at one gamma are solved together as one (M, S) Picard block.
+    Both ends of the bracket are evaluated: when the grid's first point
+    already beats uniform, half of it is tried as the lower end, and if a
+    candidate wins there too no bracket is reported.
     """
     from .kernels import stability_check
     from .meanfield import gamma_sharp as _gamma_sharp
@@ -459,16 +504,16 @@ def find_transition(
         seed_modes = sorted({k for k, _ in bif.points[:4]} | set(gs.modes))
     except ValueError:
         seed_modes = list(gs.modes)
-    seeds = []
+    labels, seeds = [], []
     for k in seed_modes:
         for amp in (0.3, 0.8):
             for sign in (+1.0, -1.0):
                 u_k = y_l0(k, kernel.n, rule.nodes)
                 sup = abs(y_l0(k, kernel.n, 1.0))
                 values = (1.0 + sign * amp * u_k / sup) / omega_n(kernel.n)
-                seeds.append(
-                    (f"mode{k}{'+' if sign > 0 else '-'}{amp}", make_density(kernel.n, rule, values, config.K))
-                )
+                labels.append(f"mode{k}{'+' if sign > 0 else '-'}{amp}")
+                seeds.append(make_density(kernel.n, rule, values, config.K).values)
+    seeds = np.column_stack(seeds)
 
     reso = resonance_check(kernel, delta=0.0)
     competitor = None
@@ -480,21 +525,27 @@ def find_transition(
         competitor = (u_values, u3, eps)
 
     def gap_at(gamma: float) -> tuple[float, dict]:
-        return _best_candidate_gap(kernel, gamma, op, uniform, seeds, competitor, config)
+        return _best_candidate_gap(kernel, gamma, op, uniform, labels, seeds, competitor, config)
 
-    prev_gamma, prev_gap = None, None
+    prev_gamma = None
     bracket = None
     witness = {}
     for gamma in gamma_grid:
         gap, wit = gap_at(gamma)
         if gap < -_GAP_TOL:
-            if prev_gamma is None:
-                bracket = (gamma_grid[0] * 0.5, gamma)
-            else:
-                bracket = (prev_gamma, gamma)
+            if prev_gamma is None:  # certify a lower end below the grid
+                prev_gamma = 0.5 * gamma
+                if gap_at(prev_gamma)[0] < -_GAP_TOL:
+                    return TransitionReport(
+                        gamma_sharp=gs.gamma,
+                        gamma_c_bracket=None,
+                        type="none",
+                        witness={"reason": f"uniform already loses at gamma={prev_gamma}"},
+                    )
+            bracket = (prev_gamma, gamma)
             witness = wit
             break
-        prev_gamma, prev_gap = gamma, gap
+        prev_gamma = gamma
     if bracket is None:
         return TransitionReport(
             gamma_sharp=gs.gamma,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ class TestErrors:
         )
         assert code == EXIT_CONFIG
         assert "gamma" in json.loads(err)["message"]
+
+    def test_nan_spectrum_gamma_is_config_error(self, capsys):
+        code, out, err = _run(
+            capsys, ["spectrum", "--kernel", ONSAGER, "--K", "4", "--gamma", "nan"]
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert "gamma" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "kernel", ['{"n": 3, "family": "opinion", "p": 5.0}', TRANSFORMER]
+    )
+    def test_overflowing_solve_fails_at_once(self, capsys, kernel):
+        argv = ["solve", "--kernel", kernel, "--gamma", "1e308", "--mode", "1",
+                "--K", "16", "--M", "24"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, argv)
+        assert code == EXIT_NUMERICAL
+        assert "non-finite residual at iteration 0" in json.loads(err)["message"]
 
     def test_missing_kernel_file_is_config_error(self, capsys, tmp_path):
         code, _, err = _run(

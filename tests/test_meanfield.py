@@ -251,6 +251,12 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             free_energy(kernel, uniform_density(3, RULE3, 8), 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
+        with pytest.raises(ValueError, match="gamma"):
+            free_energy(kernel, uniform_density(3, RULE3, 8), gamma)
+
     def test_json_report(self):
         import json
 
@@ -281,6 +287,12 @@ class TestLinearSpectrum:
         kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
         with pytest.raises(ValueError):
             linear_spectrum(kernel, 1.0, 9)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_rejects_invalid_gamma(self, gamma):
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
+        with pytest.raises(ValueError, match="gamma"):
+            linear_spectrum(kernel, gamma, 8)
 
 
 class TestGammaSharp:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spheremv.harmonics import (
@@ -13,8 +13,14 @@ from spheremv.harmonics import (
     reconstruct,
     spectral_basis,
 )
-from spheremv.meanfield import make_density
-from spheremv.solver import GibbsOperator, SolverConfig, gibbs_fixed_point
+from spheremv.meanfield import convolve, linear_spectrum, make_density
+from spheremv.solver import (
+    GibbsOperator,
+    SolverConfig,
+    _damped_picard,
+    bifurcation_points,
+    gibbs_fixed_point,
+)
 from spheremv.specfun import gauss_jacobi_rule
 
 FEW = settings(max_examples=25, deadline=None)
@@ -101,3 +107,61 @@ def test_cached_rule_and_basis_are_read_only(dims):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@FEW
+@given(
+    truncations(max_K=12),
+    st.floats(0.1, 5.0),
+    st.floats(0.1, 0.5),
+    st.integers(1, 30),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    seeds = [_random_setup(n, K, M, seed + j + 1)[1] for j in range(S)]
+    op = GibbsOperator(kernel, seeds[0].rule, K)
+    # With tau <= 1/2 the error shrinks at most 2x per step, so nothing reaches
+    # tol = 1e-300 and both paths take exactly max_iters steps.
+    config = SolverConfig(tau=tau, tol=1e-300, max_iters=max_iters, K=K, M=M)
+    block = np.column_stack([d.values for d in seeds])
+    values, res, iters = _damped_picard(op, gamma, block, config)
+    assert values.shape == (M, S) and res.shape == (S,) and iters == max_iters
+    for column, column_res, density in zip(values.T, res, seeds):
+        single = gibbs_fixed_point(kernel, gamma, density, config, op=op)
+        assert single.iterations == max_iters and not single.converged
+        assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
+        assert column_res == pytest.approx(single.residual, rel=1e-9)
+
+
+@FEW
+@given(truncations(), st.integers(0, 2**32 - 1))
+def test_spherical_convolution_is_symmetric(dims, seed):
+    n, K, M = dims
+    kernel, rho = _random_setup(n, K, M, seed)
+    _, sigma = _random_setup(n, K, M, seed + 1)
+    rule = rho.rule
+    # <W*rho, sigma> = <rho, W*sigma> on the sphere's measure
+    w_rho, w_sigma = convolve(kernel, rho).values, convolve(kernel, sigma).values
+    left = rule.integrate(w_rho * sigma.values)
+    right = rule.integrate(rho.values * w_sigma)
+    scale = rule.integrate(np.abs(w_rho) * sigma.values)
+    assert abs(left - right) <= 1e-12 * max(scale, 1e-300)
+
+
+@FEW
+@given(
+    st.integers(3, 8),
+    st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-6), min_size=2, max_size=12),
+)
+def test_linear_spectrum_flips_sign_at_each_bifurcation(n, tail):
+    assume(min(tail) < 0.0)  # at least one unstable mode
+    coeffs = np.array([1.0] + tail)
+    kernel = ZonalCoefficients(n=n, coeffs=coeffs)
+    L = coeffs.size - 1
+    for k, gamma_k in bifurcation_points(kernel).points:
+        below = linear_spectrum(kernel, gamma_k * (1.0 - 1e-9), L).eigenvalues
+        above = linear_spectrum(kernel, gamma_k * (1.0 + 1e-9), L).eigenvalues
+        assert below[k] < 0.0 < above[k]

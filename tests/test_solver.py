@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from spheremv.meanfield import (
     uniform_density,
 )
 from spheremv.solver import (
+    GibbsOperator,
     SolverConfig,
+    _damped_picard,
     bifurcation_points,
     competitor_energy_gap,
     find_transition,
@@ -95,6 +99,40 @@ class TestGibbsFixedPoint:
         result = gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
         # independent recomputation of the residual on the returned density
         assert residual(ONSAGER3, gamma, result.density) <= 10 * FAST.tol
+
+    def test_non_finite_residual_stops_at_once(self):
+        kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), 16)
+        rule = gauss_jacobi_rule(3, 24)
+        init = _kicked_uniform(3, rule, 1, 0.2, 16)
+        op = GibbsOperator(kernel, rule, 16)
+        calls = []
+        evaluate = op.gibbs
+
+        def counted(g, values):
+            calls.append(g)
+            return evaluate(g, values)
+
+        op.gibbs = counted
+        config = SolverConfig(K=16, M=24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = gibbs_fixed_point(kernel, 1e308, init, config, op=op)
+        assert not result.converged
+        assert not math.isfinite(result.residual)
+        assert result.iterations == 0 and len(calls) == 1
+        assert result.message == "non-finite residual at iteration 0"
+        assert np.all(np.isfinite(result.density.values))
+
+    def test_non_finite_column_does_not_hold_the_block(self):
+        gamma = 1.2 * GAMMA_SHARP_ONSAGER
+        good = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        single = gibbs_fixed_point(ONSAGER3, gamma, good, FAST)
+        block = np.column_stack((good.values, np.full(RULE3.order, np.nan)))
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        values, res, iters = _damped_picard(op, gamma, block, FAST)
+        assert single.converged and iters == single.iterations < FAST.max_iters
+        assert res[0] <= FAST.tol and math.isnan(res[1])
+        assert np.allclose(values[:, 0], single.density.values, rtol=1e-9)
 
     def test_fixed_point_lowers_free_energy(self):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
@@ -271,6 +309,46 @@ class TestFindTransition:
         assert lo < hi < GAMMA_SHARP_ONSAGER
         assert (hi - lo) / hi <= 1e-3 + 1e-12
         assert report.witness["kind"] in ("fixed-point", "competitor")
+
+    def test_uniform_losing_below_the_grid_gives_no_bracket(self):
+        # gamma_c ~ 9.338 lies below both 19 and the lower end 9.5 tried under the grid
+        report = find_transition(ONSAGER3, gamma_grid=[19.0, 20.0], config=FAST)
+        assert report.gamma_c_bracket is None and report.type == "none"
+        assert "9.5" in report.witness["reason"]
+
+    def test_lower_end_below_the_grid_is_certified(self):
+        report = find_transition(ONSAGER3, gamma_grid=[10.0, 10.1], config=FAST)
+        lo, hi = report.gamma_c_bracket
+        assert 5.0 <= lo < hi <= 10.0 and (hi - lo) / hi <= 1e-3 + 1e-12
+        assert lo < 9.34253 and hi > 9.33779  # overlaps the default scan's bracket
+        assert report.type == "discontinuous"
+
+    def test_scan_advances_all_seeds_as_one_block(self, monkeypatch):
+        calls, first_block = [], {}
+        evaluate = GibbsOperator.gibbs
+
+        def counted(op, gamma, values):
+            calls.append((gamma, values.shape))
+            if gamma not in first_block:
+                first_block[gamma] = values.copy()
+            return evaluate(op, gamma, values)
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", counted)
+        grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
+        report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+        monkeypatch.undo()
+        assert report.gamma_c_bracket is not None
+        assert {shape for _, shape in calls} == {(FAST.M, 16)}
+        per_gamma = [(g, len(list(group))) for g, group in itertools.groupby(calls, lambda c: c[0])]
+        assert len(per_gamma) == len(first_block) >= len(grid)
+        for gamma, count in per_gamma:
+            slowest = max(
+                gibbs_fixed_point(
+                    ONSAGER3, gamma, make_density(3, RULE3, column, FAST.K), FAST
+                ).iterations
+                for column in first_block[gamma].T
+            )
+            assert count == slowest + 1
 
     def test_json_round_trip(self):
         import json
