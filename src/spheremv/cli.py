@@ -211,11 +211,14 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_transition(args) -> int:
+    bounds = (args.gamma_min, args.gamma_max)
+    if None in bounds and (bounds != (None, None) or args.gamma_steps is not None):
+        raise ValueError("--gamma-min and --gamma-max must be given together; --gamma-steps needs both")
     spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
     grid = None
-    if args.gamma_min is not None and args.gamma_max is not None:
+    if None not in bounds:
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps or 100)
     report = find_transition(coeffs, gamma_grid=grid, config=config)
     payload = {

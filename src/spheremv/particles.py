@@ -64,11 +64,11 @@ class SimConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):  # also rejects NaN
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:  # also rejects NaN
             raise ValueError(f"gamma must be positive (inf allowed), got {self.gamma}")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError(f"burn_in fraction must lie in [0, 1), got {self.burn_in}")
@@ -84,7 +84,7 @@ def uniform_ensemble(n: int, count: int, seed: int = 0) -> ParticleEnsemble:
     return ParticleEnsemble(n=n, positions=g, rng=rng)
 
 
-_CHUNK = 512
+_TILE = 128
 
 
 def _kernel_is_inert(spec: KernelSpec) -> bool:
@@ -98,19 +98,30 @@ def _kernel_is_inert(spec: KernelSpec) -> bool:
 
 
 def _pairwise_drift(spec: KernelSpec, positions: np.ndarray) -> np.ndarray:
-    """Drift -(1/N) sum_j W'(<x_i,x_j>)(x_j - <x_i,x_j> x_i) for every particle i."""
+    """Drift -(1/N) sum_{j != i} W'(<x_i,x_j>)(x_j - <x_i,x_j> x_i) for every particle i.
+
+    W'(<x_i,x_j>) is symmetric in (i, j), so it is evaluated once per pair, on
+    _TILE x _TILE tiles (I, J) with I <= J; a tile feeds the sums of both its
+    row block and its column block, and its temporaries stay in cache.
+    """
     count = positions.shape[0]
-    drift = np.empty_like(positions)
-    for start in range(0, count, _CHUNK):
-        block = positions[start : start + _CHUNK]
-        inner = block @ positions.T  # (chunk, N)
-        dw = profile_derivative(spec, inner)
-        np.fill_diagonal(dw[:, start : start + block.shape[0]], 0.0)  # no self force
-        # sum_j dw_ij x_j  minus  (sum_j dw_ij t_ij) x_i
-        drift[start : start + block.shape[0]] = -(
-            dw @ positions - np.sum(dw * inner, axis=1, keepdims=True) * block
-        ) / count
-    return drift
+    pull = np.zeros_like(positions)  # sum_j dw_ij x_j
+    radial = np.zeros(count)  # sum_j dw_ij t_ij
+    for i in range(0, count, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, count, _TILE):
+            cols = slice(j, j + _TILE)
+            inner = positions[rows] @ positions[cols].T
+            dw = profile_derivative(spec, inner)
+            if i == j:
+                np.fill_diagonal(dw, 0.0)  # no self force
+            weighted = dw * inner
+            pull[rows] += dw @ positions[cols]
+            radial[rows] += weighted.sum(axis=1)
+            if i != j:
+                pull[cols] += dw.T @ positions[rows]
+                radial[cols] += weighted.sum(axis=0)
+    return -(pull - radial[:, None] * positions) / count
 
 
 def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -136,8 +147,8 @@ def step(ensemble: ParticleEnsemble, spec: KernelSpec, config: SimConfig) -> Par
         xi -= np.sum(xi * pos, axis=1, keepdims=True) * pos
         new = new + math.sqrt(2.0 * config.dt / config.gamma) * xi
     norms = np.linalg.norm(new, axis=1, keepdims=True)
-    if np.any(norms < 1e-8):
-        raise RuntimeError("step collapsed a particle to the origin; reduce dt")
+    if not np.all((norms >= 1e-8) & (norms < math.inf)):  # NaN fails both
+        raise RuntimeError("step left a particle non-finite or collapsed to the origin; reduce dt")
     return replace(ensemble, positions=new / norms)
 
 

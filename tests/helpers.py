@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import roots_chebyt, roots_jacobi, roots_legendre
 
 from spheremv.harmonics import omega_n
+from spheremv.kernels import KernelSpec, profile_derivative
 
 
 def bessel_series(nu: float, x: float, terms: int = 200) -> float:
@@ -86,3 +87,27 @@ def random_smooth_density(n: int, rng: np.random.Generator):
         return unnormalized(t) / mass
 
     return density
+
+
+# Every family the drift supports, with the dimension it is tested in.
+DRIFT_SPECS = [
+    KernelSpec(n=4, family="transformer", beta=1.0),
+    KernelSpec(n=3, family="onsager"),
+    KernelSpec(n=3, family="opinion", p=5.0),
+    KernelSpec(n=3, family="heat", epsilon=0.3),
+    KernelSpec(
+        n=5,
+        family="custom",
+        profile=lambda t: np.sin(2.0 * t),
+        profile_derivative=lambda t: 2.0 * np.cos(2.0 * t),
+    ),
+]
+
+
+def dense_drift(spec, x):
+    """-(1/N) sum_{j != i} W'(t_ij)(x_j - t_ij x_i), summed term by term over the full N x N matrix."""
+    t = x @ x.T
+    dw = profile_derivative(spec, t)
+    np.fill_diagonal(dw, 0.0)
+    terms = dw[:, :, None] * (x[None, :, :] - t[:, :, None] * x[:, None, :])
+    return -terms.sum(axis=1) / x.shape[0]

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with -s to see them all).  The
 particle cross-validation runs at a reduced scale by default; set
-SPHEREMV_FULL_SCALE=1 for the full-size run (several extra minutes).
+SPHEREMV_FULL_SCALE=1 for the full-size run (about two days on 2 cores).
 """
 
 import math

@@ -114,6 +114,20 @@ class TestTransition:
         assert payload["type"] == "none"
         assert payload["gamma_c_bracket"] is None
 
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            ["--gamma-min", "9.9"],
+            ["--gamma-max", "20"],
+            ["--gamma-steps", "5"],
+            ["--gamma-min", "9.9", "--gamma-steps", "5"],
+        ],
+    )
+    def test_partial_grid_is_config_error(self, capsys, partial):
+        code, out, err = _run(capsys, ["transition", "--kernel", ONSAGER, "--K", "8", *partial])
+        assert code == EXIT_CONFIG and out == ""
+        assert "--gamma-min and --gamma-max" in json.loads(err)["message"]
+
 
 class TestSimulate:
     def test_deterministic_run(self, capsys, tmp_path):
@@ -182,6 +196,23 @@ class TestErrors:
             code, _, err = _run(capsys, argv)
         assert code == EXIT_NUMERICAL
         assert "non-finite residual at iteration 0" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--dt", "nan"), ("--dt", "inf")])
+    def test_non_finite_simulate_config_is_config_error(self, capsys, flag, value):
+        argv = ["simulate", "--kernel", ONSAGER, "--K", "8", "--particles", "16", "--steps", "3",
+                flag, value]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert flag[2:] in json.loads(err)["message"]
+
+    def test_overflowing_simulate_step_is_numerical_failure(self, capsys):
+        argv = ["simulate", "--kernel", TRANSFORMER, "--K", "8", "--particles", "16", "--steps", "3",
+                "--dt", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = _run(capsys, argv)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "non-finite" in json.loads(err)["message"]
 
     def test_missing_kernel_file_is_config_error(self, capsys, tmp_path):
         code, _, err = _run(

@@ -9,6 +9,7 @@ from spheremv.kernels import KernelSpec
 from spheremv.particles import (
     ParticleEnsemble,
     SimConfig,
+    _pairwise_drift,
     empirical_moments,
     kernel_force,
     order_axis,
@@ -16,6 +17,8 @@ from spheremv.particles import (
     step,
     uniform_ensemble,
 )
+
+from helpers import DRIFT_SPECS, dense_drift
 
 TRANSFORMER3 = KernelSpec(n=3, family="transformer", beta=1.0)
 CONSTANT3 = KernelSpec(
@@ -59,6 +62,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(record_every=0)
 
+    @pytest.mark.parametrize("field", [{"dt": math.nan}, {"dt": math.inf}, {"gamma": math.nan}])
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=next(iter(field))):
+            SimConfig(**field)
+
     def test_infinite_gamma_allowed(self):
         assert SimConfig(gamma=math.inf).gamma == math.inf
 
@@ -93,6 +101,17 @@ class TestKernelForce:
             kernel_force(TRANSFORMER3, np.array([2.0, 0.0, 0.0]), ens)
 
 
+class TestPairwiseDrift:
+    @pytest.mark.parametrize("spec", DRIFT_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("count", [1, 2, 127, 128, 129, 300])
+    def test_matches_dense_oracle(self, spec, count):
+        x = uniform_ensemble(spec.n, count, seed=count).positions
+        expected = dense_drift(spec, x)
+        got = _pairwise_drift(spec, x)
+        assert got.shape == x.shape
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-13 * max(1.0, np.max(np.abs(expected))))
+
+
 class TestStep:
     def test_noiseless_constant_kernel_is_identity(self):
         ens = uniform_ensemble(3, 32, seed=2)
@@ -120,6 +139,14 @@ class TestStep:
             assert inner >= inner_prev - 1e-14
             inner_prev = inner
         assert inner_prev > 1.0 - 1e-6
+
+    def test_non_finite_drift_stops_the_step(self):
+        nan_kernel = KernelSpec(
+            n=3, family="custom", profile=np.cos, profile_derivative=lambda t: np.full_like(t, np.nan)
+        )
+        ens = uniform_ensemble(3, 8, seed=0)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            step(ens, nan_kernel, SimConfig(gamma=math.inf))
 
     def test_determinism_bit_identical(self):
         cfg = SimConfig(dt=1e-3, steps=50, gamma=3.0, seed=9, record_every=10)

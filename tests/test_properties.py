@@ -1,4 +1,4 @@
-"""Property-based checks of the shared spectral basis and the Picard engine."""
+"""Property-based checks of the shared spectral basis, the Picard engine and the particle drift."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from spheremv.harmonics import (
     spectral_basis,
 )
 from spheremv.meanfield import convolve, linear_spectrum, make_density
+from spheremv.particles import _pairwise_drift, uniform_ensemble
 from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
@@ -22,6 +23,8 @@ from spheremv.solver import (
     gibbs_fixed_point,
 )
 from spheremv.specfun import gauss_jacobi_rule
+
+from helpers import DRIFT_SPECS
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -165,3 +168,15 @@ def test_linear_spectrum_flips_sign_at_each_bifurcation(n, tail):
         below = linear_spectrum(kernel, gamma_k * (1.0 - 1e-9), L).eigenvalues
         above = linear_spectrum(kernel, gamma_k * (1.0 + 1e-9), L).eigenvalues
         assert below[k] < 0.0 < above[k]
+
+
+@FEW
+@given(st.sampled_from(DRIFT_SPECS), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_drift_is_permutation_equivariant_and_tangent(spec, count, seed):
+    x = uniform_ensemble(spec.n, count, seed=seed).positions
+    perm = np.random.default_rng(seed).permutation(count)
+    drift = _pairwise_drift(spec, x)
+    # a permutation moves particles across tiles, so the sums run in another order
+    scale = max(1.0, np.max(np.abs(drift)))
+    assert np.allclose(_pairwise_drift(spec, x[perm]), drift[perm], rtol=1e-12, atol=1e-13 * scale)
+    assert np.max(np.abs(np.sum(drift * x, axis=1))) <= 1e-13
