@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .harmonics import omega_n
 from .kernels import KernelSpec, coefficients, kernel_spec_from_json, stability_check
-from .meanfield import free_energy, gamma_sharp, linear_spectrum, uniform_density
+from .meanfield import free_energy, linear_spectrum, uniform_density
 from .particles import SimConfig, simulate
 from .solver import (
     SolverConfig,
@@ -126,6 +125,19 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(K=args.K, M=M)
 
 
+# One row per stationary state, shared by `solve` and `branch`.
+_STATE_COLUMNS = [
+    "gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual", "iterations"
+]
+
+
+def _state_row(coeffs, gamma: float, density, residual: float, iterations: int) -> tuple:
+    mode, amp = density.dominant_mode()
+    report = free_energy(coeffs, density, gamma)
+    return (gamma, mode, amp, report.entropy, report.interaction, report.free_energy, residual,
+            iterations)
+
+
 def _cmd_decompose(args) -> int:
     spec = _load_spec(args)
     coeffs = coefficients(spec, args.K)
@@ -170,22 +182,8 @@ def _cmd_solve(args) -> int:
     result = gibbs_fixed_point(coeffs, args.gamma, base, config)
     if not result.converged:
         raise RuntimeError(f"fixed-point iteration failed: {result.message}")
-    mode, amp = result.density.dominant_mode()
-    report = free_energy(coeffs, result.density, args.gamma)
-    rows = [
-        (
-            args.gamma,
-            mode,
-            amp,
-            report.entropy,
-            report.interaction,
-            report.free_energy,
-            result.residual,
-            result.iterations,
-        )
-    ]
-    cols = ["gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual", "iterations"]
-    _emit(args, _resolved_config(args), rows, cols)
+    row = _state_row(coeffs, args.gamma, result.density, result.residual, result.iterations)
+    _emit(args, _resolved_config(args), [row], _STATE_COLUMNS)
     return 0
 
 
@@ -198,15 +196,10 @@ def _cmd_branch(args) -> int:
     header = _resolved_config(args)
     if diagnostic:
         header["diagnostic"] = diagnostic
-    rows = []
-    for bp in branch:
-        report = free_energy(coeffs, bp.density, bp.gamma)
-        rows.append(
-            (bp.gamma, bp.dominant_mode, bp.amplitude, report.entropy, report.interaction,
-             bp.free_energy, bp.residual, bp.iterations)
-        )
-    cols = ["gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual", "iterations"]
-    _emit(args, header, rows, cols)
+    rows = [
+        _state_row(coeffs, bp.gamma, bp.density, bp.residual, bp.iterations) for bp in branch
+    ]
+    _emit(args, header, rows, _STATE_COLUMNS)
     return 0
 
 
@@ -236,9 +229,8 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
     sim = SimConfig(dt=args.dt, steps=args.steps, gamma=args.gamma, seed=args.seed)
     result = simulate(spec, sim, args.particles)
-    header = json.dumps(_resolved_config(args), sort_keys=True)
-    text = f"# {header}\n" + result.to_csv()
-    _write_out(args.out, text)
+    rows = [(int(k), *moments) for k, moments in zip(result.recorded_steps, result.moments)]
+    _emit(args, _resolved_config(args), rows, ["step"] + [f"moment_{l}" for l in result.degrees])
     return 0
 
 

@@ -9,7 +9,6 @@ normalized zonal harmonic Y_{l,0}(t) = A_l C_l^{(n-2)/2}(t) satisfies
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -136,27 +135,6 @@ class ZonalCoefficients:
     @property
     def K(self) -> int:
         return self.coeffs.size - 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "K": self.K, "coeffs": [f"{c:.17g}" for c in self.coeffs]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ZonalCoefficients":
-        data = json.loads(text)
-        return cls(n=int(data["n"]), coeffs=np.array([float(c) for c in data["coeffs"]]))
-
-    def to_csv(self) -> str:
-        lines = ["k,coeff"]
-        lines += [f"{k},{c:.17g}" for k, c in enumerate(self.coeffs)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, n: int) -> "ZonalCoefficients":
-        rows = [line for line in text.strip().splitlines()[1:] if line]
-        coeffs = np.array([float(r.split(",")[1]) for r in rows])
-        return cls(n=n, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ the azimuthal directions integrated out).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -150,16 +149,6 @@ class EnergyReport:
     interaction: float
     free_energy: float
     gamma: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "entropy": self.entropy,
-                "interaction": self.interaction,
-                "free_energy": self.free_energy,
-                "gamma": self.gamma,
-            }
-        )
 
 
 def free_energy(kernel: ZonalCoefficients, density: ZonalDensity, gamma: float) -> EnergyReport:

@@ -8,6 +8,7 @@ parameters compared against the mean-field solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -87,6 +88,7 @@ def uniform_ensemble(n: int, count: int, seed: int = 0) -> ParticleEnsemble:
 _TILE = 128
 
 
+@functools.lru_cache(maxsize=16)  # probed once per kernel, not once per step
 def _kernel_is_inert(spec: KernelSpec) -> bool:
     """True when W' vanishes identically (probed on a dense grid), so the
     pairwise drift is exactly zero and the O(N^2) sum can be skipped."""
@@ -197,13 +199,6 @@ class SimResult:
     recorded_steps: np.ndarray
     moments: np.ndarray  # shape (records, len(degrees))
     degrees: tuple[int, ...]
-
-    def to_csv(self) -> str:
-        header = "step," + ",".join(f"moment_{l}" for l in self.degrees)
-        lines = [header]
-        for s, row in zip(self.recorded_steps, self.moments):
-            lines.append(f"{int(s)}," + ",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def simulate(

@@ -12,7 +12,6 @@ G(rho)), i.e. measured on the scale where the uniform state is 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -408,17 +407,6 @@ class TransitionReport:
     gamma_c_bracket: Optional[tuple[float, float]]
     type: str  # "discontinuous" | "continuous-candidate" | "none"
     witness: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma_sharp": self.gamma_sharp,
-                "gamma_c_bracket": list(self.gamma_c_bracket) if self.gamma_c_bracket else None,
-                "type": self.type,
-                "witness": self.witness,
-            },
-            sort_keys=True,
-        )
 
 
 _GAP_TOL = 1e-12

@@ -1,11 +1,15 @@
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheremv
 from spheremv.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from spheremv.kernels import KernelSpec, coefficients
 from spheremv.specfun import bessel_i
 
 ONSAGER = '{"n": 3, "family": "onsager"}'
@@ -23,6 +27,54 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv_table(text):
+    """(header, columns, rows as floats) of a CSV artifact."""
+    lines = text.strip().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return json.loads(lines[0][2:]), lines[1].split(","), rows
+
+
+GAMMA_SHARP_ONSAGER = 32.0 / math.pi
+BOTH_FORMATS = {
+    "decompose": ["--kernel", ONSAGER, "--K", "10"],
+    "bifurcations": ["--kernel", TRANSFORMER, "--K", "8"],
+    "spectrum": ["--kernel", ONSAGER, "--K", "6", "--gamma", "12.5"],
+    "solve": ["--kernel", ONSAGER, "--K", "24", "--gamma", repr(1.2 * GAMMA_SHARP_ONSAGER),
+              "--mode", "2"],
+    "branch": ["--kernel", ONSAGER, "--K", "16", "--mode", "2", "--gamma-min",
+               repr(1.05 * GAMMA_SHARP_ONSAGER), "--gamma-max", repr(1.3 * GAMMA_SHARP_ONSAGER),
+               "--gamma-steps", "3"],
+    "simulate": ["--kernel", ONSAGER, "--gamma", "2.0", "--particles", "32", "--steps", "200",
+                 "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BOTH_FORMATS))
+def test_both_formats_carry_the_same_numbers(capsys, command):
+    argv = [command, *BOTH_FORMATS[command]]
+    code, csv_out, _ = _run(capsys, argv)
+    assert code == 0
+    header, columns, rows = _csv_table(csv_out)
+    assert rows
+    code, json_out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(json_out)
+    assert set(payload) == {"config", "rows"}
+    assert {**payload["config"], "format": "csv"} == header
+    assert all(set(row) == set(columns) for row in payload["rows"])
+    assert [[float(row[c]) for c in columns] for row in payload["rows"]] == rows
+
+
+def test_only_cli_and_kernels_import_json():
+    # the output format lives in cli.py; kernels.py reads kernel JSON input
+    source = Path(spheremv.__file__).parent
+    importers = {
+        path.name for path in source.glob("*.py")
+        if re.search(r"^\s*(import json\b|from json\b)", path.read_text(), re.MULTILINE)
+    }
+    assert importers == {"cli.py", "kernels.py"}
 
 
 class TestDecompose:
@@ -45,6 +97,15 @@ class TestDecompose:
         payload = json.loads(out)
         assert set(payload) == {"config", "rows"}
         assert float(payload["rows"][0]["coeff"]) == pytest.approx(math.pi / 4.0, rel=1e-12)
+
+    def test_coefficients_round_trip_17_digits(self, capsys):
+        expected = coefficients(KernelSpec(n=3, family="onsager"), 10).coeffs
+        argv = ["decompose", "--kernel", ONSAGER, "--K", "10"]
+        _, columns, rows = _csv_table(_run(capsys, argv)[1])
+        assert columns == ["k", "coeff"]
+        assert np.array_equal([coeff for _, coeff in rows], expected)
+        payload = json.loads(_run(capsys, argv + ["--format", "json"])[1])
+        assert np.array_equal([float(row["coeff"]) for row in payload["rows"]], expected)
 
     def test_output_file_and_determinism(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
@@ -101,6 +162,11 @@ class TestSolve:
         )
         assert code == 0
         row = json.loads(out)["rows"][0]
+        assert set(row) == {
+            "gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual",
+            "iterations",
+        }
+        assert row["entropy"] / row["gamma"] + row["interaction"] == row["free_energy"]
         assert int(row["mode"]) == 2
         assert abs(float(row["amplitude"])) > 0.1
         assert float(row["residual"]) <= 1e-11

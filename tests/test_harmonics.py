@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -230,26 +229,6 @@ class TestTripleProduct:
         for n in (3, 4):
             for l in range(2, 17, 2):
                 assert abs(triple_product_integral(l, n).sigma) > 1e-10
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        c = ZonalCoefficients(n=4, coeffs=np.array([1.0, -1.0 / 3.0, math.pi * 1e-7]))
-        back = ZonalCoefficients.from_json(c.to_json())
-        assert back.n == 4
-        assert np.array_equal(back.coeffs, c.coeffs)
-
-    def test_csv_roundtrip_17_digits(self):
-        c = ZonalCoefficients(n=3, coeffs=np.array([math.pi, -math.e, 1e-300]))
-        text = c.to_csv()
-        assert text.splitlines()[0] == "k,coeff"
-        back = ZonalCoefficients.from_csv(text, n=3)
-        assert np.array_equal(back.coeffs, c.coeffs)
-
-    def test_json_has_17_significant_digits(self):
-        c = ZonalCoefficients(n=3, coeffs=np.array([1.0 / 3.0]))
-        data = json.loads(c.to_json())
-        assert data["coeffs"][0] == f"{1.0 / 3.0:.17g}"
 
 
 def test_sphere_integral_of_uniform():

@@ -257,14 +257,6 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="gamma"):
             free_energy(kernel, uniform_density(3, RULE3, 8), gamma)
 
-    def test_json_report(self):
-        import json
-
-        kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
-        rep = free_energy(kernel, uniform_density(3, RULE3, 8), 2.0)
-        data = json.loads(rep.to_json())
-        assert set(data) == {"entropy", "interaction", "free_energy", "gamma"}
-
 
 class TestLinearSpectrum:
     def test_zero_mode(self):

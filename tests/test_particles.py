@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from spheremv import particles
 from spheremv.harmonics import y_l0
 from spheremv.kernels import KernelSpec
 from spheremv.particles import (
@@ -193,10 +194,21 @@ class TestSimulate:
         cfg = SimConfig(dt=1e-3, steps=40, gamma=5.0, seed=1, burn_in=0.0, record_every=10)
         result = simulate(TRANSFORMER3, cfg, 64, degrees=(1, 2))
         assert list(result.recorded_steps) == [10, 20, 30, 40]
-        text = result.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "step,moment_1,moment_2"
-        assert len(lines) == 5
+        assert result.moments.shape == (4, 2)  # the CSV itself: test_cli.py TestSimulate
+
+    def test_inert_probe_runs_once_per_kernel(self, monkeypatch):
+        probes = []
+        real = particles.profile_derivative
+
+        def counting(spec, t):
+            if np.ndim(t) == 1:  # the probe grid; the drift passes 2-D tiles
+                probes.append(spec)
+            return real(spec, t)
+
+        monkeypatch.setattr(particles, "profile_derivative", counting)
+        particles._kernel_is_inert.cache_clear()
+        simulate(TRANSFORMER3, SimConfig(dt=1e-3, steps=10, gamma=2.0, seed=4), 16)
+        assert probes == [TRANSFORMER3]
 
     def test_snapshot_binary_roundtrip(self, tmp_path):
         path = tmp_path / "positions.bin"
