@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from spheremv.harmonics import (
     y_l0,
     zonal_norm_constant,
 )
+from spheremv.cli import main
+from spheremv.kernels import KernelSpec, coefficients
 from spheremv.specfun import gauss_jacobi_rule
 
 
@@ -229,6 +232,40 @@ class TestTripleProduct:
         for n in (3, 4):
             for l in range(2, 17, 2):
                 assert abs(triple_product_integral(l, n).sigma) > 1e-10
+
+
+class TestSerialization:
+    # coefficients leave the program only through the CLI's decompose artifact
+    ONSAGER = '{"n": 3, "family": "onsager"}'
+
+    def _decompose(self, capsys, *extra):
+        assert main(["decompose", "--kernel", self.ONSAGER, "--K", "10", *extra]) == 0
+        return capsys.readouterr().out
+
+    def _expected(self):
+        return coefficients(KernelSpec(n=3, family="onsager"), 10).coeffs
+
+    def test_json_roundtrip(self, capsys):
+        data = json.loads(self._decompose(capsys, "--format", "json"))
+        assert json.loads(data["config"]["kernel"])["n"] == 3
+        assert [int(row["k"]) for row in data["rows"]] == list(range(11))
+        back = [float(row["coeff"]) for row in data["rows"]]
+        assert np.array_equal(back, self._expected())
+
+    def test_csv_roundtrip_17_digits(self, capsys):
+        lines = self._decompose(capsys).strip().splitlines()
+        assert lines[1] == "k,coeff"
+        back = [float(line.split(",")[1]) for line in lines[2:]]
+        assert np.array_equal(back, self._expected())
+
+    def test_json_has_17_significant_digits(self, capsys):
+        # JSON numbers are written as repr (the shortest exact digits, at most 17);
+        # the CSV cells of the same rows carry all 17
+        expected = self._expected()
+        text = self._decompose(capsys, "--format", "json")
+        assert all(f'"coeff": {float(c)!r}' in text for c in expected)
+        lines = self._decompose(capsys).strip().splitlines()[2:]
+        assert [line.split(",")[1] for line in lines] == [f"{c:.17g}" for c in expected]
 
 
 def test_sphere_integral_of_uniform():

@@ -257,6 +257,23 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="gamma"):
             free_energy(kernel, uniform_density(3, RULE3, 8), gamma)
 
+    def test_json_report(self, capsys):
+        import json
+
+        from spheremv.cli import main
+
+        gamma = 1.2 * 32.0 / math.pi
+        argv = ["solve", "--kernel", '{"n": 3, "family": "onsager"}', "--K", "24",
+                "--gamma", repr(gamma), "--mode", "2", "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)["rows"][0]
+        assert {"entropy", "interaction", "free_energy", "gamma"} <= set(data)
+        assert set(data) == {
+            "gamma", "mode", "amplitude", "entropy", "interaction", "free_energy", "residual",
+            "iterations",
+        }
+        assert data["entropy"] / data["gamma"] + data["interaction"] == data["free_energy"]
+
 
 class TestLinearSpectrum:
     def test_zero_mode(self):
