@@ -24,6 +24,7 @@ from .meanfield import free_energy, linear_spectrum, uniform_density
 from .particles import SimConfig, simulate
 from .solver import (
     SolverConfig,
+    _seeded_density,
     bifurcation_points,
     find_transition,
     gibbs_fixed_point,
@@ -176,8 +177,6 @@ def _cmd_solve(args) -> int:
     rule = gauss_jacobi_rule(spec.n, config.M)
     base = uniform_density(spec.n, rule, config.K)
     if args.mode > 0:
-        from .solver import _seeded_density
-
         base = _seeded_density(spec.n, rule, config.K, base.values, args.mode, 0.2)
     result = gibbs_fixed_point(coeffs, args.gamma, base, config)
     if not result.converged:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammasgn
 
-from .harmonics import ZonalCoefficients, ZonalProfile, decompose, spectral_basis
+from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct, spectral_basis
 from .specfun import (
     bessel_i,
     gauss_jacobi_rule,
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("transformer", "onsager", "opinion", "heat", "custom")
+_PARAMETER = {"transformer": "beta", "opinion": "p", "heat": "epsilon"}  # must be > 0
 
 # Truncation used when a family needs a series representation of its profile.
 _SERIES_TAIL_TOL = 1e-18
@@ -64,18 +66,26 @@ class KernelSpec:
     derivative_bound: Optional[float] = None
 
     def __post_init__(self):
+        if not (_finite_real(self.n) and self.n == int(self.n)):
+            raise ValueError(f"sphere dimension must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("beta", "p", "epsilon", "derivative_bound"):
+            value = getattr(self, name)
+            if value is not None and not _finite_real(value):
+                raise ValueError(f"kernel parameter {name} must be a finite number, got {value!r}")
         if self.n < 3:
             raise ValueError(f"sphere dimension must be >= 3, got {self.n}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "transformer" and not (self.beta and self.beta > 0):
-            raise ValueError("transformer kernel requires beta > 0")
-        if self.family == "opinion" and not (self.p and self.p > 0):
-            raise ValueError("opinion kernel requires p > 0")
-        if self.family == "heat" and not (self.epsilon and self.epsilon > 0):
-            raise ValueError("heat kernel requires epsilon > 0")
+        name = _PARAMETER.get(self.family)
+        if name and not (getattr(self, name) or 0) > 0:
+            raise ValueError(f"{self.family} kernel requires {name} > 0")
         if self.family == "custom" and self.profile is None:
             raise ValueError("custom kernel requires a profile")
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 def kernel_spec_from_json(data) -> KernelSpec:
@@ -88,18 +98,21 @@ def kernel_spec_from_json(data) -> KernelSpec:
                 obj = json.load(fh)
     else:
         obj = data
+    if not isinstance(obj, dict):
+        raise ValueError(f"kernel description must be a JSON object, got {type(obj).__name__}")
     family = obj["family"]
-    profile = None
-    deriv = None
+    profile = deriv = None
     if family == "custom":
-        table = np.asarray(obj["profile"], dtype=float)
+        try:
+            table = np.asarray(obj["profile"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"custom profile table is not numeric: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError("custom profile table must be rows of [t, g(t)]")
-        spline = CubicSpline(table[:, 0], table[:, 1])
-        profile = spline
-        deriv = spline.derivative()
+        profile = CubicSpline(table[:, 0], table[:, 1])
+        deriv = profile.derivative()
     return KernelSpec(
-        n=int(obj["n"]),
+        n=obj["n"],
         family=family,
         beta=obj.get("beta"),
         p=obj.get("p"),
@@ -110,19 +123,19 @@ def kernel_spec_from_json(data) -> KernelSpec:
     )
 
 
-def _heat_series_coeffs(n: int, eps: float) -> np.ndarray:
-    """Coefficients -Gamma(n/2)/(2 sqrt(pi^n)) exp(-k(k+n-2) eps), truncated."""
+def _heat_coeffs(n: int, eps: float, K: int) -> np.ndarray:
+    """Coefficients -Gamma(n/2)/(2 sqrt(pi^n)) exp(-k(k+n-2) eps) for k <= K."""
     amp = math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0))
-    ks = [0]
-    while True:
-        k = ks[-1] + 1
-        if math.exp(-k * (k + n - 2.0) * eps) < _SERIES_TAIL_TOL:
-            break
-        ks.append(k)
-        if k > 400:
-            break
-    k_arr = np.arange(ks[-1] + 1, dtype=float)
-    return -amp * np.exp(-k_arr * (k_arr + n - 2.0) * eps)
+    k = np.arange(K + 1)
+    return -amp * np.exp(-k * (k + n - 2.0) * eps)
+
+
+def _heat_series_coeffs(n: int, eps: float) -> np.ndarray:
+    """The heat coefficients up to the last one above the tail tolerance (at most k = 401)."""
+    K = 0
+    while K <= 400 and math.exp(-(K + 1) * (K + n - 1.0) * eps) >= _SERIES_TAIL_TOL:
+        K += 1
+    return _heat_coeffs(n, eps, K)
 
 
 def profile_values(spec: KernelSpec, t) -> np.ndarray:
@@ -136,8 +149,6 @@ def profile_values(spec: KernelSpec, t) -> np.ndarray:
         return -((1.0 + t) ** spec.p)
     if spec.family == "heat":
         coeffs = _heat_series_coeffs(spec.n, spec.epsilon)
-        from .harmonics import reconstruct
-
         return reconstruct(ZonalCoefficients(n=spec.n, coeffs=coeffs), t)
     return np.asarray(spec.profile(t), dtype=float)
 
@@ -239,27 +250,22 @@ def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
             log_mag = log_pref - math.lgamma(a) - log_gamma(n + kk - 1.0 + p)
             vals[kk] = -sign * math.exp(log_mag)
     else:  # heat
-        amp = math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0))
-        vals = -amp * np.exp(-k * (k + n - 2.0) * spec.epsilon)
+        vals = _heat_coeffs(n, spec.epsilon, K)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("closed-form coefficient overflow; reduce K or parameters")
     return ZonalCoefficients(n=n, coeffs=vals)
 
 
-def coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] = None) -> ZonalCoefficients:
+def coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
     """Decomposition of any kernel: closed form when available, quadrature otherwise."""
     if spec.family != "custom":
         return closed_form_coefficients(spec, K)
-    order = quad_order or max(2 * K + 8, 64)
-    rule = gauss_jacobi_rule(spec.n, order)
-    values = profile_values(spec, rule.nodes)
-    if rule.integrate(np.abs(values)) == math.inf or not np.all(np.isfinite(values)):
-        raise ValueError("custom profile fails the weighted integrability condition")
-    return decompose(ZonalProfile(n=spec.n, rule=rule, values=values), K)
+    return quadrature_coefficients(spec, K)
 
 
 def quadrature_coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] = None) -> ZonalCoefficients:
-    """Force the quadrature path even for named families (cross-check use).
+    """Decomposition by quadrature: the custom kernels' path, and a cross-check of the
+    closed forms for the named families.
 
     The Onsager profile sqrt(1 - t^2) is absorbed into the Jacobi weight by
     using the rule one dimension up, which makes the integrand polynomial
@@ -275,6 +281,8 @@ def quadrature_coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] 
         return ZonalCoefficients(n=n, coeffs=coeffs)
     rule = gauss_jacobi_rule(spec.n, order)
     values = profile_values(spec, rule.nodes)
+    if rule.integrate(np.abs(values)) == math.inf or not np.all(np.isfinite(values)):
+        raise ValueError("profile fails the weighted integrability condition")
     return decompose(ZonalProfile(n=spec.n, rule=rule, values=values), K)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -130,8 +129,6 @@ def interaction_energy(kernel: ZonalCoefficients, density: ZonalDensity) -> floa
     """
     if kernel.n != density.n:
         raise ValueError("dimension mismatch between kernel and density")
-    n = density.n
-    wn = omega_n(n)
     u_hat = density.perturbation_coefficients()
     K = min(kernel.K, u_hat.size - 1)
     tail = 0.5 * float(np.dot(kernel.coeffs[1 : K + 1], u_hat[1 : K + 1] ** 2))

@@ -19,10 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
+from .kernels import stability_check
 from .meanfield import (
     ZonalDensity,
     _check_gamma,
     free_energy,
+    gamma_sharp,
     make_density,
     uniform_density,
 )
@@ -52,13 +54,16 @@ class SolverConfig:
     max_iters: int = 20000
     K: int = 48
     M: int = 72
-    seed_amplitude: float = 1e-3
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"damping tau must lie in (0, 1], got {self.tau}")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.K < 0:
+            raise ValueError(f"truncation K must be >= 0, got {self.K}")
         if self.M < self.K + 2:
             raise ValueError(f"quadrature order {self.M} must be >= K+2 = {self.K + 2}")
 
@@ -239,9 +244,9 @@ def trace_branch(
 
     The first point is seeded from the uniform state kicked by the mode's
     eigenvector (both signs are tried; the smaller-amplitude non-uniform
-    state is kept as the branch).  Later points reuse the previous solution
-    plus a small kick of the recorded sign.  Returns the traced points and
-    a diagnostic string ('' when the whole grid was covered).
+    state is kept as the branch).  Every later point starts from the
+    previous point's state.  Returns the traced points and a diagnostic
+    string ('' when the whole grid was covered).
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
@@ -249,51 +254,36 @@ def trace_branch(
     rule = gauss_jacobi_rule(kernel.n, config.M)
     op = GibbsOperator(kernel, rule, config.K)
     uniform = uniform_density(kernel.n, rule, config.K)
-    eps0 = config.seed_amplitude
+    seeds = [
+        _seeded_density(kernel.n, rule, config.K, uniform.values, mode, sign * 0.01)
+        for sign in (+1.0, -1.0)
+    ]
     branch: list[BranchPoint] = []
-    diagnostic = ""
-
-    def solve_from(seed: ZonalDensity, gamma: float) -> SolveResult:
-        return gibbs_fixed_point(kernel, gamma, seed, config, op=op)
-
-    prev: Optional[ZonalDensity] = None
-    kick_sign = 1.0
-    for idx, gamma in enumerate(gamma_grid):
-        if prev is None:
-            candidates = []
-            for sign in (+1.0, -1.0):
-                seed = _seeded_density(kernel.n, rule, config.K, uniform.values, mode, sign * 10 * eps0)
-                result = solve_from(seed, gamma)
-                l, amp = result.density.dominant_mode()
-                if result.converged and abs(amp) > 10 * config.tol:
-                    candidates.append((abs(amp), sign, result))
-            if not candidates:
-                diagnostic = f"branch not found at gamma={gamma}"
-                break
-            _, kick_sign, result = min(candidates, key=lambda c: c[0])
-        else:
-            seed = _seeded_density(
-                kernel.n, rule, config.K, prev.values, mode, kick_sign * eps0
-            )
-            result = solve_from(seed, gamma)
-        l, amp = result.density.dominant_mode()
-        if not result.converged or abs(amp) <= 10 * config.tol:
-            diagnostic = f"branch lost at gamma={gamma} (fell back to uniform)"
-            break
-        report = free_energy(kernel, result.density, gamma)
+    for gamma in gamma_grid:
+        found = []
+        for seed in seeds:
+            result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
+            l, amp = result.density.dominant_mode()
+            if result.converged and abs(amp) > 10 * config.tol:
+                found.append((abs(amp), l, amp, result))
+        if not found:
+            if branch:
+                return branch, f"branch lost at gamma={gamma} (fell back to uniform)"
+            return branch, f"branch not found at gamma={gamma}"
+        _, l, amp, result = min(found, key=lambda c: c[0])
         branch.append(
             BranchPoint(
                 gamma=gamma,
                 density=result.density,
                 dominant_mode=l,
                 amplitude=amp,
-                free_energy=report.free_energy,
+                free_energy=free_energy(kernel, result.density, gamma).free_energy,
                 residual=result.residual,
                 iterations=result.iterations,
             )
         )
-        prev = result.density
-    return branch, diagnostic
+        seeds = [result.density]
+    return branch, ""
 
 
 @dataclass(frozen=True)
@@ -308,13 +298,6 @@ class ResonanceReport:
     bandwidth_limit: float
 
 
-def _combination_values(n: int, modes, coeffs, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for m, c in zip(modes, coeffs):
-        out = out + c * y_l0(m, n, t)
-    return out
-
-
 def harmonic_combination(
     n: int, modes: Sequence[int], coeffs: Sequence[float], rule: QuadratureRule
 ) -> tuple[np.ndarray, float]:
@@ -323,34 +306,32 @@ def harmonic_combination(
     Returns (values on the rule's nodes, U3 = int u^3 dsigma).
     """
     dense = np.linspace(-1.0, 1.0, 2001)
-    sup = float(np.max(np.abs(_combination_values(n, modes, coeffs, dense))))
+    sup = float(np.max(np.abs(sum(c * y_l0(m, n, dense) for m, c in zip(modes, coeffs)))))
     if sup == 0.0:
         raise ValueError("zero harmonic combination")
-    scaled = [c / sup for c in coeffs]
-    values = _combination_values(n, modes, scaled, rule.nodes)
+    values = sum(c / sup * y_l0(m, n, rule.nodes) for m, c in zip(modes, coeffs))
     u3 = omega_n(n - 1) * rule.integrate(values**3)
     return values, u3
 
 
-def resonance_check(
-    kernel: ZonalCoefficients, delta: float = 0.0, max_combo: int = 3
-) -> ResonanceReport:
+_MAX_COMBO = 3  # largest number of resonant modes combined in a witness
+
+
+def resonance_check(kernel: ZonalCoefficients, delta: float = 0.0) -> ResonanceReport:
     """Search the delta-resonant modes for a sup-normalized u with nonzero cube integral.
 
     Single modes are scanned first, then sign/weight patterns over pairs and
     triples of resonant modes.  The bandwidth test is
     delta < min(1/4, U3^2 / (49 sigma(S^{n-1})^2)).
     """
-    from .meanfield import gamma_sharp as _gamma_sharp
-
-    gs = _gamma_sharp(kernel)
+    gs = gamma_sharp(kernel)
     n = kernel.n
     threshold = -(1.0 - delta) / gs.gamma
     resonant = [k for k in range(1, kernel.coeffs.size) if kernel.coeffs[k] <= threshold + 1e-15]
     rule = gauss_jacobi_rule(n, max(3 * max(resonant) + 4, 16))
     best = (0.0, (), ())
     weights = (1.0, 0.5)
-    for size in range(1, min(max_combo, len(resonant)) + 1):
+    for size in range(1, min(_MAX_COMBO, len(resonant)) + 1):
         for modes in itertools.combinations(resonant, size):
             patterns = itertools.product(*[[w * s for w in weights for s in (1.0, -1.0)]] * size)
             seen = set()
@@ -410,56 +391,13 @@ class TransitionReport:
 
 
 _GAP_TOL = 1e-12
-
-
-def _best_candidate_gap(
-    kernel: ZonalCoefficients,
-    gamma: float,
-    op: GibbsOperator,
-    uniform: ZonalDensity,
-    labels: list[str],
-    seeds: np.ndarray,
-    competitor: Optional[tuple[np.ndarray, float, float]],
-    config: SolverConfig,
-) -> tuple[float, dict]:
-    """Lowest free-energy gap to uniform among the fixed points grown from the
-    seed columns (solved together as one block) and the competitor."""
-    f_uniform = free_energy(kernel, uniform, gamma).free_energy
-    best_gap, witness = 0.0, {"kind": "uniform"}
-    values, res, _ = _damped_picard(op, gamma, seeds, config)
-    for label, column, column_res in zip(labels, values.T, res):
-        if not column_res <= config.tol:
-            continue
-        density = make_density(kernel.n, op.rule, column, op.K)
-        gap = free_energy(kernel, density, gamma).free_energy - f_uniform
-        if gap < best_gap:
-            mode, amp = density.dominant_mode()
-            best_gap = gap
-            witness = {
-                "kind": "fixed-point",
-                "seed": label,
-                "dominant_mode": mode,
-                "amplitude": amp,
-                "residual": float(column_res),
-                "gap": gap,
-            }
-    if competitor is not None:
-        u_values, u3, eps = competitor
-        try:
-            gap = competitor_energy_gap(kernel, u_values, u3, eps, gamma, op.rule, op.K)
-        except ValueError:
-            gap = math.inf
-        if gap < best_gap:
-            best_gap = gap
-            witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
-    return best_gap, witness
+_BRACKET_RTOL = 1e-3  # relative width at which bisection of the bracket stops
 
 
 def find_transition(
     kernel: ZonalCoefficients,
     gamma_grid: Optional[Sequence[float]] = None,
     config: SolverConfig = SolverConfig(),
-    bracket_rtol: float = 1e-3,
 ) -> TransitionReport:
     """Scan gamma in (0, gamma_#] for the first point where a competitor beats uniform.
 
@@ -471,14 +409,11 @@ def find_transition(
     already beats uniform, half of it is tried as the lower end, and if a
     candidate wins there too no bracket is reported.
     """
-    from .kernels import stability_check
-    from .meanfield import gamma_sharp as _gamma_sharp
-
     if stability_check(kernel).stable:
         return TransitionReport(
             gamma_sharp=None, gamma_c_bracket=None, type="none", witness={"reason": "stable kernel"}
         )
-    gs = _gamma_sharp(kernel)
+    gs = gamma_sharp(kernel)
     if gamma_grid is None:
         gamma_grid = np.geomspace(0.2 * gs.gamma, gs.gamma, 200)
     gamma_grid = np.asarray(sorted(gamma_grid), dtype=float)
@@ -487,20 +422,15 @@ def find_transition(
     op = GibbsOperator(kernel, rule, config.K)
     uniform = uniform_density(kernel.n, rule, config.K)
 
-    try:
-        bif = bifurcation_points(kernel)
-        seed_modes = sorted({k for k, _ in bif.points[:4]} | set(gs.modes))
-    except ValueError:
-        seed_modes = list(gs.modes)
+    # gamma_sharp found a negative coefficient, so bifurcation_points cannot raise
+    seed_modes = sorted({k for k, _ in bifurcation_points(kernel).points[:4]} | set(gs.modes))
     labels, seeds = [], []
     for k in seed_modes:
-        for amp in (0.3, 0.8):
-            for sign in (+1.0, -1.0):
-                u_k = y_l0(k, kernel.n, rule.nodes)
-                sup = abs(y_l0(k, kernel.n, 1.0))
-                values = (1.0 + sign * amp * u_k / sup) / omega_n(kernel.n)
-                labels.append(f"mode{k}{'+' if sign > 0 else '-'}{amp}")
-                seeds.append(make_density(kernel.n, rule, values, config.K).values)
+        sup = abs(y_l0(k, kernel.n, 1.0))
+        for amp, sign in itertools.product((0.3, 0.8), (+1.0, -1.0)):
+            labels.append(f"mode{k}{'+' if sign > 0 else '-'}{amp}")
+            seed = _seeded_density(kernel.n, rule, config.K, uniform.values, k, sign * amp / sup)
+            seeds.append(seed.values)
     seeds = np.column_stack(seeds)
 
     reso = resonance_check(kernel, delta=0.0)
@@ -513,37 +443,63 @@ def find_transition(
         competitor = (u_values, u3, eps)
 
     def gap_at(gamma: float) -> tuple[float, dict]:
-        return _best_candidate_gap(kernel, gamma, op, uniform, labels, seeds, competitor, config)
+        """Lowest free-energy gap to uniform among the fixed points grown from the
+        seed columns (solved together as one block) and the competitor."""
+        f_uniform = free_energy(kernel, uniform, gamma).free_energy
+        best_gap, witness = 0.0, {"kind": "uniform"}
+        values, res, _ = _damped_picard(op, gamma, seeds, config)
+        for label, column, column_res in zip(labels, values.T, res):
+            if not column_res <= config.tol:
+                continue
+            density = make_density(kernel.n, rule, column, config.K)
+            gap = free_energy(kernel, density, gamma).free_energy - f_uniform
+            if gap < best_gap:
+                mode, amp = density.dominant_mode()
+                best_gap = gap
+                witness = {
+                    "kind": "fixed-point",
+                    "seed": label,
+                    "dominant_mode": mode,
+                    "amplitude": amp,
+                    "residual": float(column_res),
+                    "gap": gap,
+                }
+        if competitor is not None:
+            u_values, u3, eps = competitor
+            try:
+                gap = competitor_energy_gap(kernel, u_values, u3, eps, gamma, rule, config.K)
+            except ValueError:
+                gap = math.inf
+            if gap < best_gap:
+                best_gap = gap
+                witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
+        return best_gap, witness
 
     prev_gamma = None
-    bracket = None
-    witness = {}
     for gamma in gamma_grid:
-        gap, wit = gap_at(gamma)
+        gap, witness = gap_at(gamma)
         if gap < -_GAP_TOL:
-            if prev_gamma is None:  # certify a lower end below the grid
-                prev_gamma = 0.5 * gamma
-                if gap_at(prev_gamma)[0] < -_GAP_TOL:
-                    return TransitionReport(
-                        gamma_sharp=gs.gamma,
-                        gamma_c_bracket=None,
-                        type="none",
-                        witness={"reason": f"uniform already loses at gamma={prev_gamma}"},
-                    )
-            bracket = (prev_gamma, gamma)
-            witness = wit
             break
         prev_gamma = gamma
-    if bracket is None:
+    else:
         return TransitionReport(
             gamma_sharp=gs.gamma,
             gamma_c_bracket=None,
             type="none",
             witness={"reason": "no sign change on the gamma grid"},
         )
+    if prev_gamma is None:  # certify a lower end below the grid
+        prev_gamma = 0.5 * gamma
+        if gap_at(prev_gamma)[0] < -_GAP_TOL:
+            return TransitionReport(
+                gamma_sharp=gs.gamma,
+                gamma_c_bracket=None,
+                type="none",
+                witness={"reason": f"uniform already loses at gamma={prev_gamma}"},
+            )
 
-    lo, hi = bracket
-    while (hi - lo) / hi > bracket_rtol:
+    lo, hi = prev_gamma, gamma
+    while (hi - lo) / hi > _BRACKET_RTOL:
         mid = 0.5 * (lo + hi)
         gap, wit = gap_at(mid)
         if gap < -_GAP_TOL:
@@ -551,10 +507,7 @@ def find_transition(
         else:
             lo = mid
     step = float(np.min(np.diff(gamma_grid))) if gamma_grid.size > 1 else 0.0
-    if hi <= gs.gamma - step:
-        kind = "discontinuous"
-    else:
-        kind = "continuous-candidate"
+    kind = "discontinuous" if hi <= gs.gamma - step else "continuous-candidate"
     return TransitionReport(
         gamma_sharp=gs.gamma, gamma_c_bracket=(lo, hi), type=kind, witness=witness
     )

@@ -265,6 +265,24 @@ class TestErrors:
         assert code == EXIT_NUMERICAL and out == ""
         assert "non-finite" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "3",
+            "[1, 2]",
+            '{"n": null, "family": "onsager"}',
+            '{"n": 3, "family": "opinion", "p": "5"}',
+            '{"n": 3.7, "family": "onsager"}',
+            '{"n": 3, "family": "transformer", "beta": true}',
+            '{"n": 3, "family": "heat", "epsilon": Infinity}',
+            '{"n": 3, "family": "custom", "profile": {"t": 1}}',
+        ],
+    )
+    def test_malformed_kernel_document_is_config_error(self, capsys, kernel):
+        code, out, err = _run(capsys, ["decompose", "--kernel", kernel, "--K", "4"])
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "config"
+
     def test_missing_kernel_file_is_config_error(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, ["decompose", "--kernel", str(tmp_path / "nope.json"), "--K", "4"]

@@ -1,4 +1,7 @@
-"""Property-based checks of the shared spectral basis, the Picard engine and the particle drift."""
+"""Property-based checks of the shared spectral basis, the Picard engine, the particle drift
+and the kernel JSON reader."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from spheremv.harmonics import (
     reconstruct,
     spectral_basis,
 )
+from spheremv.kernels import KernelSpec, kernel_spec_from_json
 from spheremv.meanfield import convolve, linear_spectrum, make_density
 from spheremv.particles import _pairwise_drift, uniform_ensemble
 from spheremv.solver import (
@@ -180,3 +184,35 @@ def test_drift_is_permutation_equivariant_and_tangent(spec, count, seed):
     scale = max(1.0, np.max(np.abs(drift)))
     assert np.allclose(_pairwise_drift(spec, x[perm]), drift[perm], rtol=1e-12, atol=1e-13 * scale)
     assert np.max(np.abs(np.sum(drift * x, axis=1))) <= 1e-13
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly objects with the reader's keys, so the property reaches the field checks
+KERNEL_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.integers(-2, 12) | JSON_VALUES,
+        "family": st.sampled_from(["transformer", "onsager", "opinion", "heat", "custom"])
+        | JSON_VALUES,
+        "beta": JSON_VALUES,
+        "p": JSON_VALUES,
+        "epsilon": JSON_VALUES,
+        "derivative_bound": JSON_VALUES,
+        "profile": JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_DOCUMENTS)
+def test_kernel_json_gives_a_spec_or_a_config_error(document):
+    try:
+        spec = kernel_spec_from_json(json.dumps(document))
+    except (ValueError, KeyError):
+        return
+    assert isinstance(spec, KernelSpec)

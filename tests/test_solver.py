@@ -14,6 +14,7 @@ from spheremv.meanfield import (
     make_density,
     uniform_density,
 )
+from spheremv import solver
 from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
@@ -51,6 +52,14 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(K=48, M=48)
+        with pytest.raises(ValueError):
+            SolverConfig(tol=math.nan)
+        with pytest.raises(ValueError):
+            SolverConfig(tol=math.inf)
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=-3)
+        with pytest.raises(ValueError):
+            SolverConfig(K=-1)
 
 
 class TestResidual:
@@ -225,6 +234,23 @@ class TestTraceBranch:
     def test_empty_grid(self):
         branch, diag = trace_branch(ONSAGER3, 2, [], FAST)
         assert branch == [] and diag == "empty gamma grid"
+
+    def test_later_points_start_from_the_previous_state(self, monkeypatch):
+        inits = []
+        solve = solver.gibbs_fixed_point
+
+        def spied(kernel, gamma, init, *args, **kwargs):
+            inits.append((gamma, init.values.copy()))
+            return solve(kernel, gamma, init, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == "" and len(branch) == len(grid)
+        later = [(gamma, values) for gamma, values in inits if gamma != grid[0]]
+        assert [gamma for gamma, _ in later] == list(grid[1:])
+        for (_, values), previous in zip(later, branch):
+            assert np.array_equal(values, previous.density.values)
 
 
 class TestResonance:
