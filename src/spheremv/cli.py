@@ -23,6 +23,7 @@ from .kernels import KernelSpec, coefficients, kernel_spec_from_json, stability_
 from .meanfield import free_energy, linear_spectrum, uniform_density
 from .particles import SimConfig, simulate
 from .solver import (
+    BranchPoint,
     SolverConfig,
     _seeded_density,
     bifurcation_points,
@@ -132,11 +133,10 @@ _STATE_COLUMNS = [
 ]
 
 
-def _state_row(coeffs, gamma: float, density, residual: float, iterations: int) -> tuple:
-    mode, amp = density.dominant_mode()
-    report = free_energy(coeffs, density, gamma)
-    return (gamma, mode, amp, report.entropy, report.interaction, report.free_energy, residual,
-            iterations)
+def _state_row(point: BranchPoint) -> tuple:
+    energy = point.energy
+    return (point.gamma, point.dominant_mode, point.amplitude, energy.entropy, energy.interaction,
+            energy.free_energy, point.residual, point.iterations)
 
 
 def _cmd_decompose(args) -> int:
@@ -181,8 +181,11 @@ def _cmd_solve(args) -> int:
     result = gibbs_fixed_point(coeffs, args.gamma, base, config)
     if not result.converged:
         raise RuntimeError(f"fixed-point iteration failed: {result.message}")
-    row = _state_row(coeffs, args.gamma, result.density, result.residual, result.iterations)
-    _emit(args, _resolved_config(args), [row], _STATE_COLUMNS)
+    mode, amp = result.density.dominant_mode()
+    energy = free_energy(coeffs, result.density, args.gamma)
+    point = BranchPoint(args.gamma, result.density, mode, amp, energy, result.residual,
+                        result.iterations)
+    _emit(args, _resolved_config(args), [_state_row(point)], _STATE_COLUMNS)
     return 0
 
 
@@ -195,10 +198,7 @@ def _cmd_branch(args) -> int:
     header = _resolved_config(args)
     if diagnostic:
         header["diagnostic"] = diagnostic
-    rows = [
-        _state_row(coeffs, bp.gamma, bp.density, bp.residual, bp.iterations) for bp in branch
-    ]
-    _emit(args, header, rows, _STATE_COLUMNS)
+    _emit(args, header, [_state_row(point) for point in branch], _STATE_COLUMNS)
     return 0
 
 
@@ -252,7 +252,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return EXIT_CONFIG
     except (RuntimeError, OverflowError, FloatingPointError) as exc:

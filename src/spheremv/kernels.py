@@ -286,22 +286,27 @@ def quadrature_coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] 
     return decompose(ZonalProfile(n=spec.n, rule=rule, values=values), K)
 
 
-# Round-off slack on the "all coefficients nonnegative" stability test.
-_STABILITY_TOL = 1e-12
+# Round-off slack on the sign of a coefficient, and the width of a tie between two.
+_COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    stable: bool
-    first_unstable: Optional[int] = None
+    unstable_modes: tuple[int, ...]  # the k >= 1 with W_hat_k < -_COEFF_TOL, ascending
+
+    @property
+    def stable(self) -> bool:
+        return not self.unstable_modes
 
 
 def stability_check(coeffs: ZonalCoefficients) -> StabilityReport:
-    """Stable iff every W_hat_k >= -1e-12 up to the truncation."""
-    negative = np.nonzero(coeffs.coeffs < -_STABILITY_TOL)[0]
-    if negative.size == 0:
-        return StabilityReport(stable=True)
-    return StabilityReport(stable=False, first_unstable=int(negative[0]))
+    """Stable iff W_hat_k >= 0 (to _COEFF_TOL) for every k >= 1 up to the truncation.
+
+    W_hat_0 is left out: adding a constant to W changes neither the dynamics
+    nor the stationary states.
+    """
+    negative = np.nonzero(coeffs.coeffs[1:] < -_COEFF_TOL)[0]
+    return StabilityReport(unstable_modes=tuple(int(k) + 1 for k in negative))
 
 
 def convexity_threshold(spec: KernelSpec) -> Optional[float]:

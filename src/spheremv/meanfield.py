@@ -20,6 +20,7 @@ from .harmonics import (
     omega_n,
     spectral_basis,
 )
+from .kernels import _COEFF_TOL, stability_check
 from .specfun import QuadratureRule
 
 __all__ = [
@@ -180,14 +181,11 @@ class GammaSharp:
     modes: tuple[int, ...]
 
 
-_TIE_TOL = 1e-12
-
-
 def gamma_sharp(coeffs: ZonalCoefficients) -> GammaSharp:
     """Point of linear stability gamma_# = -1/min_{k>=1} W_hat_k with its index set."""
-    tail = coeffs.coeffs[1:]
-    w_min = float(np.min(tail))
-    if w_min >= -_TIE_TOL:
+    unstable = stability_check(coeffs).unstable_modes
+    if not unstable:
         raise ValueError("no instability: all coefficients k >= 1 are nonnegative")
-    modes = tuple(int(i) + 1 for i in np.nonzero(tail <= w_min + _TIE_TOL)[0])
+    w_min = float(min(coeffs.coeffs[k] for k in unstable))
+    modes = tuple(k for k in unstable if coeffs.coeffs[k] <= w_min + _COEFF_TOL)
     return GammaSharp(gamma=-1.0 / w_min, modes=modes)

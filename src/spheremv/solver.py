@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
-from .kernels import stability_check
+from .kernels import _COEFF_TOL, stability_check
 from .meanfield import (
+    EnergyReport,
     ZonalDensity,
     _check_gamma,
     free_energy,
@@ -82,10 +83,8 @@ class GibbsOperator:
             raise ValueError("dimension mismatch between kernel and rule")
         basis = spectral_basis(n, K, rule.order)
         wn = omega_n(n)
-        self.n = n
         self.rule = basis.rule
         self.K = K
-        self.kernel = kernel
         self.conv_matrix = basis.synthesis @ (wn * kernel.coeffs[: K + 1, None] * basis.analysis)
         self._azimuth = omega_n(n - 1)
         self._wn = wn
@@ -196,23 +195,16 @@ class BifurcationSet:
     ties: tuple[int, ...] = ()
 
 
-_UNIQUE_TOL = 1e-12
-
-
 def bifurcation_points(kernel: ZonalCoefficients) -> BifurcationSet:
-    """All (k, gamma_k = -1/W_hat_k) with W_hat_k < 0 unique among the coefficients."""
-    coeffs = kernel.coeffs
-    negative = [k for k in range(1, coeffs.size) if coeffs[k] < -_UNIQUE_TOL]
-    if not negative:
+    """All (k, gamma_k = -1/W_hat_k) with W_hat_k < 0 unique among the W_hat_j, j >= 1."""
+    unstable = stability_check(kernel).unstable_modes
+    if not unstable:
         raise ValueError("stable kernel: no bifurcation points")
-    points, ties = [], []
-    for k in negative:
-        others = np.delete(coeffs, k)
-        if np.min(np.abs(others - coeffs[k])) <= _UNIQUE_TOL:
-            ties.append(k)
-        else:
-            points.append((k, -1.0 / coeffs[k]))
-    return BifurcationSet(points=tuple(points), ties=tuple(ties))
+    coeffs = kernel.coeffs
+    # the count includes W_hat_k itself, so > 1 means another j >= 1 ties with it
+    ties = tuple(k for k in unstable if np.sum(np.abs(coeffs[1:] - coeffs[k]) <= _COEFF_TOL) > 1)
+    points = tuple((k, -1.0 / coeffs[k]) for k in unstable if k not in ties)
+    return BifurcationSet(points=points, ties=ties)
 
 
 @dataclass(frozen=True)
@@ -221,9 +213,13 @@ class BranchPoint:
     density: ZonalDensity
     dominant_mode: int
     amplitude: float
-    free_energy: float
+    energy: EnergyReport
     residual: float
     iterations: int
+
+    @property
+    def free_energy(self) -> float:
+        return self.energy.free_energy
 
 
 def _seeded_density(
@@ -272,15 +268,8 @@ def trace_branch(
             return branch, f"branch not found at gamma={gamma}"
         _, l, amp, result = min(found, key=lambda c: c[0])
         branch.append(
-            BranchPoint(
-                gamma=gamma,
-                density=result.density,
-                dominant_mode=l,
-                amplitude=amp,
-                free_energy=free_energy(kernel, result.density, gamma).free_energy,
-                residual=result.residual,
-                iterations=result.iterations,
-            )
+            BranchPoint(gamma, result.density, l, amp, free_energy(kernel, result.density, gamma),
+                        result.residual, result.iterations)
         )
         seeds = [result.density]
     return branch, ""
@@ -405,9 +394,12 @@ def find_transition(
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
     seeds at one gamma are solved together as one (M, S) Picard block.
-    Both ends of the bracket are evaluated: when the grid's first point
-    already beats uniform, half of it is tried as the lower end, and if a
-    candidate wins there too no bracket is reported.
+    Only the upper end of the bracket (lo, hi) is certified: a witness beats
+    uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
+    mode, 16 for four modes) relaxed to uniform and the competitor lost, so
+    gamma_c may lie below lo.  When the grid's first point already beats
+    uniform, half of it is tried as lo; if a candidate wins there too no
+    bracket is reported.
     """
     if stability_check(kernel).stable:
         return TransitionReport(
@@ -422,7 +414,6 @@ def find_transition(
     op = GibbsOperator(kernel, rule, config.K)
     uniform = uniform_density(kernel.n, rule, config.K)
 
-    # gamma_sharp found a negative coefficient, so bifurcation_points cannot raise
     seed_modes = sorted({k for k, _ in bifurcation_points(kernel).points[:4]} | set(gs.modes))
     labels, seeds = [], []
     for k in seed_modes:

@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 
 import spheremv
+from spheremv import cli, solver
 from spheremv.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from spheremv.meanfield import free_energy
 from spheremv.specfun import bessel_i
 
 ONSAGER = '{"n": 3, "family": "onsager"}'
 TRANSFORMER = '{"n": 4, "family": "transformer", "beta": 1.0}'
+# W = -1: only W_hat_0 is nonzero, so the kernel is stable
+CONSTANT = '{"n": 3, "family": "custom", "profile": [[-1, -1], [0, -1], [1, -1]]}'
+# W(t) = -0.5 - 1.5 t: W_hat_1 = -1/2 alone is negative, and equals W_hat_0
+LINEAR = '{"n": 3, "family": "custom", "profile": [[-1, 1.0], [0, -0.5], [1, -2.0]]}'
 STABLE = json.dumps(
     {
         "n": 3,
@@ -127,6 +133,20 @@ class TestBifurcations:
         assert header["note"] == "stable kernel"
         assert out.strip().splitlines()[-1] == "k,gamma_k"
 
+    def test_constant_kernel_is_stable(self, capsys):
+        code, out, _ = _run(capsys, ["bifurcations", "--kernel", CONSTANT, "--K", "8"])
+        assert code == 0
+        header, columns, rows = _csv_table(out)
+        assert header["note"] == "stable kernel" and rows == []
+
+    def test_tie_with_mode_zero_keeps_the_point(self, capsys):
+        code, out, _ = _run(capsys, ["bifurcations", "--kernel", LINEAR, "--K", "8"])
+        assert code == 0
+        header, columns, rows = _csv_table(out)
+        assert "ties" not in header
+        assert len(rows) == 1 and rows[0][0] == 1
+        assert rows[0][1] == pytest.approx(2.0, rel=1e-12)
+
 
 class TestSpectrum:
     def test_zero_mode_and_onsager_crossing(self, capsys):
@@ -157,6 +177,24 @@ class TestSolve:
         assert float(row["residual"]) <= 1e-11
 
 
+class TestBranch:
+    def test_one_free_energy_per_point(self, capsys, monkeypatch):
+        calls = []
+
+        def spied(*args, **kwargs):
+            calls.append(args[2])
+            return free_energy(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "free_energy", spied)
+        monkeypatch.setattr(cli, "free_energy", spied)
+        argv = ["branch", *BOTH_FORMATS["branch"][:-1], "5"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        rows = _csv_table(out)[2]
+        assert len(rows) == 5
+        assert calls == [row[0] for row in rows]
+
+
 class TestTransition:
     def test_stable_kernel_reports_none(self, capsys):
         code, out, _ = _run(capsys, ["transition", "--kernel", STABLE, "--K", "8"])
@@ -164,6 +202,13 @@ class TestTransition:
         payload = json.loads(out)
         assert payload["type"] == "none"
         assert payload["gamma_c_bracket"] is None
+
+    def test_constant_kernel_reports_none(self, capsys):
+        code, out, _ = _run(capsys, ["transition", "--kernel", CONSTANT, "--K", "8"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["type"] == "none"
+        assert payload["witness"] == {"reason": "stable kernel"}
 
     @pytest.mark.parametrize(
         "partial",

@@ -163,9 +163,10 @@ class TestDispatch:
 
 
 class TestStability:
-    def test_transformer_unstable_at_zero(self):
+    def test_transformer_unstable_from_mode_one(self):
+        # every W_hat_k < 0 at beta = 0.7; W_hat_0 is the mass mode and never counts
         rep = stability_check(coefficients(_spec(3, "transformer", beta=0.7), 10))
-        assert not rep.stable and rep.first_unstable == 0
+        assert not rep.stable and rep.unstable_modes == tuple(range(1, 11))
 
     def test_custom_t_squared_stable(self):
         spec = _spec(3, "custom", profile=lambda t: t**2)

@@ -16,8 +16,8 @@ from spheremv.harmonics import (
     reconstruct,
     spectral_basis,
 )
-from spheremv.kernels import KernelSpec, kernel_spec_from_json
-from spheremv.meanfield import convolve, linear_spectrum, make_density
+from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
+from spheremv.meanfield import convolve, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import _pairwise_drift, uniform_ensemble
 from spheremv.solver import (
     GibbsOperator,
@@ -172,6 +172,36 @@ def test_linear_spectrum_flips_sign_at_each_bifurcation(n, tail):
         below = linear_spectrum(kernel, gamma_k * (1.0 - 1e-9), L).eigenvalues
         above = linear_spectrum(kernel, gamma_k * (1.0 + 1e-9), L).eigenvalues
         assert below[k] < 0.0 < above[k]
+
+
+def _outcome(scan, kernel):
+    try:
+        return scan(kernel)
+    except ValueError:
+        return "raises"
+
+
+@st.composite
+def tied_coefficients(draw):
+    """(n, coefficient list) drawn from a small pool of values, so that ties are common."""
+    pool = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    K = draw(st.integers(0, 10))
+    return draw(st.integers(3, 8)), [draw(st.sampled_from(pool)) for _ in range(K + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_coefficients(), st.floats(-10.0, 10.0))
+def test_mode_zero_does_not_decide_stability(dims, shift):
+    n, coeffs = dims
+    kernel = ZonalCoefficients(n=n, coeffs=coeffs)
+    shifted = ZonalCoefficients(n=n, coeffs=[coeffs[0] + shift] + coeffs[1:])
+    outcomes = []
+    for scan in (stability_check, gamma_sharp, bifurcation_points):
+        outcome = _outcome(scan, kernel)
+        assert _outcome(scan, shifted) == outcome
+        outcomes.append(outcome)
+    report, gs, bif = outcomes
+    assert report.stable == (gs == "raises") == (bif == "raises")
 
 
 @FEW

@@ -193,6 +193,11 @@ class TestBifurcationPoints:
         assert set(bif.ties) == {1, 2}
         assert dict(bif.points) == {3: 4.0}
 
+    def test_ties_with_mode_zero_do_not_count(self):
+        bif = bifurcation_points(ZonalCoefficients(3, [-0.5, -0.5, 0.3, 0.1]))
+        assert bif.points == ((1, 2.0),)
+        assert bif.ties == ()
+
     def test_consistent_with_linear_spectrum_sign_flip(self):
         bif = bifurcation_points(ONSAGER3)
         for k, gamma_k in bif.points[:3]:
