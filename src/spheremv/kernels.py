@@ -66,8 +66,8 @@ class KernelSpec:
     derivative_bound: Optional[float] = None
 
     def __post_init__(self):
-        if not (_finite_real(self.n) and self.n == int(self.n)):
-            raise ValueError(f"sphere dimension must be an integer, got {self.n!r}")
+        if not (_finite_real(self.n) and self.n == int(self.n) and abs(self.n) <= 2**53):
+            raise ValueError(f"sphere dimension n must be an integer at most 2**53, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         for name in ("beta", "p", "epsilon", "derivative_bound"):
             value = getattr(self, name)

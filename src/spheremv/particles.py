@@ -46,7 +46,7 @@ class ParticleEnsemble:
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 2 or pos.shape[1] != self.n or pos.shape[0] == 0:
             raise ValueError(f"positions must have shape (N, {self.n}) with N >= 1")
-        norms = np.linalg.norm(pos, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         if np.any(np.abs(norms - 1.0) > _NORM_TOL):
             raise ValueError("all particle positions must be unit vectors")
 
@@ -140,18 +140,17 @@ def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) ->
 def step(ensemble: ParticleEnsemble, spec: KernelSpec, config: SimConfig) -> ParticleEnsemble:
     """One projected Euler-Maruyama step; deterministic given the generator state."""
     pos = ensemble.positions
-    if _kernel_is_inert(spec):
-        new = pos.copy()
-    else:
-        new = pos + config.dt * _pairwise_drift(spec, pos)
+    new = pos if _kernel_is_inert(spec) else pos + config.dt * _pairwise_drift(spec, pos)
     if math.isfinite(config.gamma):
         xi = ensemble.rng.standard_normal(pos.shape)
-        xi -= np.sum(xi * pos, axis=1, keepdims=True) * pos
-        new = new + math.sqrt(2.0 * config.dt / config.gamma) * xi
-    norms = np.linalg.norm(new, axis=1, keepdims=True)
+        xi -= np.einsum("ij,ij->i", xi, pos)[:, None] * pos
+        xi *= math.sqrt(2.0 * config.dt / config.gamma)
+        new = np.add(new, xi, out=xi)
+    norms = np.sqrt(np.einsum("ij,ij->i", new, new))[:, None]
     if not np.all((norms >= 1e-8) & (norms < math.inf)):  # NaN fails both
         raise RuntimeError("step left a particle non-finite or collapsed to the origin; reduce dt")
-    return replace(ensemble, positions=new / norms)
+    # in place, unless new is still the caller's array (inert kernel, no noise)
+    return replace(ensemble, positions=np.divide(new, norms, out=None if new is pos else new))
 
 
 def order_axis(ensemble: ParticleEnsemble) -> np.ndarray:
@@ -159,8 +158,8 @@ def order_axis(ensemble: ParticleEnsemble) -> np.ndarray:
     second = ensemble.positions.T @ ensemble.positions / ensemble.size
     _, vecs = np.linalg.eigh(second)
     axis = vecs[:, -1]
-    mean = ensemble.positions.mean(axis=0)
-    if np.dot(axis, mean) < 0.0:  # orient along the cluster when there is one
+    # orient along the cluster when there is one: the sign of <axis, mean>
+    if np.sum(ensemble.positions @ axis) < 0.0:
         axis = -axis
     return axis
 
@@ -213,8 +212,14 @@ def simulate(
 
     Moments are recorded every `config.record_every` steps after the burn-in
     fraction of the run.  When `snapshot_path` is given the final positions
-    are dumped as little-endian float64 rows of n entries.
+    are dumped as little-endian float64 rows of n entries.  A given `init`
+    must hold `count` particles on the sphere of `spec`.
     """
+    if init is not None and (init.n != spec.n or init.size != count):
+        raise ValueError(
+            f"init ensemble is {init.size} particles on S^{init.n - 1}; "
+            f"expected {count} on S^{spec.n - 1}"
+        )
     ensemble = init if init is not None else uniform_ensemble(spec.n, count, config.seed)
     first_record = int(config.burn_in * config.steps)
     recorded, rows = [], []

@@ -111,3 +111,25 @@ def dense_drift(spec, x):
     np.fill_diagonal(dw, 0.0)
     terms = dw[:, :, None] * (x[None, :, :] - t[:, :, None] * x[:, None, :])
     return -terms.sum(axis=1) / x.shape[0]
+
+
+def reference_step(positions, rng, spec, dt, gamma):
+    """One projected Euler-Maruyama step written out plainly, as new positions.
+
+    A copy plus the dense drift, np.sum for the tangent projection of the
+    noise and np.linalg.norm for the renormalisation; `rng` draws the same
+    normals as the step under test.
+    """
+    new = positions.copy() + dt * dense_drift(spec, positions)
+    if math.isfinite(gamma):
+        xi = rng.standard_normal(positions.shape)
+        xi -= np.sum(xi * positions, axis=1, keepdims=True) * positions
+        new = new + math.sqrt(2.0 * dt / gamma) * xi
+    return new / np.linalg.norm(new, axis=1, keepdims=True)
+
+
+def reference_order_axis(positions):
+    """Top eigenvector of the second-moment matrix, oriented by <axis, mean> >= 0."""
+    _, vecs = np.linalg.eigh(positions.T @ positions / positions.shape[0])
+    axis = vecs[:, -1]
+    return -axis if np.dot(axis, positions.mean(axis=0)) < 0.0 else axis

@@ -321,6 +321,7 @@ class TestErrors:
             '{"n": 3, "family": "transformer", "beta": true}',
             '{"n": 3, "family": "heat", "epsilon": Infinity}',
             '{"n": 3, "family": "custom", "profile": {"t": 1}}',
+            '{"n": 1e300, "family": "onsager"}',
         ],
     )
     def test_malformed_kernel_document_is_config_error(self, capsys, kernel):

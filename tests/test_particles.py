@@ -19,7 +19,7 @@ from spheremv.particles import (
     uniform_ensemble,
 )
 
-from helpers import DRIFT_SPECS, dense_drift
+from helpers import DRIFT_SPECS, dense_drift, reference_order_axis, reference_step
 
 TRANSFORMER3 = KernelSpec(n=3, family="transformer", beta=1.0)
 CONSTANT3 = KernelSpec(
@@ -28,6 +28,11 @@ CONSTANT3 = KernelSpec(
     profile=lambda t: np.ones_like(t),
     profile_derivative=lambda t: np.zeros_like(t),
 )
+ONSAGER3 = KernelSpec(n=3, family="onsager")
+TRANSFORMER4 = KernelSpec(n=4, family="transformer", beta=1.0)
+# (kernel, N) chained against reference_step: the inert path at sizes around
+# one tile, and two kernels with a drift.
+ORACLE_CASES = [(CONSTANT3, 1), (CONSTANT3, 129), (CONSTANT3, 1000), (ONSAGER3, 300), (TRANSFORMER4, 200)]
 
 
 def _pair(n, x, y, seed=0):
@@ -149,6 +154,29 @@ class TestStep:
         with pytest.raises(RuntimeError, match="non-finite"):
             step(ens, nan_kernel, SimConfig(gamma=math.inf))
 
+    @pytest.mark.parametrize("gamma", [2.0, math.inf])
+    @pytest.mark.parametrize("spec,count", ORACLE_CASES, ids=lambda c: getattr(c, "family", None))
+    def test_matches_reference_step(self, spec, count, gamma):
+        ens = uniform_ensemble(spec.n, count, seed=count)
+        x, rng = ens.positions.copy(), np.random.default_rng(count)
+        rng.bit_generator.state = ens.rng.bit_generator.state
+        cfg = SimConfig(dt=1e-3, gamma=gamma)
+        for _ in range(5):
+            ens = step(ens, spec, cfg)
+            x = reference_step(x, rng, spec, cfg.dt, cfg.gamma)
+            assert np.allclose(ens.positions, x, rtol=0.0, atol=1e-14)
+        assert ens.rng.bit_generator.state == rng.bit_generator.state
+        assert np.array_equal(order_axis(ens), reference_order_axis(ens.positions))
+
+    @pytest.mark.parametrize("gamma", [2.0, math.inf])
+    @pytest.mark.parametrize("spec", [CONSTANT3, TRANSFORMER3], ids=lambda s: s.family)
+    def test_leaves_the_input_ensemble_alone(self, spec, gamma):
+        ens = uniform_ensemble(3, 64, seed=8)
+        before = ens.positions.copy()
+        out = step(ens, spec, SimConfig(gamma=gamma))
+        assert np.array_equal(ens.positions, before)
+        assert not np.shares_memory(out.positions, ens.positions)
+
     def test_determinism_bit_identical(self):
         cfg = SimConfig(dt=1e-3, steps=50, gamma=3.0, seed=9, record_every=10)
         a = simulate(TRANSFORMER3, cfg, 128)
@@ -158,9 +186,11 @@ class TestStep:
 
 
 class TestOrderAxisAndMoments:
-    def test_axis_of_clustered_ensemble(self):
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+e3", "-e3"])
+    def test_axis_of_clustered_ensemble(self, sign):
+        # eigh's sign does not follow the cluster, so one of the two poles needs the flip
         rng = np.random.default_rng(11)
-        pole = np.array([0.0, 0.0, 1.0])
+        pole = np.array([0.0, 0.0, sign])
         pts = pole + 0.1 * rng.standard_normal((200, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         ens = ParticleEnsemble(n=3, positions=pts, rng=rng)
@@ -216,6 +246,12 @@ class TestSimulate:
         result = simulate(TRANSFORMER3, cfg, 32, snapshot_path=str(path))
         raw = np.fromfile(path, dtype="<f8").reshape(32, 3)
         assert np.array_equal(raw, result.ensemble.positions)
+
+    @pytest.mark.parametrize("n,size", [(4, 50), (3, 49)])
+    def test_rejects_mismatched_init(self, n, size):
+        cfg = SimConfig(dt=1e-3, steps=2, gamma=2.0, seed=4)
+        with pytest.raises(ValueError, match="init ensemble"):
+            simulate(ONSAGER3, cfg, 50, init=uniform_ensemble(n, size, seed=4))
 
     def test_final_state_recorded_when_grid_misses(self):
         cfg = SimConfig(dt=1e-3, steps=7, gamma=2.0, seed=4, record_every=100)
