@@ -122,6 +122,16 @@ def _write_out(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_gamma_grid(args: argparse.Namespace) -> None:
+    """Reject a gamma grid the scan could not use, before any numerical work."""
+    for flag in ("gamma_min", "gamma_max"):
+        value = getattr(args, flag)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
+    if args.gamma_steps is not None and args.gamma_steps < 1:
+        raise ValueError(f"--gamma-steps must be >= 1, got {args.gamma_steps}")
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     M = args.M if args.M is not None else args.K + 24
     return SolverConfig(K=args.K, M=M)
@@ -171,6 +181,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if not 0 <= args.mode <= args.K:
+        raise ValueError(f"--mode must lie in 0..K = 0..{args.K}, got {args.mode}")
     spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
@@ -190,6 +202,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_branch(args) -> int:
+    if not 1 <= args.mode <= args.K:
+        raise ValueError(f"--mode must lie in 1..K = 1..{args.K}, got {args.mode}")
+    _check_gamma_grid(args)
     spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
@@ -206,12 +221,13 @@ def _cmd_transition(args) -> int:
     bounds = (args.gamma_min, args.gamma_max)
     if None in bounds and (bounds != (None, None) or args.gamma_steps is not None):
         raise ValueError("--gamma-min and --gamma-max must be given together; --gamma-steps needs both")
+    grid = None
+    if None not in bounds:
+        _check_gamma_grid(args)
+        grid = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps or 100)
     spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
-    grid = None
-    if None not in bounds:
-        grid = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps or 100)
     report = find_transition(coeffs, gamma_grid=grid, config=config)
     payload = {
         "config": _resolved_config(args),
@@ -225,6 +241,8 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.particles < 2:
+        raise ValueError(f"--particles must be >= 2, got {args.particles}")
     spec = _load_spec(args)
     sim = SimConfig(dt=args.dt, steps=args.steps, gamma=args.gamma, seed=args.seed)
     result = simulate(spec, sim, args.particles)

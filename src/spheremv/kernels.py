@@ -1,8 +1,7 @@
 """Built-in interaction-kernel families and their spectral decompositions.
 
 Four named families are supported, each with a closed-form zonal
-decomposition evaluated through log-Gamma differences (signs tracked via
-gammasgn, so Gamma poles map cleanly to vanishing coefficients):
+decomposition (for all but heat, a stable W_hat_0 times a product of ratios):
 
   transformer(beta): W(t) = -(1/beta) exp(beta t)
   onsager:           W(t) = sqrt(1 - t^2)
@@ -23,15 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gammasgn
+from scipy.special import hyp0f1, poch
 
 from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct, spectral_basis
-from .specfun import (
-    bessel_i,
-    gauss_jacobi_rule,
-    gegenbauer_all,
-    log_gamma,
-)
+from .specfun import gauss_jacobi_rule, gegenbauer_all
 
 __all__ = [
     "KernelSpec",
@@ -93,13 +87,18 @@ def kernel_spec_from_json(data) -> KernelSpec:
     if isinstance(data, str):
         try:
             obj = json.loads(data)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
+            if data.lstrip().startswith("{"):  # inline JSON, not a path
+                raise ValueError(f"malformed kernel JSON: {exc}") from None
             with open(data, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
     else:
         obj = data
     if not isinstance(obj, dict):
         raise ValueError(f"kernel description must be a JSON object, got {type(obj).__name__}")
+    for key in ("n", "family"):
+        if key not in obj:
+            raise ValueError(f"kernel description has no {key!r} key")
     family = obj["family"]
     profile = deriv = None
     if family == "custom":
@@ -200,55 +199,26 @@ def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
     if K < 0:
         raise ValueError(f"truncation must be >= 0, got {K}")
     n = spec.n
-    k = np.arange(K + 1)
+    k = np.arange(K + 1.0)
     if spec.family == "transformer":
+        # -(beta/2)^k / (beta (n/2)_k) 0F1(; n/2 + k; beta^2/4), the Bessel form without Gamma(n/2)
         beta = spec.beta
-        pref = -(2.0 ** (0.5 * (n - 2))) * beta ** (-0.5 * n) * math.gamma(n / 2.0)
-        vals = pref * np.array([bessel_i(kk + 0.5 * (n - 2), beta) for kk in k])
+        rising = np.cumprod(np.r_[1.0, 0.5 * beta / (0.5 * n + k[:-1])])
+        vals = -rising / beta * hyp0f1(0.5 * n + k, 0.25 * beta * beta)
     elif spec.family == "onsager":
-        # The profile sqrt(1 - t^2) shifts the Gegenbauer index by 1/2, so the
-        # coefficients come from the lam -> lam + 1/2 connection formula: only
-        # the constant term of C_{2m}^lam expanded in C_j^{lam+1/2} survives.
-        lam = 0.5 * (n - 2)
-        mu = lam + 0.5
-        ratio = math.exp(  # c_lam / c_mu = int weight_mu / int weight_lam
-            log_gamma(lam + 1.0) - log_gamma(lam + 0.5) - log_gamma(mu + 1.0) + log_gamma(mu + 0.5)
-        )
+        # W_hat_0 = Gamma(n/2)^2 / (Gamma((n-1)/2) Gamma((n+1)/2)); the odd coefficients vanish
+        m = 2.0 * np.arange(K // 2)
+        ratios = (m - 1.0) * (m + 1.0) / ((m + n - 1.0) * (m + n + 1.0))
         vals = np.zeros(K + 1)
-        vals[0] = ratio
-        for m in range(1, K // 2 + 1):
-            log_mag = (
-                math.log(mu)
-                + log_gamma(mu)
-                + log_gamma(m - 0.5)
-                + log_gamma(m + lam)
-                + log_gamma(2.0 * lam)
-                + log_gamma(2.0 * m + 1.0)
-                - math.log(2.0)
-                - 0.5 * math.log(math.pi)
-                - log_gamma(lam)
-                - log_gamma(m + 1.0)
-                - log_gamma(m + lam + 1.5)
-                - log_gamma(2.0 * m + 2.0 * lam)
-            )
-            vals[2 * m] = -ratio * math.exp(log_mag)
+        vals[::2] = np.cumprod(np.r_[poch(0.5 * (n - 1), 0.5) / poch(0.5 * n, 0.5), ratios])
     elif spec.family == "opinion":
+        # W_hat_{k+1} / W_hat_k = (p - k) / (n - 1 + k + p): exact zeros past an integer p
         p = spec.p
-        log_pref = (
-            (n - 2.0 + p) * math.log(2.0)
-            + log_gamma(n / 2.0)
-            + log_gamma(0.5 * (n - 1) + p)
-            + log_gamma(p + 1.0)
-            - 0.5 * math.log(math.pi)
-        )
-        vals = np.zeros(K + 1)
-        for kk in k:
-            a = p + 1.0 - kk
-            if a <= 0.0 and abs(a - round(a)) < 1e-13:
-                continue  # Gamma pole: coefficient vanishes (integer p, k > p)
-            sign = gammasgn(a)
-            log_mag = log_pref - math.lgamma(a) - log_gamma(n + kk - 1.0 + p)
-            vals[kk] = -sign * math.exp(log_mag)
+        a, b, s = 0.5 * (n - 1 + p), 0.5 * n, 0.5 * p
+        head = float(poch(a, s)) / float(poch(b, s))
+        if not math.isfinite(head):  # both symbols overflow at large p: take the ratio in logs
+            head = math.exp(math.lgamma(a + s) - math.lgamma(a) + math.lgamma(b) - math.lgamma(b + s))
+        vals = np.cumprod(np.r_[-head, (p - k[:-1]) / (n - 1.0 + k[:-1] + p)])
     else:  # heat
         vals = _heat_coeffs(n, spec.epsilon, K)
     if not np.all(np.isfinite(vals)):

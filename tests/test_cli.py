@@ -329,6 +329,66 @@ class TestErrors:
         assert code == EXIT_CONFIG and out == ""
         assert json.loads(err)["error"] == "config"
 
+    @pytest.mark.parametrize("mode", ["-3", "99"])
+    def test_solve_mode_outside_truncation_is_config_error(self, capsys, mode):
+        argv = ["solve", "--kernel", ONSAGER, "--K", "16", "--M", "28", "--gamma", "12.0",
+                "--mode", mode]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--mode" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("mode", ["0", "99"])
+    def test_branch_mode_outside_truncation_is_config_error(self, capsys, mode):
+        argv = ["branch", "--kernel", ONSAGER, "--K", "16", "--mode", mode,
+                "--gamma-min", "11", "--gamma-max", "12", "--gamma-steps", "2"]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--mode" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command,extra", [("transition", []), ("branch", ["--mode", "2"])])
+    def test_empty_gamma_grid_is_config_error(self, capsys, command, extra):
+        argv = [command, "--kernel", ONSAGER, "--K", "8", *extra, "--gamma-min", "1",
+                "--gamma-max", "5", "--gamma-steps", "0"]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--gamma-steps" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command,extra", [("transition", []), ("branch", ["--mode", "2"])])
+    @pytest.mark.parametrize(
+        "bounds,flag",
+        [(["-1", "12"], "--gamma-min"), (["0", "12"], "--gamma-min"),
+         (["1", "inf"], "--gamma-max"), (["nan", "12"], "--gamma-min")],
+    )
+    def test_gamma_bounds_must_be_positive_and_finite(self, capsys, command, extra, bounds, flag):
+        argv = [command, "--kernel", ONSAGER, "--K", "8", *extra,
+                "--gamma-min", bounds[0], "--gamma-max", bounds[1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert flag in json.loads(err)["message"]
+
+    def test_single_particle_is_config_error(self, capsys):
+        argv = ["simulate", "--kernel", ONSAGER, "--K", "8", "--particles", "1", "--steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--particles" in json.loads(err)["message"]
+
+    def test_malformed_inline_kernel_reports_the_json_error(self, capsys):
+        code, _, err = _run(capsys, ["decompose", "--kernel", '{"n": 3,', "--K", "4"])
+        message = json.loads(err)["message"]
+        assert code == EXIT_CONFIG
+        assert "malformed kernel JSON" in message and "No such file" not in message
+
+    @pytest.mark.parametrize("key", ["n", "family"])
+    def test_missing_kernel_key_is_named(self, capsys, key):
+        kernel = json.dumps({k: v for k, v in {"n": 3, "family": "onsager"}.items() if k != key})
+        code, _, err = _run(capsys, ["decompose", "--kernel", kernel, "--K", "4"])
+        assert code == EXIT_CONFIG
+        assert json.loads(err)["message"] == f"kernel description has no '{key}' key"
+
     def test_missing_kernel_file_is_config_error(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, ["decompose", "--kernel", str(tmp_path / "nope.json"), "--K", "4"]

@@ -43,6 +43,16 @@ class TestKernelSpec:
         spec = kernel_spec_from_json('{"n": 4, "family": "transformer", "beta": 2.0}')
         assert spec.n == 4 and spec.family == "transformer" and spec.beta == 2.0
 
+    def test_malformed_inline_json_reports_the_json_error(self):
+        with pytest.raises(ValueError, match=r"malformed kernel JSON: Expecting"):
+            kernel_spec_from_json('{"n": 3,')
+
+    @pytest.mark.parametrize("key", ["n", "family"])
+    def test_missing_key_is_named(self, key):
+        data = {k: v for k, v in {"n": 3, "family": "onsager"}.items() if k != key}
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            kernel_spec_from_json(data)
+
     def test_json_custom_profile_table(self):
         t = np.linspace(-1, 1, 41)
         table = [[float(x), float(x**2)] for x in t]
