@@ -42,10 +42,10 @@ __all__ = [
 
 
 def omega_n(n: int) -> float:
-    """Surface measure of S^{n-1}: 2 pi^{n/2} / Gamma(n/2)."""
+    """Surface measure of S^{n-1}: 2 pi^{n/2} / Gamma(n/2), in logs (0.0 once it underflows)."""
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
 def c_lambda(lam: float) -> float:
@@ -194,7 +194,7 @@ class TripleProduct:
 
     one_d:      (A_l)^3 int C_l^3 (1-t^2)^{(n-3)/2} dt  (paper-style 1-D form)
     sigma:      full-sphere integral of Y_{l,0}^3 against dsigma
-    normalized: same against omega_n^{-1} dsigma
+    normalized: same against omega_n^{-1} dsigma, i.e. c_lambda * one_d
     """
 
     l: int
@@ -214,4 +214,4 @@ def triple_product_integral(l: int, n: int) -> TripleProduct:
         cube = 0.0  # odd integrand against an even weight
     one_d = basis.norm[l] ** 3 * cube
     sigma = omega_n(n - 1) * one_d
-    return TripleProduct(l=l, n=n, one_d=one_d, sigma=sigma, normalized=sigma / omega_n(n))
+    return TripleProduct(l=l, n=n, one_d=one_d, sigma=sigma, normalized=basis.c_lam * one_d)

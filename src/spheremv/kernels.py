@@ -44,6 +44,7 @@ _PARAMETER = {"transformer": "beta", "opinion": "p", "heat": "epsilon"}  # must 
 
 # Truncation used when a family needs a series representation of its profile.
 _SERIES_TAIL_TOL = 1e-18
+_PRODUCT_BLOCK = 1 << 16  # factors per block of the opinion W_hat_0 product: bounded memory
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,11 @@ def kernel_spec_from_json(data) -> KernelSpec:
 
 
 def _heat_coeffs(n: int, eps: float, K: int) -> np.ndarray:
-    """Coefficients -Gamma(n/2)/(2 sqrt(pi^n)) exp(-k(k+n-2) eps) for k <= K."""
-    amp = math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0))
+    """Coefficients -Gamma(n/2)/(2 sqrt(pi^n)) exp(-k(k+n-2) eps) for k <= K, taken in logs."""
     k = np.arange(K + 1)
-    return -amp * np.exp(-k * (k + n - 2.0) * eps)
+    log_c = math.lgamma(0.5 * n) - 0.5 * n * math.log(math.pi) - k * (k + n - 2.0) * eps
+    with np.errstate(over="ignore"):  # W_hat_0 = -1/omega_n exceeds 1e308 from n = 439: -inf
+        return -0.5 * np.exp(log_c)
 
 
 def _heat_series_coeffs(n: int, eps: float) -> np.ndarray:
@@ -212,13 +214,19 @@ def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
         vals = np.zeros(K + 1)
         vals[::2] = np.cumprod(np.r_[poch(0.5 * (n - 1), 0.5) / poch(0.5 * n, 0.5), ratios])
     elif spec.family == "opinion":
+        # W_hat_0 = -(a)_{p/2} / (b)_{p/2} = -(a)_f / (b)_f times m ratios, p/2 = m + f; then
         # W_hat_{k+1} / W_hat_k = (p - k) / (n - 1 + k + p): exact zeros past an integer p
         p = spec.p
-        a, b, s = 0.5 * (n - 1 + p), 0.5 * n, 0.5 * p
-        head = float(poch(a, s)) / float(poch(b, s))
-        if not math.isfinite(head):  # both symbols overflow at large p: take the ratio in logs
-            head = math.exp(math.lgamma(a + s) - math.lgamma(a) + math.lgamma(b) - math.lgamma(b + s))
-        vals = np.cumprod(np.r_[-head, (p - k[:-1]) / (n - 1.0 + k[:-1] + p)])
+        a, b = 0.5 * (n - 1 + p), 0.5 * n
+        m, f = divmod(0.5 * p, 1.0)
+        head = poch(a, f) / poch(b, f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, int(m), _PRODUCT_BLOCK):
+                j = f + np.arange(start, min(start + _PRODUCT_BLOCK, m))
+                head *= np.prod((a + j) / (b + j))
+                if not np.isfinite(head):
+                    break
+            vals = np.cumprod(np.r_[-head, (p - k[:-1]) / (n - 1.0 + k[:-1] + p)])
     else:  # heat
         vals = _heat_coeffs(n, spec.epsilon, K)
     if not np.all(np.isfinite(vals)):

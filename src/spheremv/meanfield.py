@@ -1,9 +1,9 @@
 """Zonal densities, spherical convolution, free energy, and linear stability.
 
-Densities are stored with respect to the un-normalized spherical measure
-sigma, so the uniform state is rho = 1/omega_n and the mass functional is
-omega_{n-1} * sum_i w_i rho(t_i) = 1 (the omega_{n-1} factor accounts for
-the azimuthal directions integrated out).
+Densities are stored against the normalized measure sigma / |S^{n-1}|, so the
+uniform state is rho = 1 and every integral is c_lambda * sum_i w_i f(t_i)
+(c_lambda = |S^{n-2}| / |S^{n-1}| covers the azimuthal directions integrated
+out).  No engine needs the surface area, which underflows at high dimension.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .harmonics import (
     ZonalCoefficients,
     ZonalProfile,
     decompose,
-    omega_n,
     spectral_basis,
 )
 from .kernels import _COEFF_TOL, stability_check
@@ -42,7 +41,7 @@ _MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ZonalDensity:
-    """Axially symmetric probability density on S^{n-1}, immutable after construction."""
+    """Axially symmetric probability density on S^{n-1} (uniform = 1), immutable once built."""
 
     n: int
     rule: QuadratureRule
@@ -61,18 +60,21 @@ class ZonalDensity:
         if abs(self.mass() - 1.0) > _MASS_TOL:
             raise ValueError(f"density mass {self.mass():.3e} deviates from 1")
 
+    def mean(self, values: np.ndarray) -> float:
+        """Integral against the normalized measure of a zonal function given on the nodes."""
+        c_lam = spectral_basis(self.n, self.coeffs.K, self.rule.order).c_lam
+        return c_lam * self.rule.integrate(values)
+
     def mass(self) -> float:
-        return omega_n(self.n - 1) * self.rule.integrate(self.values)
+        return self.mean(self.values)
 
     def perturbation_coefficients(self) -> np.ndarray:
-        """Normalized coefficients u_hat_l of u where rho = rho_bar (1 + u).
+        """Coefficients u_hat_l = <u, Y_{l,0}> of u where rho = 1 + u.
 
-        u_hat_l = <u, Y_{l,0}> under the omega_n^{-1} dsigma inner product;
-        the l = 0 entry is zero by mass conservation.
+        The l = 0 entry is zero by mass conservation.
         """
         basis = spectral_basis(self.n, self.coeffs.K, self.rule.order)
-        s = basis.norm * basis.at_one * self.coeffs.coeffs  # <rho, Y_l> per mode
-        u_hat = omega_n(self.n) * s
+        u_hat = basis.norm * basis.at_one * self.coeffs.coeffs
         u_hat[0] = 0.0
         return u_hat
 
@@ -83,32 +85,29 @@ class ZonalDensity:
         return l, float(u_hat[l])
 
 
-def make_density(
-    n: int, rule: QuadratureRule, values: np.ndarray, K: int, normalize: bool = True
-) -> ZonalDensity:
-    """Construct a ZonalDensity (optionally renormalizing mass) with cached coefficients."""
+def make_density(n: int, rule: QuadratureRule, values: np.ndarray, K: int) -> ZonalDensity:
+    """Construct a ZonalDensity, rescaled to unit mass, with cached coefficients."""
     vals = np.asarray(values, dtype=float)
-    if normalize:
-        vals = vals / (omega_n(n - 1) * rule.integrate(vals))
+    vals = vals / (spectral_basis(n, K, rule.order).c_lam * rule.integrate(vals))
     coeffs = decompose(ZonalProfile(n=n, rule=rule, values=vals), K)
     return ZonalDensity(n=n, rule=rule, values=vals, coeffs=coeffs)
 
 
 def uniform_density(n: int, rule: QuadratureRule, K: int) -> ZonalDensity:
-    return make_density(n, rule, np.full(rule.order, 1.0 / omega_n(n)), K, normalize=False)
+    return make_density(n, rule, np.ones(rule.order), K)
 
 
 def convolve(kernel: ZonalCoefficients, density: ZonalDensity) -> ZonalProfile:
     """W * rho on the density's node grid via the spherical convolution theorem.
 
-    Mode p of the convolution carries the factor omega_n * W_hat_p.
+    Mode p of the convolution carries the factor W_hat_p.
     """
     if kernel.n != density.n:
         raise ValueError(f"dimension mismatch: kernel n={kernel.n}, density n={density.n}")
     K = density.coeffs.K
     if kernel.K < K:
         raise ValueError(f"kernel truncation {kernel.K} below density truncation {K}")
-    conv_coeffs = omega_n(density.n) * kernel.coeffs[: K + 1] * density.coeffs.coeffs
+    conv_coeffs = kernel.coeffs[: K + 1] * density.coeffs.coeffs
     basis = spectral_basis(density.n, K, density.rule.order)
     return ZonalProfile(n=density.n, rule=density.rule, values=basis.synthesis @ conv_coeffs)
 
@@ -117,14 +116,11 @@ def entropy(density: ZonalDensity) -> float:
     """Relative entropy against the normalized volume measure; +inf off the positive cone."""
     if np.any(density.values <= 0.0):
         return math.inf
-    wn = omega_n(density.n)
-    scaled = wn * density.values
-    # integral against the normalized measure: omega_n^{-1} * omega_{n-1} * sum(...)
-    return (omega_n(density.n - 1) / wn) * density.rule.integrate(scaled * np.log(scaled))
+    return density.mean(density.values * np.log(density.values))
 
 
 def interaction_energy(kernel: ZonalCoefficients, density: ZonalDensity) -> float:
-    """Interaction energy 0.5 * iint W(<x,y>) rho(x) rho(y) dsigma dsigma, spectrally.
+    """Interaction energy 0.5 * iint W(<x,y>) rho(x) rho(y) against the normalized measure.
 
     Equals W_hat_0 / 2 plus the quadratic form of the higher modes.
     """

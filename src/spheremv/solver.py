@@ -5,8 +5,8 @@ G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  The same loop advances a block of densities, one per
 column, with one mat-mat per step: a transition scan solves all its seeds at
-one gamma that way.  Residuals are normalized-L2 norms of omega_n (rho -
-G(rho)), i.e. measured on the scale where the uniform state is 1.
+one gamma that way.  Densities are relative to the normalized measure (see
+`meanfield`), so Z and the residual ||rho - G(rho)|| are c_lambda-weighted sums.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
+from .harmonics import ZonalCoefficients, c_lambda, spectral_basis, y_l0
 from .kernels import _COEFF_TOL, stability_check
 from .meanfield import (
     EnergyReport,
@@ -82,12 +82,9 @@ class GibbsOperator:
         if n != kernel.n:
             raise ValueError("dimension mismatch between kernel and rule")
         basis = spectral_basis(n, K, rule.order)
-        wn = omega_n(n)
         self.rule = basis.rule
         self.K = K
-        self.conv_matrix = basis.synthesis @ (wn * kernel.coeffs[: K + 1, None] * basis.analysis)
-        self._azimuth = omega_n(n - 1)
-        self._wn = wn
+        self.conv_matrix = basis.synthesis @ (kernel.coeffs[: K + 1, None] * basis.analysis)
         self._clam = basis.c_lam
         self._gamma, self._exponent_matrix = None, None
 
@@ -97,18 +94,16 @@ class GibbsOperator:
         expo = self._exponent_matrix @ values
         expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
         e = np.exp(expo)
-        return e / (self._azimuth * np.dot(self.rule.weights, e))
+        return e / (self._clam * np.dot(self.rule.weights, e))
 
     def distance(self, values: np.ndarray, image: np.ndarray):
-        """Normalized-L2 norm of omega_n (values - image), e.g. image = G(values).
+        """Normalized-L2 norm of values - image, e.g. image = G(values).
 
         A float for one density, an (S,) array for a block.
         """
         d = values - image
         norm_sq = self._clam * np.dot(self.rule.weights, d * d)
-        if d.ndim == 1:
-            return self._wn * math.sqrt(norm_sq)
-        return self._wn * np.sqrt(norm_sq)
+        return math.sqrt(norm_sq) if d.ndim == 1 else np.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ class SolveResult:
 
 
 def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> float:
-    """Normalized-L2 distance of rho from its Gibbs image (uniform-scale units)."""
+    """Normalized-L2 distance of rho from its Gibbs image."""
     op = GibbsOperator(kernel, density.rule, density.coeffs.K)
     return op.distance(density.values, op.gibbs(gamma, density.values))
 
@@ -225,8 +220,7 @@ class BranchPoint:
 def _seeded_density(
     n: int, rule: QuadratureRule, K: int, base: np.ndarray, mode: int, amplitude: float
 ) -> ZonalDensity:
-    bump = amplitude * y_l0(mode, n, rule.nodes) / omega_n(n)
-    values = np.clip(base + bump, 1e-14, None)
+    values = np.clip(base + amplitude * y_l0(mode, n, rule.nodes), 1e-14, None)
     return make_density(n, rule, values, K)
 
 
@@ -290,16 +284,16 @@ class ResonanceReport:
 def harmonic_combination(
     n: int, modes: Sequence[int], coeffs: Sequence[float], rule: QuadratureRule
 ) -> tuple[np.ndarray, float]:
-    """Sup-normalized combination of zonal harmonics and its cubic integral U3.
+    """Sup-normalized combination u of zonal harmonics and its cube mean.
 
-    Returns (values on the rule's nodes, U3 = int u^3 dsigma).
+    Returns (values on the rule's nodes, <u^3> against the normalized measure).
     """
     dense = np.linspace(-1.0, 1.0, 2001)
     sup = float(np.max(np.abs(sum(c * y_l0(m, n, dense) for m, c in zip(modes, coeffs)))))
     if sup == 0.0:
         raise ValueError("zero harmonic combination")
     values = sum(c / sup * y_l0(m, n, rule.nodes) for m, c in zip(modes, coeffs))
-    u3 = omega_n(n - 1) * rule.integrate(values**3)
+    u3 = c_lambda(0.5 * (n - 2)) * rule.integrate(values**3)
     return values, u3
 
 
@@ -311,7 +305,7 @@ def resonance_check(kernel: ZonalCoefficients, delta: float = 0.0) -> ResonanceR
 
     Single modes are scanned first, then sign/weight patterns over pairs and
     triples of resonant modes.  The bandwidth test is
-    delta < min(1/4, U3^2 / (49 sigma(S^{n-1})^2)).
+    delta < min(1/4, <u^3>^2 / 49).
     """
     gs = gamma_sharp(kernel)
     n = kernel.n
@@ -333,8 +327,7 @@ def resonance_check(kernel: ZonalCoefficients, delta: float = 0.0) -> ResonanceR
                 if abs(u3) > abs(best[0]):
                     best = (u3, modes, coeffs)
     u3, modes, coeffs = best
-    sigma_total = omega_n(n)
-    limit = min(0.25, u3**2 / (49.0 * sigma_total**2))
+    limit = min(0.25, u3**2 / 49.0)
     satisfied = abs(u3) > 1e-12 and delta < limit
     return ResonanceReport(
         satisfied=satisfied,
@@ -357,13 +350,13 @@ def competitor_energy_gap(
     rule: QuadratureRule,
     K: int,
 ) -> float:
-    """Free-energy gap F(rho_bar (1 + eps xi u)) - F(rho_bar), xi = sign(U3)."""
+    """Free-energy gap F(1 + eps xi u) - F(1) to the uniform state, xi = sign(<u^3>)."""
     n = kernel.n
     xi = 1.0 if u3 >= 0.0 else -1.0
     perturb = 1.0 + epsilon * xi * u_values
     if np.any(perturb <= 0.0):
         raise ValueError("competitor density nonpositive at some node; reduce epsilon")
-    density = make_density(n, rule, perturb / omega_n(n), K, normalize=False)
+    density = make_density(n, rule, perturb, K)
     uniform = uniform_density(n, rule, K)
     return (
         free_energy(kernel, density, gamma).free_energy
@@ -430,7 +423,7 @@ def find_transition(
         u_values, u3 = harmonic_combination(
             kernel.n, reso.witness_modes, reso.witness_coeffs, rule
         )
-        eps = min(0.5, abs(u3) / (4.0 * omega_n(kernel.n)))
+        eps = min(0.5, abs(u3) / 4.0)
         competitor = (u_values, u3, eps)
 
     def gap_at(gamma: float) -> tuple[float, dict]:

@@ -95,13 +95,13 @@ def test_criterion_3_convolution_theorem():
         rng = np.random.default_rng(100 + n)
         for _ in range(10):
             density_fn = random_smooth_density(n, rng)
-            d = make_density(n, rule, density_fn(rule.nodes), 40, normalize=False)
+            d = make_density(n, rule, density_fn(rule.nodes), 40)
             t_eval = np.linspace(-0.95, 0.95, 16)
             oracle = brute_force_convolution(
                 lambda s: profile_values(spec, s), density_fn, n, t_eval
             )
             conv = reconstruct(
-                ZonalCoefficients(n=n, coeffs=omega_n(n) * kernel.coeffs[:41] * d.coeffs.coeffs),
+                ZonalCoefficients(n=n, coeffs=kernel.coeffs[:41] * d.coeffs.coeffs),
                 t_eval,
             )
             worst = max(worst, float(np.max(np.abs(conv - oracle))))
@@ -190,7 +190,7 @@ def test_criterion_8_competitor_expansion():
     kernel = coefficients(KernelSpec(n=3, family="onsager"), FAST.K)
     rule = gauss_jacobi_rule(3, FAST.M)
     values, u3 = harmonic_combination(3, (2,), (1.0,), rule)
-    predicted = -abs(u3) / (6.0 * GAMMA_SHARP_ONSAGER * omega_n(3))
+    predicted = -abs(u3) / (6.0 * GAMMA_SHARP_ONSAGER)
     ratios = [
         competitor_energy_gap(kernel, values, u3, eps, GAMMA_SHARP_ONSAGER, rule, FAST.K) / eps**3
         for eps in (2e-2, 1e-2)

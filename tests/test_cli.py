@@ -287,11 +287,14 @@ class TestErrors:
     def test_overflowing_solve_fails_at_once(self, capsys, kernel):
         argv = ["solve", "--kernel", kernel, "--gamma", "1e308", "--mode", "1",
                 "--K", "16", "--M", "24"]
+        # -gamma W*rho overflows in the first Gibbs image for opinion; for the
+        # transformer it stays finite there and overflows in the second
+        index = 1 if kernel == TRANSFORMER else 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = _run(capsys, argv)
         assert code == EXIT_NUMERICAL
-        assert "non-finite residual at iteration 0" in json.loads(err)["message"]
+        assert f"non-finite residual at iteration {index}" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--dt", "nan"), ("--dt", "inf")])
     def test_non_finite_simulate_config_is_config_error(self, capsys, flag, value):

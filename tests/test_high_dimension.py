@@ -1,17 +1,20 @@
-"""Closed-form coefficients on high-dimensional spheres against 40-digit oracles.
+"""Closed-form coefficients and the engines on high-dimensional spheres against 40-digit oracles.
 
 The oracles are the textbook forms, evaluated with mpmath: the Bessel form
-of the transformer coefficients and the Gamma-function products of the
-Onsager and opinion coefficients. In multiprecision neither their
+of the transformer coefficients, the Gamma-function products of the
+Onsager and opinion coefficients, and the surface area 2 pi^{n/2} / Gamma(n/2)
+behind omega_n and the heat amplitude. In multiprecision neither their
 overflowing prefactors nor their cancelling Gamma ratios cost accuracy.
 """
 
 import json
+import warnings
 
 import mpmath as mp
 import pytest
 
 from spheremv.cli import main
+from spheremv.harmonics import omega_n
 from spheremv.kernels import KernelSpec, closed_form_coefficients
 
 K = 6
@@ -94,6 +97,51 @@ def test_opinion_at_large_p(p):
     _assert_matches(values, lambda k: _opinion_oracle(3, p, k))
 
 
+def test_opinion_at_large_p_and_n():
+    # overflowing Pochhammer symbols again, now where log-Gamma differences cancel
+    n, p = 10**12, 2000.0
+    values = closed_form_coefficients(KernelSpec(n=n, family="opinion", p=p), K).coeffs
+    _assert_matches(values, lambda k: _opinion_oracle(n, p, k))
+
+
+def test_opinion_overflow_is_reported_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="closed-form coefficient overflow"):
+            closed_form_coefficients(KernelSpec(n=3, family="opinion", p=1500.0), K)
+
+
+def _area(n):
+    return 2 * mp.power(mp.pi, mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 100, 343, 344, 438])
+def test_omega_n(n):
+    with mp.workdps(40):
+        assert abs((mp.mpf(omega_n(n)) - _area(n)) / _area(n)) <= 1e-12
+
+
+def test_omega_n_underflows_to_zero():
+    assert omega_n(10**6) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 343, 344, 438])
+def test_heat(n):
+    eps = 0.3
+    values = closed_form_coefficients(KernelSpec(n=n, family="heat", epsilon=eps), K).coeffs
+    with mp.workdps(40):
+        oracle = lambda k: -mp.exp(-k * (k + n - 2) * mp.mpf(eps)) / _area(n)
+        for k, value in enumerate(values):
+            assert abs((mp.mpf(float(value)) - oracle(k)) / oracle(k)) <= 1e-12, k
+
+
+def test_cli_heat_past_the_double_range_is_numerical_failure(capsys):
+    # from n = 439 the heat W_hat_0 = -1/omega_n exceeds double precision
+    kernel = json.dumps({"n": 439, "family": "heat", "epsilon": 0.3})
+    assert main(["decompose", "--kernel", kernel, "--K", "1"]) == 3
+    assert "closed-form coefficient overflow" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_cli_bifurcations_at_width_512(capsys):
     kernel = json.dumps({"n": 512, "family": "transformer", "beta": 1})
     code = main(["bifurcations", "--kernel", kernel, "--K", "4", "--format", "json"])
@@ -105,3 +153,50 @@ def test_cli_bifurcations_at_width_512(capsys):
         for row in rows:
             exact = -1 / _transformer_oracle(512, 1.0, row["k"])
             assert abs((mp.mpf(row["gamma_k"]) - exact) / exact) <= REL
+
+
+# The engines at transformer widths where omega_n underflows or nearly does.
+WIDTHS = [343, 512, 4096]
+
+
+def _transformer(n):
+    return json.dumps({"n": n, "family": "transformer", "beta": 1})
+
+
+def _json_run(capsys, argv):
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return json.loads(captured.out)
+
+
+def _gamma_1(n):
+    with mp.workdps(40):
+        return float(-1 / _transformer_oracle(n, 1.0, 1))
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_cli_solve_below_gamma_1_returns_uniform(capsys, n):
+    argv = ["solve", "--kernel", _transformer(n), "--K", "4", "--M", "8",
+            "--gamma", repr(0.5 * _gamma_1(n)), "--mode", "1"]
+    row = _json_run(capsys, argv)["rows"][0]
+    assert abs(row["amplitude"]) <= 1e-10
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_cli_branch_above_gamma_1_beats_uniform(capsys, n):
+    g1 = _gamma_1(n)
+    argv = ["branch", "--kernel", _transformer(n), "--K", "4", "--M", "8", "--mode", "1",
+            "--gamma-min", repr(1.05 * g1), "--gamma-max", repr(1.5 * g1), "--gamma-steps", "4"]
+    rows = _json_run(capsys, argv)["rows"]
+    with mp.workdps(40):
+        uniform = float(_transformer_oracle(n, 1.0, 0) / 2)  # F(uniform) = W_hat_0 / 2
+    assert len(rows) == 4
+    assert all(row["residual"] <= 1e-11 and row["free_energy"] < uniform for row in rows)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_cli_transition_gamma_sharp(capsys, n):
+    argv = ["transition", "--kernel", _transformer(n), "--K", "8", "--M", "16"]
+    report = _json_run(capsys, argv)
+    assert abs(report["gamma_sharp"] - _gamma_1(n)) <= REL * _gamma_1(n)

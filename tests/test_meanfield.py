@@ -26,8 +26,8 @@ RULE4 = gauss_jacobi_rule(4, 48)
 
 
 def _perturbed(n, rule, mode, eps, K=24):
-    vals = (1.0 + eps * y_l0(mode, n, rule.nodes)) / omega_n(n)
-    return make_density(n, rule, vals, K, normalize=False)
+    vals = 1.0 + eps * y_l0(mode, n, rule.nodes)
+    return make_density(n, rule, vals, K)
 
 
 class TestZonalDensity:
@@ -42,9 +42,9 @@ class TestZonalDensity:
             ZonalDensity(n=3, rule=RULE3, values=vals, coeffs=ZonalCoefficients(3, np.array([1.0])))
 
     def test_rejects_wrong_mass(self):
-        vals = np.full(RULE3.order, 2.0 / omega_n(3))
-        with pytest.raises(ValueError):
-            make_density(3, RULE3, vals, 8, normalize=False)
+        vals = np.full(RULE3.order, 2.0)
+        with pytest.raises(ValueError, match="mass"):
+            ZonalDensity(n=3, rule=RULE3, values=vals, coeffs=ZonalCoefficients(3, np.array([2.0])))
 
     def test_rejects_non_finite_values(self):
         vals = np.full(RULE3.order, 1.0 / omega_n(3))
@@ -81,7 +81,7 @@ class TestConvolve:
         kernel = coefficients(KernelSpec(n=3, family="onsager"), 16)
         d = uniform_density(3, RULE3, 16)
         conv = convolve(kernel, d)
-        expected = omega_n(3) * kernel.coeffs[0] / omega_n(3)
+        expected = kernel.coeffs[0]
         assert np.max(np.abs(conv.values - expected)) < 1e-12
 
     def test_single_mode_scaling(self):
@@ -93,7 +93,7 @@ class TestConvolve:
 
         cc = decompose(ZonalProfile(n=3, rule=RULE3, values=conv.values), 24)
         assert cc.coeffs[1] == pytest.approx(
-            omega_n(3) * kernel.coeffs[1] * d.coeffs.coeffs[1], rel=1e-11
+            kernel.coeffs[1] * d.coeffs.coeffs[1], rel=1e-11
         )
 
     def test_dimension_mismatch(self):
@@ -114,9 +114,7 @@ class TestConvolve:
         )
         from spheremv.harmonics import reconstruct
 
-        conv_c = ZonalCoefficients(
-            n=3, coeffs=omega_n(3) * kernel.coeffs[:25] * d.coeffs.coeffs
-        )
+        conv_c = ZonalCoefficients(n=3, coeffs=kernel.coeffs[:25] * d.coeffs.coeffs)
         got = reconstruct(conv_c, t_eval)
         assert np.max(np.abs(got - oracle)) < 1e-8
 
@@ -129,16 +127,14 @@ class TestConvolve:
         rng = np.random.default_rng(n)
         for _ in range(5):
             density_fn = random_smooth_density(n, rng)
-            d = make_density(n, rule, density_fn(rule.nodes), 40, normalize=False)
+            d = make_density(n, rule, density_fn(rule.nodes), 40)
             t_eval = np.linspace(-0.95, 0.95, 16)
             oracle = brute_force_convolution(
                 lambda s: profile_values(spec, s), density_fn, n, t_eval
             )
             from spheremv.harmonics import reconstruct
 
-            conv_c = ZonalCoefficients(
-                n=n, coeffs=omega_n(n) * kernel.coeffs[:41] * d.coeffs.coeffs
-            )
+            conv_c = ZonalCoefficients(n=n, coeffs=kernel.coeffs[:41] * d.coeffs.coeffs)
             got = reconstruct(conv_c, t_eval)
             assert np.max(np.abs(got - oracle)) < 1e-7
 
@@ -189,7 +185,7 @@ class TestEntropy:
         vals = np.full(RULE3.order, 1.0 / omega_n(3))
         vals[3] = 0.0
         vals /= omega_n(2) * RULE3.integrate(vals)
-        d = make_density(3, RULE3, vals, 8, normalize=False)
+        d = make_density(3, RULE3, vals, 8)
         assert entropy(d) == math.inf
 
 
@@ -214,7 +210,7 @@ class TestInteractionEnergy:
         rng = np.random.default_rng(17 + n)
         for _ in range(5):
             density_fn = random_smooth_density(n, rng)
-            d = make_density(n, rule, density_fn(rule.nodes), 40, normalize=False)
+            d = make_density(n, rule, density_fn(rule.nodes), 40)
             oracle = brute_force_interaction(
                 lambda s: profile_values(spec, s), density_fn, n
             )

@@ -265,7 +265,7 @@ class TestResonance:
         assert report.gamma_sharp == pytest.approx(GAMMA_SHARP_ONSAGER, rel=1e-12)
         assert report.modes == (2,)
         assert report.witness_modes == (2,)
-        assert abs(report.u3) > 0.5
+        assert abs(report.u3) > 0.5 / omega_n(3)
 
     def test_transformer_mode_one_fails(self):
         kernel = coefficients(KernelSpec(n=3, family="transformer", beta=1.0), 16)
@@ -285,7 +285,7 @@ class TestResonance:
     def test_u3_matches_direct_quadrature(self):
         rule = gauss_jacobi_rule(3, 40)
         values, u3 = harmonic_combination(3, (2,), (1.0,), rule)
-        direct = omega_n(2) * rule.integrate(values**3)
+        direct = omega_n(2) / omega_n(3) * rule.integrate(values**3)  # against sigma / omega_n
         assert u3 == pytest.approx(direct, rel=1e-12)
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
@@ -306,9 +306,9 @@ class TestCompetitorGap:
 
     def test_cubic_law_at_gamma_sharp(self):
         # at gamma_# the quadratic term cancels and the gap is
-        # -(eps^3 / (6 gamma_#)) * rho_bar_normalized * |U3| + O(eps^4)
+        # -(eps^3 / (6 gamma_#)) * |<u^3>| + O(eps^4)
         values, u3 = harmonic_combination(3, (2,), (1.0,), RULE3)
-        predicted = -abs(u3) / (6.0 * GAMMA_SHARP_ONSAGER * omega_n(3))
+        predicted = -abs(u3) / (6.0 * GAMMA_SHARP_ONSAGER)
         ratios = []
         for eps in (4e-2, 2e-2, 1e-2):
             gap = competitor_energy_gap(
