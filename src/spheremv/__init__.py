@@ -6,7 +6,6 @@ from .harmonics import (
     SpectralBasis,
     ZonalCoefficients,
     ZonalProfile,
-    c_lambda,
     decompose,
     omega_n,
     reconstruct,
@@ -14,7 +13,6 @@ from .harmonics import (
     sphere_integral,
     triple_product_integral,
     y_l0,
-    zonal_norm_constant,
 )
 from .kernels import (
     KernelSpec,
@@ -57,11 +55,8 @@ from .solver import (
 )
 from .specfun import (
     QuadratureRule,
-    bessel_i,
     gauss_jacobi_rule,
-    gegenbauer_eval,
-    gegenbauer_norm_sq,
-    log_gamma,
+    zonal_table,
 )
 
 __version__ = "0.1.0"

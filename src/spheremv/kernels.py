@@ -24,8 +24,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import hyp0f1, poch
 
-from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct, spectral_basis
-from .specfun import gauss_jacobi_rule, gegenbauer_all
+from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct
+from .specfun import gauss_jacobi_rule, gegenbauer_all, zonal_table
 
 __all__ = [
     "KernelSpec",
@@ -109,7 +109,10 @@ def kernel_spec_from_json(data) -> KernelSpec:
             raise ValueError(f"custom profile table is not numeric: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError("custom profile table must be rows of [t, g(t)]")
-        profile = CubicSpline(table[:, 0], table[:, 1])
+        with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
+            profile = CubicSpline(table[:, 0], table[:, 1])
+        if not np.all(np.isfinite(profile.c)):
+            raise ValueError("custom profile table overflows its cubic spline")
         deriv = profile.derivative()
     return KernelSpec(
         n=obj["n"],
@@ -248,14 +251,15 @@ def quadrature_coefficients(spec: KernelSpec, K: int, quad_order: Optional[int] 
     The Onsager profile sqrt(1 - t^2) is absorbed into the Jacobi weight by
     using the rule one dimension up, which makes the integrand polynomial
     and the quadrature exact; plain rules converge only algebraically there.
+    That rule's probability weight is sqrt(1 - t^2) / W_hat_0 times ours.
     """
     order = quad_order or max(2 * K + 8, 64)
     if spec.family == "onsager":
         n = spec.n
-        basis = spectral_basis(n, K, order)
         rule_up = gauss_jacobi_rule(n + 1, order)
-        table = gegenbauer_all(K, 0.5 * (n - 2), rule_up.nodes)
-        coeffs = basis.c_lam * (table @ rule_up.weights) / basis.at_one
+        table = zonal_table(K, n, np.r_[1.0, rule_up.nodes])
+        w0 = closed_form_coefficients(spec, 0).coeffs[0]
+        coeffs = w0 * (table[:, 1:] @ rule_up.weights) / table[:, 0]
         return ZonalCoefficients(n=n, coeffs=coeffs)
     rule = gauss_jacobi_rule(spec.n, order)
     values = profile_values(spec, rule.nodes)

@@ -1,9 +1,9 @@
 """Zonal densities, spherical convolution, free energy, and linear stability.
 
 Densities are stored against the normalized measure sigma / |S^{n-1}|, so the
-uniform state is rho = 1 and every integral is c_lambda * sum_i w_i f(t_i)
-(c_lambda = |S^{n-2}| / |S^{n-1}| covers the azimuthal directions integrated
-out).  No engine needs the surface area, which underflows at high dimension.
+uniform state is rho = 1 and every integral is the plain quadrature mean
+sum_i w_i f(t_i): the rule's weights are probabilities.  No engine needs the
+surface area, which underflows at high dimension, nor any other constant.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class ZonalDensity:
 
     def mean(self, values: np.ndarray) -> float:
         """Integral against the normalized measure of a zonal function given on the nodes."""
-        c_lam = spectral_basis(self.n, self.coeffs.K, self.rule.order).c_lam
-        return c_lam * self.rule.integrate(values)
+        return self.rule.integrate(values)
 
     def mass(self) -> float:
         return self.mean(self.values)
@@ -73,8 +72,7 @@ class ZonalDensity:
 
         The l = 0 entry is zero by mass conservation.
         """
-        basis = spectral_basis(self.n, self.coeffs.K, self.rule.order)
-        u_hat = basis.norm * basis.at_one * self.coeffs.coeffs
+        u_hat = spectral_basis(self.n, self.coeffs.K, self.rule.order).at_one * self.coeffs.coeffs
         u_hat[0] = 0.0
         return u_hat
 
@@ -88,7 +86,7 @@ class ZonalDensity:
 def make_density(n: int, rule: QuadratureRule, values: np.ndarray, K: int) -> ZonalDensity:
     """Construct a ZonalDensity, rescaled to unit mass, with cached coefficients."""
     vals = np.asarray(values, dtype=float)
-    vals = vals / (spectral_basis(n, K, rule.order).c_lam * rule.integrate(vals))
+    vals = vals / rule.integrate(vals)
     coeffs = decompose(ZonalProfile(n=n, rule=rule, values=vals), K)
     return ZonalDensity(n=n, rule=rule, values=vals, coeffs=coeffs)
 
@@ -107,9 +105,9 @@ def convolve(kernel: ZonalCoefficients, density: ZonalDensity) -> ZonalProfile:
     K = density.coeffs.K
     if kernel.K < K:
         raise ValueError(f"kernel truncation {kernel.K} below density truncation {K}")
-    conv_coeffs = kernel.coeffs[: K + 1] * density.coeffs.coeffs
     basis = spectral_basis(density.n, K, density.rule.order)
-    return ZonalProfile(n=density.n, rule=density.rule, values=basis.synthesis @ conv_coeffs)
+    conv_coeffs = kernel.coeffs[: K + 1] * density.coeffs.coeffs * basis.at_one
+    return ZonalProfile(n=density.n, rule=density.rule, values=basis.table.T @ conv_coeffs)
 
 
 def entropy(density: ZonalDensity) -> float:

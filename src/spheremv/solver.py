@@ -6,7 +6,7 @@ convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  The same loop advances a block of densities, one per
 column, with one mat-mat per step: a transition scan solves all its seeds at
 one gamma that way.  Densities are relative to the normalized measure (see
-`meanfield`), so Z and the residual ||rho - G(rho)|| are c_lambda-weighted sums.
+`meanfield`), so Z and the residual ||rho - G(rho)|| are plain quadrature means.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .harmonics import ZonalCoefficients, c_lambda, spectral_basis, y_l0
+from .harmonics import ZonalCoefficients, spectral_basis, y_l0
 from .kernels import _COEFF_TOL, stability_check
 from .meanfield import (
     EnergyReport,
@@ -84,8 +84,9 @@ class GibbsOperator:
         basis = spectral_basis(n, K, rule.order)
         self.rule = basis.rule
         self.K = K
-        self.conv_matrix = basis.synthesis @ (kernel.coeffs[: K + 1, None] * basis.analysis)
-        self._clam = basis.c_lam
+        # (W * rho)(t_i) = sum_k W_hat_k Y_k(t_i) sum_j w_j Y_k(t_j) rho_j
+        table, w_hat = basis.table, kernel.coeffs[: K + 1, None]
+        self.conv_matrix = table.T @ (w_hat * table * self.rule.weights)
         self._gamma, self._exponent_matrix = None, None
 
     def gibbs(self, gamma: float, values: np.ndarray) -> np.ndarray:
@@ -94,7 +95,7 @@ class GibbsOperator:
         expo = self._exponent_matrix @ values
         expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
         e = np.exp(expo)
-        return e / (self._clam * np.dot(self.rule.weights, e))
+        return e / np.dot(self.rule.weights, e)
 
     def distance(self, values: np.ndarray, image: np.ndarray):
         """Normalized-L2 norm of values - image, e.g. image = G(values).
@@ -102,8 +103,8 @@ class GibbsOperator:
         A float for one density, an (S,) array for a block.
         """
         d = values - image
-        norm_sq = self._clam * np.dot(self.rule.weights, d * d)
-        return math.sqrt(norm_sq) if d.ndim == 1 else np.sqrt(norm_sq)
+        mean_sq = np.dot(self.rule.weights, d * d)
+        return math.sqrt(mean_sq) if d.ndim == 1 else np.sqrt(mean_sq)
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def harmonic_combination(
     if sup == 0.0:
         raise ValueError("zero harmonic combination")
     values = sum(c / sup * y_l0(m, n, rule.nodes) for m, c in zip(modes, coeffs))
-    u3 = c_lambda(0.5 * (n - 2)) * rule.integrate(values**3)
+    u3 = rule.integrate(values**3)
     return values, u3
 
 

@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the package's own quadrature and
-transform code paths: inner rules come from scipy, series are summed
-directly, and symbolic results come from sympy.
+transform code paths: inner rules come from scipy, and normalisation
+constants are the textbook Gamma-function closed forms.
 """
 
 import math
@@ -14,14 +14,28 @@ from spheremv.harmonics import omega_n
 from spheremv.kernels import KernelSpec, profile_derivative
 
 
-def bessel_series(nu: float, x: float, terms: int = 200) -> float:
-    """Power series I_nu(x) = sum (x/2)^{nu+2m} / (m! Gamma(nu+m+1))."""
-    total = 0.0
-    log_half_x = math.log(x / 2.0) if x > 0 else -math.inf
-    for m in range(terms):
-        log_term = (nu + 2 * m) * log_half_x - math.lgamma(m + 1) - math.lgamma(nu + m + 1)
-        total += math.exp(log_term)
-    return total
+def c_lambda(lam: float) -> float:
+    """1 / int (1-t^2)^{lam-1/2} dt = Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)) = |S^{n-2}| / |S^{n-1}|."""
+    return math.exp(math.lgamma(lam + 1.0) - 0.5 * math.log(math.pi) - math.lgamma(lam + 0.5))
+
+
+def gegenbauer_norm_sq(k: int, lam: float) -> float:
+    """int [C_k^lam]^2 (1-t^2)^{lam-1/2} dt = pi 2^{1-2 lam} Gamma(k+2 lam) / (k! (k+lam) Gamma(lam)^2)."""
+    return math.exp(
+        math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0) + math.lgamma(k + 2.0 * lam)
+        - math.lgamma(k + 1.0) - math.log(k + lam) - 2.0 * math.lgamma(lam)
+    )
+
+
+def gegenbauer_at_one(k: int, lam: float) -> float:
+    """C_k^lam(1) = Gamma(k + 2 lam) / (Gamma(2 lam) k!)."""
+    return math.exp(math.lgamma(k + 2.0 * lam) - math.lgamma(2.0 * lam) - math.lgamma(k + 1.0))
+
+
+def zonal_norm(l: int, n: int) -> float:
+    """A_l > 0 such that Y_{l,0} = A_l C_l^{(n-2)/2} has unit norm against sigma / omega_n."""
+    lam = 0.5 * (n - 2)
+    return 1.0 / math.sqrt(c_lambda(lam) * gegenbauer_norm_sq(l, lam))
 
 
 def outer_rule(n: int, order: int):

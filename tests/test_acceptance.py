@@ -11,7 +11,7 @@ import os
 import numpy as np
 from scipy.stats import kstest
 
-from spheremv.harmonics import omega_n, triple_product_integral, y_l0, zonal_norm_constant
+from spheremv.harmonics import omega_n, triple_product_integral, y_l0
 from spheremv.kernels import (
     KernelSpec,
     closed_form_coefficients,
@@ -32,7 +32,7 @@ from spheremv.solver import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import brute_force_convolution, random_smooth_density
+from helpers import brute_force_convolution, random_smooth_density, zonal_norm
 
 FAST = SolverConfig(K=32, M=48, max_iters=5000)
 GAMMA_SHARP_ONSAGER = 32.0 / math.pi
@@ -205,13 +205,13 @@ def test_criterion_9_resonance_integrals():
     worst = 0.0
     for n in (3, 4, 5, 10):
         tp2 = triple_product_integral(2, n)
-        a2 = zonal_norm_constant(2, n)
+        a2 = zonal_norm(2, n)
         exp2 = (
             a2**3 * 4.0 * (n - 2.0) ** 3 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1))
             / ((n + 2.0) * (n + 4.0) * math.gamma(0.5 * n - 1.0))
         )
         tp4 = triple_product_integral(4, n)
-        a4 = zonal_norm_constant(4, n)
+        a4 = zonal_norm(4, n)
         exp4 = (
             a4**3 * (n - 2.0) ** 3 * n**4 * (n**2 - 4.0) * math.sqrt(math.pi)
             * math.gamma(0.5 * (n + 5)) / (64.0 * math.gamma(0.5 * n + 6.0))

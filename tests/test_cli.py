@@ -1,17 +1,18 @@
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import iv
 
 import spheremv
 from spheremv import cli, solver
 from spheremv.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from spheremv.meanfield import free_energy
-from spheremv.specfun import bessel_i
 
 ONSAGER = '{"n": 3, "family": "onsager"}'
 TRANSFORMER = '{"n": 4, "family": "transformer", "beta": 1.0}'
@@ -32,6 +33,10 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _warning_to_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def _csv_table(text):
@@ -123,7 +128,7 @@ class TestBifurcations:
         n, beta = 4, 1.0
         amp = 2 ** (0.5 * (n - 2)) * beta ** (-0.5 * n) * math.gamma(0.5 * n)
         for k in range(1, 9):
-            expected = 1.0 / (amp * bessel_i(k + 0.5 * (n - 2), beta))
+            expected = 1.0 / (amp * iv(k + 0.5 * (n - 2), beta))
             assert rows[k] == pytest.approx(expected, rel=1e-11)
 
     def test_stable_kernel_emits_note(self, capsys):
@@ -378,6 +383,17 @@ class TestErrors:
             code, out, err = _run(capsys, argv)
         assert code == EXIT_CONFIG and out == ""
         assert "--particles" in json.loads(err)["message"]
+
+    def test_overflowing_custom_profile_writes_one_json_object(self, capsys):
+        profile = [[-1, 1e308], [0, -1e308], [1, 1e308]]
+        kernel = json.dumps({"n": 3, "family": "custom", "profile": profile})
+        with warnings.catch_warnings():
+            # print every warning to stderr, as Python does outside pytest
+            warnings.simplefilter("always")
+            warnings.showwarning = _warning_to_stderr
+            code, out, err = _run(capsys, ["decompose", "--kernel", kernel, "--K", "4"])
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "config"
 
     def test_malformed_inline_kernel_reports_the_json_error(self, capsys):
         code, _, err = _run(capsys, ["decompose", "--kernel", '{"n": 3,', "--K", "4"])

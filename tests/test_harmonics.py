@@ -7,18 +7,18 @@ import pytest
 from spheremv.harmonics import (
     ZonalCoefficients,
     ZonalProfile,
-    c_lambda,
     decompose,
     omega_n,
     reconstruct,
     sphere_integral,
     triple_product_integral,
     y_l0,
-    zonal_norm_constant,
 )
 from spheremv.cli import main
 from spheremv.kernels import KernelSpec, coefficients
 from spheremv.specfun import gauss_jacobi_rule
+
+from helpers import gegenbauer_at_one, outer_rule, zonal_norm
 
 
 class TestOmegaN:
@@ -33,45 +33,54 @@ class TestOmegaN:
 
 
 class TestCLambda:
+    # c_lam = |S^{n-2}| / |S^{n-1}| = 1 / int (1-t^2)^{(n-3)/2} dt is left only in the
+    # paper-style triple product: one_d = normalized / c_lam
+
+    @staticmethod
+    def _c_lam(n):
+        tp = triple_product_integral(2, n)
+        return tp.normalized / tp.one_d
+
     def test_half(self):
-        assert c_lambda(0.5) == pytest.approx(0.5, rel=1e-14)
+        assert self._c_lam(3) == pytest.approx(0.5, rel=1e-14)
 
     def test_one(self):
-        assert c_lambda(1.0) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        assert self._c_lam(4) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_reciprocal_of_weight_integral(self, n):
-        lam = 0.5 * (n - 2)
-        rule = gauss_jacobi_rule(n, 10)
-        assert c_lambda(lam) == pytest.approx(1.0 / np.sum(rule.weights), rel=1e-12)
+        _, weights = outer_rule(n, 10)
+        assert self._c_lam(n) == pytest.approx(1.0 / np.sum(weights), rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            c_lambda(0.0)
+            triple_product_integral(2, 2)
 
 
 class TestZonalNormConstant:
+    # the normalisation A_l of Y_{l,0} = A_l C_l^{(n-2)/2}, as carried by y_l0
+
     def test_degree_zero_is_one(self):
         for n in (3, 4, 7):
-            assert zonal_norm_constant(0, n) == pytest.approx(1.0, rel=1e-13)
+            assert y_l0(0, n, 0.3) == pytest.approx(1.0, rel=1e-13)
 
     def test_known_legendre_values(self):
-        assert zonal_norm_constant(2, 3) == pytest.approx(math.sqrt(5.0), rel=1e-13)
-        assert zonal_norm_constant(1, 3) == pytest.approx(math.sqrt(3.0), rel=1e-13)
+        # Y_l = sqrt(2l+1) P_l on S^2, and P_l(1) = 1
+        assert y_l0(2, 3, 1.0) == pytest.approx(math.sqrt(5.0), rel=1e-13)
+        assert y_l0(1, 3, 1.0) == pytest.approx(math.sqrt(3.0), rel=1e-13)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("l", [0, 1, 2, 5])
     def test_unit_norm_under_normalized_inner_product(self, l, n):
-        lam = 0.5 * (n - 2)
         rule = gauss_jacobi_rule(n, 30)
         vals = y_l0(l, n, rule.nodes)
-        assert c_lambda(lam) * rule.integrate(vals**2) == pytest.approx(1.0, rel=1e-11)
+        assert rule.integrate(vals**2) == pytest.approx(1.0, rel=1e-11)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
-            zonal_norm_constant(-1, 3)
+            y_l0(-1, 3, 0.0)
         with pytest.raises(ValueError):
-            zonal_norm_constant(2, 2)
+            y_l0(2, 2, 0.0)
 
 
 class TestDecompose:
@@ -145,7 +154,6 @@ class TestReconstruct:
 
     def test_heat_series_truncation_bound(self):
         from spheremv.kernels import _heat_series_coeffs
-        from spheremv.specfun import gegenbauer_value_at_one
 
         n, eps, K = 3, 0.25, 6
         full = _heat_series_coeffs(n, eps)
@@ -153,7 +161,7 @@ class TestReconstruct:
         lo = reconstruct(ZonalCoefficients(n=n, coeffs=full[: K + 1]), t)
         hi = reconstruct(ZonalCoefficients(n=n, coeffs=full[: K + 11]), t)
         tail = sum(
-            abs(full[k]) * (2 * k + n - 2) / (n - 2) * gegenbauer_value_at_one(k, 0.5 * (n - 2))
+            abs(full[k]) * (2 * k + n - 2) / (n - 2) * gegenbauer_at_one(k, 0.5 * (n - 2))
             for k in range(K + 1, min(K + 11, full.size))
         )
         assert np.max(np.abs(hi - lo)) <= tail + 1e-15
@@ -167,15 +175,10 @@ class TestParseval:
         vals = np.exp(0.7 * rule.nodes) - 0.3 * rule.nodes**2
         coeffs = decompose(ZonalProfile(n=n, rule=rule, values=vals), 40)
         # normalized coefficients <g, Y_l>
-        from spheremv.specfun import gegenbauer_value_at_one
-
         proj = np.array(
-            [
-                zonal_norm_constant(k, n) * gegenbauer_value_at_one(k, lam) * coeffs.coeffs[k]
-                for k in range(41)
-            ]
+            [zonal_norm(k, n) * gegenbauer_at_one(k, lam) * coeffs.coeffs[k] for k in range(41)]
         )
-        lhs = c_lambda(lam) * rule.integrate(vals**2)
+        lhs = rule.integrate(vals**2)
         assert lhs == pytest.approx(float(np.sum(proj**2)), rel=1e-9)
 
 
@@ -189,13 +192,13 @@ class TestTripleProduct:
     def test_raw_legendre_value(self):
         # at n = 3 the l = 2 polynomial is Legendre P_2; int P_2^3 dt = 4/35
         tp = triple_product_integral(2, 3)
-        raw = tp.one_d / zonal_norm_constant(2, 3) ** 3
+        raw = tp.one_d / zonal_norm(2, 3) ** 3
         assert raw == pytest.approx(4.0 / 35.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_closed_form_l2(self, n):
         tp = triple_product_integral(2, n)
-        a = zonal_norm_constant(2, n)
+        a = zonal_norm(2, n)
         expected = (
             a**3
             * 4.0
@@ -209,7 +212,7 @@ class TestTripleProduct:
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_closed_form_l4(self, n):
         tp = triple_product_integral(4, n)
-        a = zonal_norm_constant(4, n)
+        a = zonal_norm(4, n)
         expected = (
             a**3
             * (n - 2.0) ** 3

@@ -16,6 +16,8 @@ import pytest
 from spheremv.cli import main
 from spheremv.harmonics import omega_n
 from spheremv.kernels import KernelSpec, closed_form_coefficients
+from spheremv.meanfield import entropy, uniform_density
+from spheremv.specfun import gauss_jacobi_rule
 
 K = 6
 REL = 1e-8
@@ -200,3 +202,37 @@ def test_cli_transition_gamma_sharp(capsys, n):
     argv = ["transition", "--kernel", _transformer(n), "--K", "8", "--M", "16"]
     report = _json_run(capsys, argv)
     assert abs(report["gamma_sharp"] - _gamma_1(n)) <= REL * _gamma_1(n)
+
+
+# The engines at widths where c_lambda, the Jacobi weight total and C_k(1) left
+# double precision: the quadrature's own orthonormal recurrence needs none of them.
+HUGE_WIDTHS = [4096, 10**6, 10**9, 10**12, 10**15]
+
+
+@pytest.mark.parametrize("n", HUGE_WIDTHS)
+def test_uniform_entropy_is_zero(n):
+    assert abs(entropy(uniform_density(n, gauss_jacobi_rule(n, 28), 16))) <= 1e-14
+
+
+def test_cli_solve_at_width_1e9_with_the_default_truncation(capsys):
+    argv = ["solve", "--kernel", _transformer(10**9), "--gamma", "1"]
+    row = _json_run(capsys, argv)["rows"][0]
+    assert abs(row["amplitude"]) <= 1e-10 and row["residual"] <= 1e-11
+
+
+def test_cli_solve_at_width_1e15(capsys):
+    n = 10**15
+    argv = ["solve", "--kernel", _transformer(n), "--K", "16", "--M", "28", "--gamma", "1"]
+    row = _json_run(capsys, argv)["rows"][0]
+    with mp.workdps(40):
+        uniform = float(_transformer_oracle(n, 1.0, 0) / 2)  # F(uniform) = W_hat_0 / 2
+    assert abs(row["entropy"]) <= 1e-14
+    assert abs(row["free_energy"] - uniform) <= 1e-12
+
+
+def test_cli_solve_past_the_double_range_is_numerical_failure(capsys):
+    # Y_48(1) = sqrt(dim_48) exceeds double precision on S^{2**53 - 1}
+    code = main(["solve", "--kernel", _transformer(2**53), "--gamma", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "exceeds double precision" in json.loads(captured.err)["message"]

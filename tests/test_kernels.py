@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammasgn
+from scipy.special import gammasgn, iv
 
 from spheremv.harmonics import ZonalCoefficients
 from spheremv.kernels import (
@@ -17,7 +17,7 @@ from spheremv.kernels import (
     quadrature_coefficients,
     stability_check,
 )
-from spheremv.specfun import bessel_i, gauss_jacobi_rule
+from spheremv.specfun import gauss_jacobi_rule
 
 
 def _spec(n, family, **kw):
@@ -89,7 +89,7 @@ class TestClosedForms:
                 -(2 ** (0.5 * (n - 2)))
                 * beta ** (-0.5 * n)
                 * math.gamma(0.5 * n)
-                * bessel_i(k + 0.5 * (n - 2), beta)
+                * iv(k + 0.5 * (n - 2), beta)
             )
             assert coeffs.coeffs[k] == pytest.approx(expected, rel=1e-12)
 

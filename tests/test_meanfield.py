@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spheremv.harmonics import ZonalCoefficients, omega_n, y_l0, zonal_norm_constant
+from spheremv.harmonics import ZonalCoefficients, omega_n, y_l0
 from spheremv.kernels import KernelSpec, coefficients, profile_values
 from spheremv.meanfield import (
     ZonalDensity,
@@ -151,11 +151,9 @@ class TestEntropy:
     def test_cubic_taylor_coefficient(self):
         # (E(rho(1+eps u)) - eps^2 ||u||^2/2) / eps^3 -> -<u^3>/6 in the
         # normalized measure
-        from spheremv.harmonics import c_lambda
-
         u = y_l0(2, 3, RULE3.nodes)
-        norm_sq = c_lambda(0.5) * RULE3.integrate(u**2)
-        u3 = c_lambda(0.5) * RULE3.integrate(u**3)
+        norm_sq = RULE3.integrate(u**2)
+        u3 = RULE3.integrate(u**3)
         prev = None
         for eps in (1e-2, 1e-3, 1e-4):
             d = _perturbed(3, RULE3, 2, eps)

@@ -28,7 +28,7 @@ from spheremv.solver import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import DRIFT_SPECS
+from helpers import DRIFT_SPECS, outer_rule
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -59,7 +59,8 @@ def test_synthesis_then_decompose_round_trip(dims, seed):
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, K + 1)
     rule = gauss_jacobi_rule(n, M)
     values = reconstruct(ZonalCoefficients(n=n, coeffs=coeffs), rule.nodes)
-    assert np.allclose(spectral_basis(n, K, M).synthesis @ coeffs, values, rtol=1e-12, atol=1e-12)
+    basis = spectral_basis(n, K, M)
+    assert np.allclose(basis.table.T @ (basis.at_one * coeffs), values, rtol=1e-12, atol=1e-12)
     back = decompose(ZonalProfile(n=n, rule=rule, values=values), K)
     assert np.max(np.abs(back.coeffs - coeffs)) < 1e-9
 
@@ -71,7 +72,8 @@ def test_gibbs_image_is_positive_with_unit_mass(dims, gamma, seed):
     kernel, density = _random_setup(n, K, M, seed)
     image = GibbsOperator(kernel, density.rule, K).gibbs(gamma, density.values)
     assert np.all(image > 0.0)
-    mass = omega_n(n - 1) / omega_n(n) * density.rule.integrate(image)  # against sigma / omega_n
+    _, weights = outer_rule(n, M)  # the same nodes, weights from scipy
+    mass = omega_n(n - 1) / omega_n(n) * np.dot(weights, image)  # against sigma / omega_n
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,8 +111,7 @@ def test_cached_rule_and_basis_are_read_only(dims):
     basis = spectral_basis(n, K, M)
     assert gauss_jacobi_rule(n, M) is rule and basis.rule is rule
     assert spectral_basis(n, K, M) is basis
-    arrays = [rule.nodes, rule.weights, basis.table, basis.at_one, basis.norm,
-              basis.factors, basis.analysis, basis.synthesis]
+    arrays = [rule.nodes, rule.weights, basis.table, basis.at_one]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -4,43 +4,40 @@ import numpy as np
 import pytest
 import sympy
 
-from spheremv.specfun import (
-    QuadratureRule,
-    bessel_i,
-    gauss_jacobi_rule,
-    gegenbauer_all,
-    gegenbauer_eval,
-    gegenbauer_norm_sq,
-    gegenbauer_value_at_one,
-    log_gamma,
-)
+from spheremv.specfun import QuadratureRule, gauss_jacobi_rule, gegenbauer_all, zonal_table
 
-from helpers import bessel_series
+from helpers import c_lambda, gegenbauer_at_one, gegenbauer_norm_sq, zonal_norm
+
+
+def _gegenbauer(k, lam, t):
+    """C_k^lam(t) as the last row of gegenbauer_all, a float for scalar t."""
+    values = gegenbauer_all(k, lam, t)[-1]
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 class TestGegenbauerEval:
     def test_degree_zero_is_one(self):
-        assert gegenbauer_eval(0, 0.5, 0.3) == 1.0
+        assert _gegenbauer(0, 0.5, 0.3) == 1.0
 
     def test_degree_one_is_2_lambda_t(self):
-        assert gegenbauer_eval(1, 0.5, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert _gegenbauer(1, 0.5, 0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_degree_two_legendre(self):
         # C_2^{1/2}(t) = (3 t^2 - 1)/2
-        assert gegenbauer_eval(2, 0.5, 0.5) == pytest.approx(-0.125, abs=1e-15)
+        assert _gegenbauer(2, 0.5, 0.5) == pytest.approx(-0.125, abs=1e-15)
 
     def test_array_input(self):
         t = np.linspace(-1, 1, 7)
-        vals = gegenbauer_eval(3, 1.0, t)
+        vals = _gegenbauer(3, 1.0, t)
         assert vals.shape == t.shape
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            gegenbauer_eval(2, 0.0, 0.3)
+            _gegenbauer(2, 0.0, 0.3)
 
     def test_rejects_nonfinite_t(self):
         with pytest.raises(ValueError):
-            gegenbauer_eval(2, 0.5, math.nan)
+            _gegenbauer(2, 0.5, math.nan)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 4.0])
     def test_rodrigues_formula_agreement(self, lam):
@@ -60,104 +57,65 @@ class TestGegenbauerEval:
             )
             fn = sympy.lambdify(x, sympy.simplify(expr), "numpy")
             expected = np.asarray(fn(grid), dtype=float)
-            got = gegenbauer_eval(k, lam, grid)
+            got = _gegenbauer(k, lam, grid)
             assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_table_matches_single_evaluations(self):
         t = np.linspace(-1, 1, 11)
         table = gegenbauer_all(8, 1.5, t)
         for k in range(9):
-            assert np.allclose(table[k], gegenbauer_eval(k, 1.5, t), atol=1e-13)
+            assert np.allclose(table[k], _gegenbauer(k, 1.5, t), atol=1e-13)
 
 
 class TestGegenbauerNormSq:
+    # the squared norms against the probability weight c_lam (1-t^2)^{lam-1/2}
+
     def test_degree_zero(self):
-        assert gegenbauer_norm_sq(0, 0.5) == pytest.approx(2.0, rel=1e-14)
+        rule = gauss_jacobi_rule(3, 12)
+        assert rule.integrate(gegenbauer_all(0, 0.5, rule.nodes)[0] ** 2) == pytest.approx(
+            0.5 * 2.0, rel=1e-14
+        )
 
     def test_degree_one(self):
-        assert gegenbauer_norm_sq(1, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        rule = gauss_jacobi_rule(3, 12)
+        assert rule.integrate(gegenbauer_all(1, 0.5, rule.nodes)[1] ** 2) == pytest.approx(
+            0.5 * 2.0 / 3.0, rel=1e-14
+        )
 
     def test_degree_two(self):
-        assert gegenbauer_norm_sq(2, 0.5) == pytest.approx(2.0 / 5.0, rel=1e-14)
+        rule = gauss_jacobi_rule(3, 12)
+        assert rule.integrate(gegenbauer_all(2, 0.5, rule.nodes)[2] ** 2) == pytest.approx(
+            0.5 * 2.0 / 5.0, rel=1e-14
+        )
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     def test_quadrature_oracle(self, lam, k):
         n = int(2 * lam + 2)
         rule = gauss_jacobi_rule(n, 40)
-        vals = gegenbauer_eval(k, lam, rule.nodes)
-        assert rule.integrate(vals**2) == pytest.approx(gegenbauer_norm_sq(k, lam), rel=1e-11)
+        vals = _gegenbauer(k, lam, rule.nodes)
+        expected = c_lambda(lam) * gegenbauer_norm_sq(k, lam)
+        assert rule.integrate(vals**2) == pytest.approx(expected, rel=1e-11)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            gegenbauer_norm_sq(2, -1.0)
-
-
-class TestLogGamma:
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_five(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_three_halves(self):
-        assert log_gamma(1.5) == pytest.approx(math.log(math.sqrt(math.pi) / 2.0), rel=1e-14)
-
-    def test_relative_accuracy_on_range(self):
-        import mpmath
-
-        for x in np.linspace(0.5, 50.0, 37):
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            if ref != 0.0:
-                assert abs(log_gamma(float(x)) - ref) / abs(ref) < 1e-13
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
-
-
-class TestBesselI:
-    def test_zero_order_at_zero(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-
-    def test_positive_order_at_zero(self):
-        assert bessel_i(1.5, 0.0) == 0.0
-
-    def test_half_order_value(self):
-        expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        assert bessel_i(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_power_series_oracle(self):
-        for nu in (0.0, 0.5, 2.0, 7.5, 30.0, 60.0):
-            for x in (0.1, 1.0, 5.0, 20.0, 50.0):
-                assert bessel_i(nu, x) == pytest.approx(bessel_series(nu, x), rel=1e-10)
-
-    def test_half_integer_closed_form(self):
-        for x in np.linspace(0.1, 20.0, 25):
-            expected = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-            assert bessel_i(0.5, float(x)) == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(1.0, -1.0)
+            gegenbauer_all(2, -1.0, 0.3)
 
 
 class TestGaussJacobiRule:
+    # the weights are probabilities: the Jacobi weight (1-t^2)^{(n-3)/2} times c_lam
+
     def test_weights_sum_n3(self):
         rule = gauss_jacobi_rule(3, 12)
-        assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(c_lambda(0.5) * 2.0, rel=1e-12)
 
     def test_weights_sum_n5(self):
         rule = gauss_jacobi_rule(5, 12)
-        assert np.sum(rule.weights) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(c_lambda(1.5) * 4.0 / 3.0, rel=1e-12)
 
     def test_exactness_t4_with_three_nodes(self):
         rule = gauss_jacobi_rule(3, 3)
-        assert rule.integrate(rule.nodes**4) == pytest.approx(2.0 / 5.0, rel=1e-12)
+        assert rule.integrate(rule.nodes**4) == pytest.approx(c_lambda(0.5) * 2.0 / 5.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_invariants(self, n):
@@ -165,14 +123,14 @@ class TestGaussJacobiRule:
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(np.abs(rule.nodes) < 1.0)
         assert np.all(rule.weights > 0)
-        # total mass equals the weight's integral via the Beta function
+        # total mass is the weight's integral via the Beta function, times c_lam
         alpha = 0.5 * (n - 3)
         total = math.exp(
             (2 * alpha + 1) * math.log(2.0)
             + 2 * math.lgamma(alpha + 1.0)
             - math.lgamma(2 * alpha + 2.0)
         )
-        assert np.sum(rule.weights) == pytest.approx(total, rel=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(c_lambda(alpha + 0.5) * total, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_monomial_exactness(self, n):
@@ -182,7 +140,8 @@ class TestGaussJacobiRule:
         rule = gauss_jacobi_rule(n, M)
         alpha = 0.5 * (n - 3)
         for deg in range(0, 2 * M - 1, 2):
-            exact = float(mpmath.beta((deg + 1) / 2.0, alpha + 1.0))  # int t^deg (1-t^2)^alpha
+            # int t^deg (1-t^2)^alpha dt over the total int (1-t^2)^alpha dt
+            exact = float(mpmath.beta((deg + 1) / 2.0, alpha + 1.0) / mpmath.beta(0.5, alpha + 1.0))
             got = rule.integrate(rule.nodes ** float(deg))
             assert got == pytest.approx(exact, rel=1e-12)
         for deg in range(1, 2 * M - 1, 2):
@@ -192,10 +151,10 @@ class TestGaussJacobiRule:
         n = 5
         lam = 0.5 * (n - 2)
         rule = gauss_jacobi_rule(n, 20)
+        table = gegenbauer_all(8, lam, rule.nodes)
         for k in range(6):
             for j in range(k + 1, 8):
-                prod = gegenbauer_eval(k, lam, rule.nodes) * gegenbauer_eval(j, lam, rule.nodes)
-                assert abs(rule.integrate(prod)) < 1e-10
+                assert abs(rule.integrate(table[k] * table[j])) < 1e-10
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -206,7 +165,51 @@ class TestGaussJacobiRule:
 
 def test_value_at_one_matches_recurrence():
     for lam in (0.5, 1.0, 3.5):
+        table = gegenbauer_all(9, lam, 1.0)
         for k in range(10):
-            assert gegenbauer_value_at_one(k, lam) == pytest.approx(
-                gegenbauer_eval(k, lam, 1.0), rel=1e-12
-            )
+            assert table[k, 0] == pytest.approx(gegenbauer_at_one(k, lam), rel=1e-12)
+
+
+class TestZonalTable:
+    @pytest.mark.parametrize("n", [3, 4, 7, 40])
+    def test_normalized_gegenbauer(self, n):
+        # Y_k = A_k C_k^{(n-2)/2}, with A_k from the closed-form norms
+        lam = 0.5 * (n - 2)
+        t = np.linspace(-1.0, 1.0, 21)
+        table = zonal_table(10, n, t)
+        gegenbauer = gegenbauer_all(10, lam, t)
+        for k in range(11):
+            assert np.allclose(table[k], zonal_norm(k, n) * gegenbauer[k], rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 40])
+    def test_value_at_one_is_root_of_harmonic_dimension(self, n):
+        # dim_k = (2k+n-2)/(n-2) C_k^{(n-2)/2}(1)
+        lam = 0.5 * (n - 2)
+        at_one = zonal_table(12, n, 1.0)[:, 0]
+        for k in range(13):
+            dim = (2 * k + n - 2) / (n - 2) * gegenbauer_at_one(k, lam)
+            assert at_one[k] == pytest.approx(math.sqrt(dim), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 4096, 10**9])
+    def test_orthonormal_under_the_rule(self, n):
+        rule = gauss_jacobi_rule(n, 12)
+        table = zonal_table(8, n, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.allclose(gram, np.eye(9), atol=1e-12)
+
+    def test_shape_and_scalar_point(self):
+        assert zonal_table(4, 3, 0.2).shape == (5, 1)
+        assert zonal_table(4, 3, np.zeros((2, 3))).shape == (5, 2, 3)
+
+    def test_overflow_is_reported_without_warnings(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="exceeds double precision"):
+                zonal_table(48, 2**53, 1.0)
+
+    def test_rejects_bad_inputs(self):
+        for args in ((-1, 3, 0.0), (2, 2, 0.0), (2, 3, math.nan), (2, 3, math.inf)):
+            with pytest.raises(ValueError):
+                zonal_table(*args)
