@@ -27,6 +27,7 @@ from .meanfield import (
     convolve,
     entropy,
     free_energy,
+    free_energy_gap,
     gamma_sharp,
     interaction_energy,
     linear_spectrum,

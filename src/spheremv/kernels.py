@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import hyp0f1, poch
 
 from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct
-from .specfun import gauss_jacobi_rule, gegenbauer_all, zonal_table
+from .specfun import gauss_jacobi_rule, zonal_table
 
 __all__ = [
     "KernelSpec",
@@ -174,27 +174,27 @@ def profile_derivative(spec: KernelSpec, t) -> np.ndarray:
         tc = np.clip(t, -1.0 + _DERIV_CLIP, None) if spec.p < 1.0 else t
         return -spec.p * (1.0 + tc) ** (spec.p - 1.0)
     if spec.family == "heat":
-        return _heat_derivative(spec, t, order=1)
+        return _heat_series(spec, t, 1)
     if spec.profile_derivative is not None:
         return np.asarray(spec.profile_derivative(t), dtype=float)
     raise ValueError("custom kernel has no derivative; supply profile_derivative")
 
 
-def _heat_derivative(spec: KernelSpec, t, order: int) -> np.ndarray:
-    """Derivative of the heat-kernel series via d/dt C_k^lam = 2 lam C_{k-1}^{lam+1}."""
+def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
+    """The order-th derivative of the heat-kernel series, differentiated term by term.
+
+    d/dt Y_k^(n) = sqrt(n k (k+n-2) / (n-1)) Y_{k-1}^(n+2), so each derivative
+    is a series in the zonal harmonics of the sphere two dimensions up.
+    """
     n = spec.n
-    lam = 0.5 * (n - 2)
     coeffs = _heat_series_coeffs(n, spec.epsilon)
-    K = coeffs.size - 1
-    factors = coeffs * (2.0 * np.arange(K + 1) + n - 2.0) / (n - 2.0)
-    scale = 1.0
-    for m in range(order):
-        scale *= 2.0 * (lam + m)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if K < order:
-        return np.zeros_like(t)
-    table = gegenbauer_all(K - order, lam + order, t)
-    return scale * np.tensordot(factors[order:], table, axes=1)
+    series = coeffs * zonal_table(coeffs.size - 1, n, 1.0)[:, 0]
+    for d in range(n, n + 2 * order, 2):
+        k = np.arange(1.0, series.size)
+        series = series[1:] * np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
+    if series.size == 0:
+        return np.zeros_like(np.atleast_1d(np.asarray(t, dtype=float)))
+    return np.tensordot(series, zonal_table(series.size - 1, n + 2 * order, t), axes=1)
 
 
 def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:
@@ -313,8 +313,8 @@ def convexity_threshold(spec: KernelSpec) -> Optional[float]:
     elif spec.family == "heat":
         grid = np.linspace(-1.0, 1.0, 4001)
         c = max(
-            float(np.max(np.abs(_heat_derivative(spec, grid, order=1)))),
-            float(np.max(np.abs(_heat_derivative(spec, grid, order=2)))),
+            float(np.max(np.abs(_heat_series(spec, grid, 1)))),
+            float(np.max(np.abs(_heat_series(spec, grid, 2)))),
         )
     else:
         if spec.derivative_bound is None:

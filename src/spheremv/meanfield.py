@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (
+    SpectralBasis,
     ZonalCoefficients,
     ZonalProfile,
     decompose,
@@ -30,6 +31,7 @@ __all__ = [
     "convolve",
     "entropy",
     "free_energy",
+    "free_energy_gap",
     "gamma_sharp",
     "interaction_energy",
     "linear_spectrum",
@@ -117,6 +119,14 @@ def entropy(density: ZonalDensity) -> float:
     return density.mean(density.values * np.log(density.values))
 
 
+def _mode_energy(kernel: ZonalCoefficients, basis: SpectralBasis, values: np.ndarray):
+    """0.5 * sum_{1<=k<=K} W_hat_k <rho, Y_k>^2 of one density (M,) or of each column of
+    a block (M, S): the interaction energy above W_hat_0 / 2, from the moments alone."""
+    K = min(kernel.K, basis.K)
+    moments = (basis.table[1 : K + 1] * basis.rule.weights) @ values
+    return 0.5 * (kernel.coeffs[1 : K + 1] @ moments**2)
+
+
 def interaction_energy(kernel: ZonalCoefficients, density: ZonalDensity) -> float:
     """Interaction energy 0.5 * iint W(<x,y>) rho(x) rho(y) against the normalized measure.
 
@@ -124,10 +134,24 @@ def interaction_energy(kernel: ZonalCoefficients, density: ZonalDensity) -> floa
     """
     if kernel.n != density.n:
         raise ValueError("dimension mismatch between kernel and density")
-    u_hat = density.perturbation_coefficients()
-    K = min(kernel.K, u_hat.size - 1)
-    tail = 0.5 * float(np.dot(kernel.coeffs[1 : K + 1], u_hat[1 : K + 1] ** 2))
-    return 0.5 * kernel.coeffs[0] + tail
+    basis = spectral_basis(density.n, density.coeffs.K, density.rule.order)
+    return 0.5 * kernel.coeffs[0] + float(_mode_energy(kernel, basis, density.values))
+
+
+def free_energy_gap(
+    kernel: ZonalCoefficients, basis: SpectralBasis, gamma: float, values: np.ndarray
+):
+    """F(rho) - F(1) = <rho log rho> / gamma + the mode energy, for unit-mass values on the
+    basis's nodes: one density (M,) gives a float, a block (M, S) one gap per column.
+
+    The gap is +inf where a density is not positive at every node.
+    """
+    _check_gamma(gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = basis.rule.weights @ (values * np.log(values))
+    gap = ent / gamma + _mode_energy(kernel, basis, values)
+    gap = np.where(np.all(values > 0.0, axis=0), gap, math.inf)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _check_gamma(gamma: float) -> None:

@@ -206,14 +206,12 @@ def simulate(
     count: int,
     degrees: Sequence[int] = (1, 2),
     init: Optional[ParticleEnsemble] = None,
-    snapshot_path: Optional[str] = None,
 ) -> SimResult:
     """Run the particle dynamics, recording moments about the running order axis.
 
     Moments are recorded every `config.record_every` steps after the burn-in
-    fraction of the run.  When `snapshot_path` is given the final positions
-    are dumped as little-endian float64 rows of n entries.  A given `init`
-    must hold `count` particles on the sphere of `spec`.
+    fraction of the run; the result's ensemble is the final state.  A given
+    `init` must hold `count` particles on the sphere of `spec`.
     """
     if init is not None and (init.n != spec.n or init.size != count):
         raise ValueError(
@@ -235,8 +233,6 @@ def simulate(
         summary = empirical_moments(ensemble, axis, degrees)
         recorded.append(config.steps)
         rows.append(summary.means)
-    if snapshot_path is not None:
-        ensemble.positions.astype("<f8").tofile(snapshot_path)
     return SimResult(
         ensemble=ensemble,
         recorded_steps=np.array(recorded),

@@ -25,6 +25,7 @@ from .meanfield import (
     ZonalDensity,
     _check_gamma,
     free_energy,
+    free_energy_gap,
     gamma_sharp,
     make_density,
     uniform_density,
@@ -311,7 +312,7 @@ def resonance_check(kernel: ZonalCoefficients, delta: float = 0.0) -> ResonanceR
     gs = gamma_sharp(kernel)
     n = kernel.n
     threshold = -(1.0 - delta) / gs.gamma
-    resonant = [k for k in range(1, kernel.coeffs.size) if kernel.coeffs[k] <= threshold + 1e-15]
+    resonant = [k for k, w in enumerate(kernel.coeffs) if k >= 1 and w <= threshold + _COEFF_TOL]
     rule = gauss_jacobi_rule(n, max(3 * max(resonant) + 4, 16))
     best = (0.0, (), ())
     weights = (1.0, 0.5)
@@ -352,17 +353,12 @@ def competitor_energy_gap(
     K: int,
 ) -> float:
     """Free-energy gap F(1 + eps xi u) - F(1) to the uniform state, xi = sign(<u^3>)."""
-    n = kernel.n
     xi = 1.0 if u3 >= 0.0 else -1.0
     perturb = 1.0 + epsilon * xi * u_values
     if np.any(perturb <= 0.0):
         raise ValueError("competitor density nonpositive at some node; reduce epsilon")
-    density = make_density(n, rule, perturb, K)
-    uniform = uniform_density(n, rule, K)
-    return (
-        free_energy(kernel, density, gamma).free_energy
-        - free_energy(kernel, uniform, gamma).free_energy
-    )
+    basis = spectral_basis(kernel.n, K, rule.order)
+    return free_energy_gap(kernel, basis, gamma, perturb / rule.integrate(perturb))
 
 
 @dataclass(frozen=True)
@@ -387,7 +383,8 @@ def find_transition(
     Candidates at each gamma: the uniform state, Gibbs fixed points grown
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
-    seeds at one gamma are solved together as one (M, S) Picard block.
+    seeds at one gamma are solved together as one (M, S) Picard block, and
+    the block is scored by its moments in one `free_energy_gap` call.
     Only the upper end of the bracket (lo, hi) is certified: a witness beats
     uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
     mode, 16 for four modes) relaxed to uniform and the competitor lost, so
@@ -404,7 +401,8 @@ def find_transition(
         gamma_grid = np.geomspace(0.2 * gs.gamma, gs.gamma, 200)
     gamma_grid = np.asarray(sorted(gamma_grid), dtype=float)
 
-    rule = gauss_jacobi_rule(kernel.n, config.M)
+    basis = spectral_basis(kernel.n, config.K, config.M)
+    rule = basis.rule
     op = GibbsOperator(kernel, rule, config.K)
     uniform = uniform_density(kernel.n, rule, config.K)
 
@@ -425,36 +423,36 @@ def find_transition(
             kernel.n, reso.witness_modes, reso.witness_coeffs, rule
         )
         eps = min(0.5, abs(u3) / 4.0)
-        competitor = (u_values, u3, eps)
+        perturb = 1.0 + eps * math.copysign(1.0, u3) * u_values
+        if np.all(perturb > 0.0):
+            competitor = (perturb / rule.integrate(perturb), u3, eps)
 
     def gap_at(gamma: float) -> tuple[float, dict]:
         """Lowest free-energy gap to uniform among the fixed points grown from the
         seed columns (solved together as one block) and the competitor."""
-        f_uniform = free_energy(kernel, uniform, gamma).free_energy
         best_gap, witness = 0.0, {"kind": "uniform"}
         values, res, _ = _damped_picard(op, gamma, seeds, config)
-        for label, column, column_res in zip(labels, values.T, res):
-            if not column_res <= config.tol:
-                continue
-            density = make_density(kernel.n, rule, column, config.K)
-            gap = free_energy(kernel, density, gamma).free_energy - f_uniform
-            if gap < best_gap:
+        settled = np.flatnonzero(res <= config.tol)
+        if settled.size:
+            block = values[:, settled]
+            gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
+            best = int(np.argmin(gaps))  # the first of equal gaps, in seed order
+            if gaps[best] < best_gap:
+                column = settled[best]
+                density = make_density(kernel.n, rule, values[:, column], config.K)
                 mode, amp = density.dominant_mode()
-                best_gap = gap
+                best_gap = float(gaps[best])
                 witness = {
                     "kind": "fixed-point",
-                    "seed": label,
+                    "seed": labels[column],
                     "dominant_mode": mode,
                     "amplitude": amp,
-                    "residual": float(column_res),
-                    "gap": gap,
+                    "residual": float(res[column]),
+                    "gap": best_gap,
                 }
         if competitor is not None:
-            u_values, u3, eps = competitor
-            try:
-                gap = competitor_energy_gap(kernel, u_values, u3, eps, gamma, rule, config.K)
-            except ValueError:
-                gap = math.inf
+            comp_values, u3, eps = competitor
+            gap = free_energy_gap(kernel, basis, gamma, comp_values)
             if gap < best_gap:
                 best_gap = gap
                 witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}

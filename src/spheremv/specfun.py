@@ -22,33 +22,8 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
-    "gegenbauer_all",
     "zonal_table",
 ]
-
-
-def gegenbauer_all(max_degree: int, lam: float, t: np.ndarray) -> np.ndarray:
-    """All C_k^lam(t) for k = 0..max_degree, shape (max_degree+1,) + t.shape.
-
-    Upward three-term recurrence from C_0 = 1, C_1(t) = 2 lam t.
-    """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"index lam must be positive, got {lam}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t)):
-        raise ValueError("non-finite evaluation point")
-    table = np.empty((max_degree + 1,) + t.shape)
-    table[0] = 1.0
-    if max_degree >= 1:
-        table[1] = 2.0 * lam * t
-    for j in range(1, max_degree):
-        # (j+1) C_{j+1} = 2(lam+j) t C_j - (j + 2 lam - 1) C_{j-1}
-        table[j + 1] = (
-            2.0 * (lam + j) * t * table[j] - (j + 2.0 * lam - 1.0) * table[j - 1]
-        ) / (j + 1.0)
-    return table
 
 
 def _recurrence_coefficients(n: int, count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from spheremv.kernels import (
     profile_values,
     quadrature_coefficients,
     stability_check,
+    _heat_series,
 )
 from spheremv.specfun import gauss_jacobi_rule
 
@@ -210,6 +211,20 @@ class TestConvexityThreshold:
         spec2 = _spec(3, "custom", profile=lambda t: t**2, derivative_bound=2.0)
         assert convexity_threshold(spec2) == pytest.approx(1.0 / 8.0, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "n,eps,expected",
+        [
+            (3, 0.05, 0.0016534521619485255),
+            (3, 0.3, 0.4829947040598102),
+            (4, 0.05, 0.0026242045096539412),
+            (10, 0.3, 50.49099406377821),
+        ],
+    )
+    def test_heat_matches_gegenbauer_derivatives(self, n, eps, expected):
+        # values computed from d/dt C_k^lam = 2 lam C_{k-1}^{lam+1} (Gegenbauer series)
+        got = convexity_threshold(_spec(n, "heat", epsilon=eps))
+        assert got == pytest.approx(expected, rel=1e-14)
+
 
 class TestProfiles:
     def test_onsager_derivative_clamped_at_poles(self):
@@ -240,6 +255,25 @@ class TestProfiles:
         h = 1e-6
         fd = (profile_values(spec, t + h) - profile_values(spec, t - h)) / (2 * h)
         assert np.max(np.abs(profile_derivative(spec, t) - fd)) < 1e-8
+
+    @pytest.mark.parametrize("n,eps", [(3, 0.3), (4, 0.5), (10, 0.1)])
+    def test_heat_second_derivative_finite_difference(self, n, eps):
+        spec = _spec(n, "heat", epsilon=eps)
+        t = np.linspace(-0.9, 0.9, 13)
+        h = 1e-6
+        fd = (profile_derivative(spec, t + h) - profile_derivative(spec, t - h)) / (2 * h)
+        second = _heat_series(spec, t, 2)
+        assert np.max(np.abs(second - fd)) < 1e-8 * max(1.0, np.max(np.abs(second)))
+
+    def test_heat_derivatives_vanish_past_the_series(self):
+        # at eps = 30 the series stops at k = 0, at eps = 10 (n = 3) at k = 1
+        t = np.linspace(-1.0, 1.0, 5)
+        for eps, orders in ((30.0, (1, 2)), (10.0, (2,))):
+            spec = _spec(3, "heat", epsilon=eps)
+            for order in orders:
+                assert np.array_equal(_heat_series(spec, t, order), np.zeros_like(t))
+        first = _heat_series(_spec(3, "heat", epsilon=10.0), t, 1)
+        assert np.all(first == first[0]) and first[0] != 0.0  # W' of c0 + c1 t is c1
 
     def test_heat_derivative_on_a_block(self):
         # the particle engine evaluates W' on the (chunk, N) inner-product block

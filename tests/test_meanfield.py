@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spheremv.harmonics import ZonalCoefficients, omega_n, y_l0
+from spheremv.harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
 from spheremv.kernels import KernelSpec, coefficients, profile_values
 from spheremv.meanfield import (
     ZonalDensity,
     convolve,
     entropy,
     free_energy,
+    free_energy_gap,
     gamma_sharp,
     interaction_energy,
     linear_spectrum,
@@ -18,7 +19,12 @@ from spheremv.meanfield import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import brute_force_convolution, brute_force_interaction, random_smooth_density
+from helpers import (
+    brute_force_convolution,
+    brute_force_interaction,
+    outer_rule,
+    random_smooth_density,
+)
 
 
 RULE3 = gauss_jacobi_rule(3, 48)
@@ -223,6 +229,63 @@ class TestInteractionEnergy:
             vals = np.exp(rng.normal(scale=0.5, size=RULE3.order))
             d = make_density(3, RULE3, vals, 16)
             assert interaction_energy(kernel, d) >= base - 1e-12
+
+
+def _entropy_oracle(density_fn, n: int) -> float:
+    """<rho log rho> against sigma / omega_n, rho = omega_n density_fn, by scipy's Gauss-Jacobi rule."""
+    nodes, weights = outer_rule(n, 120)
+    rho = omega_n(n) * density_fn(nodes)
+    return omega_n(n - 1) / omega_n(n) * float(np.dot(weights, rho * np.log(rho)))
+
+
+class TestFreeEnergyGap:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_nested_quadrature_oracle(self, n):
+        # F(rho) - F(1) with the interaction of rho and of 1 by nested quadrature
+        spec, gamma = KernelSpec(n=n, family="transformer", beta=0.8), 1.7
+        kernel = coefficients(spec, 40)
+        basis = spectral_basis(n, 40, 60)
+        rng = np.random.default_rng(31 + n)
+        profile = lambda s: profile_values(spec, s)
+        uniform = brute_force_interaction(profile, lambda s: np.full_like(s, 1.0 / omega_n(n)), n)
+        density_fns = [random_smooth_density(n, rng) for _ in range(3)]
+        block = np.column_stack([fn(basis.rule.nodes) for fn in density_fns])
+        block /= basis.rule.weights @ block
+        oracles = [
+            _entropy_oracle(fn, n) / gamma + brute_force_interaction(profile, fn, n) - uniform
+            for fn in density_fns
+        ]
+        gaps = free_energy_gap(kernel, basis, gamma, block)
+        assert gaps.shape == (3,)
+        for j, oracle in enumerate(oracles):
+            assert gaps[j] == pytest.approx(oracle, abs=1e-11)
+            single = free_energy_gap(kernel, basis, gamma, block[:, j])
+            assert isinstance(single, float) and single == pytest.approx(oracle, abs=1e-11)
+
+    def test_matches_free_energy_difference(self):
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), 16)
+        basis = spectral_basis(3, 16, RULE3.order)
+        d = _perturbed(3, RULE3, 2, 0.4, K=16)
+        expected = free_energy(kernel, d, 2.0).free_energy - free_energy(
+            kernel, uniform_density(3, RULE3, 16), 2.0
+        ).free_energy
+        assert free_energy_gap(kernel, basis, 2.0, d.values) == pytest.approx(expected, abs=1e-14)
+
+    def test_off_the_positive_cone_is_infinite(self):
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
+        basis = spectral_basis(3, 8, RULE3.order)
+        block = np.ones((RULE3.order, 3))
+        block[0, 1], block[5, 2] = 0.0, -0.5
+        block /= basis.rule.weights @ block
+        gaps = free_energy_gap(kernel, basis, 2.0, block)
+        assert gaps[0] == pytest.approx(0.0, abs=1e-14)
+        assert gaps[1] == gaps[2] == math.inf
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), 8)
+        with pytest.raises(ValueError, match="gamma"):
+            free_energy_gap(kernel, spectral_basis(3, 8, RULE3.order), gamma, np.ones(RULE3.order))
 
 
 class TestFreeEnergy:

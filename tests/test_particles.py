@@ -240,12 +240,13 @@ class TestSimulate:
         simulate(TRANSFORMER3, SimConfig(dt=1e-3, steps=10, gamma=2.0, seed=4), 16)
         assert probes == [TRANSFORMER3]
 
-    def test_snapshot_binary_roundtrip(self, tmp_path):
-        path = tmp_path / "positions.bin"
+    def test_result_holds_the_final_positions(self):
         cfg = SimConfig(dt=1e-3, steps=5, gamma=2.0, seed=4, record_every=5)
-        result = simulate(TRANSFORMER3, cfg, 32, snapshot_path=str(path))
-        raw = np.fromfile(path, dtype="<f8").reshape(32, 3)
-        assert np.array_equal(raw, result.ensemble.positions)
+        result = simulate(TRANSFORMER3, cfg, 32)
+        ensemble = uniform_ensemble(3, 32, seed=4)
+        for _ in range(cfg.steps):
+            ensemble = step(ensemble, TRANSFORMER3, cfg)
+        assert np.array_equal(result.ensemble.positions, ensemble.positions)
 
     @pytest.mark.parametrize("n,size", [(4, 50), (3, 49)])
     def test_rejects_mismatched_init(self, n, size):

@@ -1,7 +1,8 @@
-"""Property-based checks of the shared spectral basis, the Picard engine, the particle drift
-and the kernel JSON reader."""
+"""Property-based checks of the shared spectral basis, the Picard engine, the free-energy gap,
+the particle drift and the kernel JSON reader."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from spheremv.harmonics import (
     spectral_basis,
 )
 from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
-from spheremv.meanfield import convolve, gamma_sharp, linear_spectrum, make_density
+from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import _pairwise_drift, uniform_ensemble
 from spheremv.solver import (
     GibbsOperator,
@@ -143,6 +144,21 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
         assert single.iterations == max_iters and not single.converged
         assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
         assert column_res == pytest.approx(single.residual, rel=1e-9)
+
+
+@FEW
+@given(truncations(), st.floats(0.05, 30.0), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_free_energy_gap_of_a_block_equals_its_columns(dims, gamma, S, seed):
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    basis = spectral_basis(n, K, M)
+    block = np.column_stack([_random_setup(n, K, M, seed + j + 1)[1].values for j in range(S)])
+    block[0, S - 1] = 0.0  # the last column leaves the positive cone
+    gaps = free_energy_gap(kernel, basis, gamma, block)
+    assert gaps.shape == (S,) and gaps[-1] == math.inf
+    for column, gap in zip(block.T, gaps):
+        single = free_energy_gap(kernel, basis, gamma, column)
+        assert single == pytest.approx(gap, rel=1e-12, abs=1e-13)
 
 
 @FEW

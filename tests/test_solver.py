@@ -285,6 +285,17 @@ class TestResonance:
         assert 2 in report.witness_modes or report.witness_modes == (2,)
         assert abs(report.u3) > 1e-6
 
+    def test_near_tie_searched_like_gamma_sharp(self):
+        # W_hat_4 ties W_hat_2 within the coefficient tolerance, as gamma_sharp sees it
+        exact = ZonalCoefficients(n=3, coeffs=np.r_[1.0, 0.0, -0.1, 0.0, -0.1, 0.0, 0.0, 0.0, 0.0])
+        near = ZonalCoefficients(n=3, coeffs=exact.coeffs + np.eye(9)[4] * 5e-13)
+        assert gamma_sharp(near).modes == (2, 4)
+        report, tie = resonance_check(near, delta=0.0), resonance_check(exact, delta=0.0)
+        assert report.modes == (2, 4)
+        assert report.witness_modes == tie.witness_modes == (2, 4)
+        assert report.u3 == pytest.approx(tie.u3, rel=1e-12)
+        assert abs(report.u3) > 0.059
+
     def test_u3_matches_direct_quadrature(self):
         rule = gauss_jacobi_rule(3, 40)
         values, u3 = harmonic_combination(3, (2,), (1.0,), rule)
@@ -384,6 +395,34 @@ class TestFindTransition:
                 for column in first_block[gamma].T
             )
             assert count == slowest + 1
+
+    def test_scan_builds_at_most_one_density_per_gamma(self, monkeypatch):
+        # the Picard block is scored by moments; a ZonalDensity is built only
+        # for the winning column, to read its dominant mode
+        events, evaluate, build = [], GibbsOperator.gibbs, solver.make_density
+
+        def gibbs(op, gamma, values):
+            if not events or events[-1] != gamma:
+                events.append(gamma)
+            return evaluate(op, gamma, values)
+
+        def make_density(*args):
+            events.append("density")
+            return build(*args)
+
+        def free_energy(*args):
+            raise AssertionError("the scan needs no EnergyReport")
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
+        monkeypatch.setattr(solver, "make_density", make_density)
+        monkeypatch.setattr(solver, "free_energy", free_energy)
+        report = find_transition(ONSAGER3, config=FAST)
+        monkeypatch.undo()
+        assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
+        scan = events[events.index(next(e for e in events if e != "density")):]
+        runs = [list(group) for _, group in itertools.groupby(scan, lambda e: e == "density")]
+        assert all(len(run) <= 1 for run in runs if run[0] == "density")
+        assert len([e for e in scan if e != "density"]) > 100  # the grid up to gamma_c, then bisection
 
     def test_json_round_trip(self):
         # the JSON document itself is tested through the CLI (TestTransition)

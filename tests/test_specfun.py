@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.special import eval_gegenbauer
 
-from spheremv.specfun import QuadratureRule, gauss_jacobi_rule, gegenbauer_all, zonal_table
+from spheremv.specfun import QuadratureRule, gauss_jacobi_rule, zonal_table
 
 from helpers import c_lambda, gegenbauer_at_one, gegenbauer_norm_sq, zonal_norm
 
 
 def _gegenbauer(k, lam, t):
-    """C_k^lam(t) as the last row of gegenbauer_all, a float for scalar t."""
-    values = gegenbauer_all(k, lam, t)[-1]
+    """C_k^lam(t) = C_k^lam(1) Y_k(t) / Y_k(1) from zonal_table on S^{2 lam + 1}, a float for scalar t.
+
+    The ratio does not depend on how Y_k is normalised, and C_k^lam(1) is the
+    closed form, so this checks the shape of the package's harmonics.
+    """
+    n = int(round(2 * lam + 2))
+    values = zonal_table(k, n, t)[k] * gegenbauer_at_one(k, lam) / zonal_table(k, n, 1.0)[k, 0]
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
@@ -61,10 +67,11 @@ class TestGegenbauerEval:
             assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_table_matches_single_evaluations(self):
+        # a row of the degree-8 table equals the last row of the degree-k table
         t = np.linspace(-1, 1, 11)
-        table = gegenbauer_all(8, 1.5, t)
+        table = zonal_table(8, 5, t)
         for k in range(9):
-            assert np.allclose(table[k], _gegenbauer(k, 1.5, t), atol=1e-13)
+            assert np.allclose(table[k], zonal_table(k, 5, t)[k], atol=1e-13)
 
 
 class TestGegenbauerNormSq:
@@ -72,19 +79,19 @@ class TestGegenbauerNormSq:
 
     def test_degree_zero(self):
         rule = gauss_jacobi_rule(3, 12)
-        assert rule.integrate(gegenbauer_all(0, 0.5, rule.nodes)[0] ** 2) == pytest.approx(
+        assert rule.integrate(eval_gegenbauer(0, 0.5, rule.nodes) ** 2) == pytest.approx(
             0.5 * 2.0, rel=1e-14
         )
 
     def test_degree_one(self):
         rule = gauss_jacobi_rule(3, 12)
-        assert rule.integrate(gegenbauer_all(1, 0.5, rule.nodes)[1] ** 2) == pytest.approx(
+        assert rule.integrate(eval_gegenbauer(1, 0.5, rule.nodes) ** 2) == pytest.approx(
             0.5 * 2.0 / 3.0, rel=1e-14
         )
 
     def test_degree_two(self):
         rule = gauss_jacobi_rule(3, 12)
-        assert rule.integrate(gegenbauer_all(2, 0.5, rule.nodes)[2] ** 2) == pytest.approx(
+        assert rule.integrate(eval_gegenbauer(2, 0.5, rule.nodes) ** 2) == pytest.approx(
             0.5 * 2.0 / 5.0, rel=1e-14
         )
 
@@ -93,13 +100,13 @@ class TestGegenbauerNormSq:
     def test_quadrature_oracle(self, lam, k):
         n = int(2 * lam + 2)
         rule = gauss_jacobi_rule(n, 40)
-        vals = _gegenbauer(k, lam, rule.nodes)
+        vals = eval_gegenbauer(k, lam, rule.nodes)
         expected = c_lambda(lam) * gegenbauer_norm_sq(k, lam)
         assert rule.integrate(vals**2) == pytest.approx(expected, rel=1e-11)
 
     def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            gegenbauer_all(2, -1.0, 0.3)
+        with pytest.raises(ValueError):  # lam = -1 is the sphere dimension n = 0
+            _gegenbauer(2, -1.0, 0.3)
 
 
 class TestGaussJacobiRule:
@@ -151,7 +158,7 @@ class TestGaussJacobiRule:
         n = 5
         lam = 0.5 * (n - 2)
         rule = gauss_jacobi_rule(n, 20)
-        table = gegenbauer_all(8, lam, rule.nodes)
+        table = [eval_gegenbauer(k, lam, rule.nodes) for k in range(8)]
         for k in range(6):
             for j in range(k + 1, 8):
                 assert abs(rule.integrate(table[k] * table[j])) < 1e-10
@@ -164,10 +171,12 @@ class TestGaussJacobiRule:
 
 
 def test_value_at_one_matches_recurrence():
+    # Y_k(1) = A_k C_k^lam(1), both factors in closed form
     for lam in (0.5, 1.0, 3.5):
-        table = gegenbauer_all(9, lam, 1.0)
+        n = int(2 * lam + 2)
+        table = zonal_table(9, n, 1.0)
         for k in range(10):
-            assert table[k, 0] == pytest.approx(gegenbauer_at_one(k, lam), rel=1e-12)
+            assert table[k, 0] == pytest.approx(zonal_norm(k, n) * gegenbauer_at_one(k, lam), rel=1e-12)
 
 
 class TestZonalTable:
@@ -177,9 +186,9 @@ class TestZonalTable:
         lam = 0.5 * (n - 2)
         t = np.linspace(-1.0, 1.0, 21)
         table = zonal_table(10, n, t)
-        gegenbauer = gegenbauer_all(10, lam, t)
         for k in range(11):
-            assert np.allclose(table[k], zonal_norm(k, n) * gegenbauer[k], rtol=1e-11, atol=1e-12)
+            expected = zonal_norm(k, n) * eval_gegenbauer(k, lam, t)
+            assert np.allclose(table[k], expected, rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 40])
     def test_value_at_one_is_root_of_harmonic_dimension(self, n):
