@@ -295,7 +295,8 @@ def convexity_threshold(spec: KernelSpec) -> Optional[float]:
     """Uniqueness threshold gamma_o = (n-2)/(4C), C bounding |W'|, |W''|, |W'(+-1)|.
 
     Returns None when the needed derivative bounds do not exist (Onsager) or
-    were not supplied (custom kernel without derivative_bound).
+    were not supplied (custom kernel without derivative_bound), and inf when
+    C = 0, for a flat kernel.
     """
     n = spec.n
     if spec.family == "transformer":
@@ -320,4 +321,4 @@ def convexity_threshold(spec: KernelSpec) -> Optional[float]:
         if spec.derivative_bound is None:
             return None
         c = spec.derivative_bound
-    return (n - 2.0) / (4.0 * c)
+    return (n - 2.0) / (4.0 * c) if c else math.inf

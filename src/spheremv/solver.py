@@ -3,10 +3,12 @@
 The iteration is damped Picard: rho <- (1 - tau) rho + tau G(rho) with
 G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
-small dense mat-vecs.  The same loop advances a block of densities, one per
-column, with one mat-mat per step: a transition scan solves all its seeds at
-one gamma that way.  Densities are relative to the normalized measure (see
-`meanfield`), so Z and the residual ||rho - G(rho)|| are plain quadrature means.
+small dense mat-vecs.  The same loop advances a stream of groups, each a
+block of densities at one gamma, several groups to one mat-mat per step, and
+each group stops at the step it would stop alone: a transition scan streams
+the seed groups of its whole gamma grid that way.  Densities are relative to
+the normalized measure (see `meanfield`), so Z and the residual
+||rho - G(rho)|| are plain quadrature means.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .meanfield import (
     EnergyReport,
     ZonalDensity,
     _check_gamma,
+    _mode_energy,
     free_energy,
     free_energy_gap,
     gamma_sharp,
@@ -88,22 +91,21 @@ class GibbsOperator:
         # (W * rho)(t_i) = sum_k W_hat_k Y_k(t_i) sum_j w_j Y_k(t_j) rho_j
         table, w_hat = basis.table, kernel.coeffs[: K + 1, None]
         self.conv_matrix = table.T @ (w_hat * table * self.rule.weights)
-        self._gamma, self._exponent_matrix = None, None
 
-    def gibbs(self, gamma: float, values: np.ndarray) -> np.ndarray:
-        if gamma != self._gamma:  # -gamma W*, formed once per gamma
-            self._gamma, self._exponent_matrix = gamma, -gamma * self.conv_matrix
-        expo = self._exponent_matrix @ values
+    def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
+        """G(rho) at gamma, a float or one value per column of a block (S,)."""
+        expo = self.conv_matrix @ values
+        expo *= -gamma
         expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
-        e = np.exp(expo)
-        return e / np.dot(self.rule.weights, e)
+        e = np.exp(expo, out=expo)
+        e /= np.dot(self.rule.weights, e)
+        return e
 
-    def distance(self, values: np.ndarray, image: np.ndarray):
-        """Normalized-L2 norm of values - image, e.g. image = G(values).
+    def norm(self, d: np.ndarray):
+        """Normalized-L2 norm, e.g. of the residual rho - G(rho).
 
         A float for one density, an (S,) array for a block.
         """
-        d = values - image
         mean_sq = np.dot(self.rule.weights, d * d)
         return math.sqrt(mean_sq) if d.ndim == 1 else np.sqrt(mean_sq)
 
@@ -120,38 +122,94 @@ class SolveResult:
 def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> float:
     """Normalized-L2 distance of rho from its Gibbs image."""
     op = GibbsOperator(kernel, density.rule, density.coeffs.K)
-    return op.distance(density.values, op.gibbs(gamma, density.values))
+    return op.norm(density.values - op.gibbs(gamma, density.values))
 
 
-def _unsettled(res, tol: float) -> bool:
-    """True while some residual is above tol and finite (NaN compares False)."""
-    if isinstance(res, float):
-        return tol < res < math.inf
-    return bool(np.any((res > tol) & (res < math.inf)))
+_GROUP_WIDTH = 16  # groups advanced together in one Picard block
+
+
+def _picard_groups(
+    op: GibbsOperator, groups: Iterable[tuple[float, np.ndarray]], config: SolverConfig
+) -> Iterator[tuple[int, np.ndarray, float | np.ndarray, int]]:
+    """Damped Picard steps on a stream of groups (gamma, values), yielding each as it stops.
+
+    A group is one density (M,) or a block (M, S) stepped column-wise at one
+    gamma.  Up to _GROUP_WIDTH groups share one block, one mat-mat per step,
+    and each stops at the step where it would stop alone: every residual at
+    most tol or non-finite, or max_iters of its own steps done.  Its settled
+    columns keep stepping with the others until then.  A stopped group is
+    yielded as (its position in the stream, last iterate, residual norms,
+    its step count), and the next group of the stream takes its place.  The
+    residual rho - G(rho) that a step measures also drives the next step,
+    rho <- rho - tau (rho - G(rho)), so i steps evaluate G at i + 1 iterates.
+    """
+    tau, tol, max_iters = config.tau, config.tol, config.max_iters
+    pending = enumerate(groups)
+    held = []  # (position, width, first step, shape) per group, in column order
+    values = delta = res = gammas = None
+    step = 0
+    while True:
+        entering = list(itertools.islice(pending, _GROUP_WIDTH - len(held)))
+        if not held and len(entering) == 1:  # a lone group keeps its shape and gamma
+            new_gammas, new = entering[0][1]
+        elif entering:
+            parts = [(g, v.reshape(len(v), -1)) for _, (g, v) in entering]
+            new = np.concatenate([v for _, v in parts], axis=1)
+            new_gammas = np.concatenate([np.full(v.shape[1], g) for g, v in parts])
+        held += [(position, v.size // len(v), step, v.shape) for position, (_, v) in entering]
+        if not held:
+            return
+        # an overflow shows up as a non-finite residual, which stops the group
+        with np.errstate(over="ignore", invalid="ignore"):
+            if entering:
+                new_delta = new - op.gibbs(new_gammas, new)
+                if len(held) == len(entering):
+                    values, delta, res, gammas = new, new_delta, op.norm(new_delta), new_gammas
+                else:
+                    values = np.concatenate((values, new), axis=1)
+                    delta = np.concatenate((delta, new_delta), axis=1)
+                    res = np.concatenate((res, op.norm(new_delta)))
+                    gammas = np.concatenate((gammas, new_gammas))
+            due = min(first for _, _, first, _ in held) + max_iters
+            flat = values.ndim == 1
+            if not flat:
+                starts = np.cumsum([0] + [width for _, width, _, _ in held[:-1]])
+            while True:  # step until some group stops
+                if flat:  # one density: keep the per-step test to floats
+                    live = [tol < res < math.inf]
+                    if not live[0] or step == due:
+                        break
+                else:  # whether each group has a column above tol and finite
+                    live = np.logical_or.reduceat((res > tol) & (res < math.inf), starts)
+                    if not live.all() or step == due:
+                        break
+                step += 1
+                values = values - tau * delta
+                delta = values - op.gibbs(gammas, values)
+                res = op.norm(delta)
+        stops = [
+            not alive or step - first == max_iters for alive, (_, _, first, _) in zip(live, held)
+        ]
+        block, r, start = values.reshape(len(values), -1), np.atleast_1d(res), 0
+        for (position, width, first, shape), stop in zip(held, stops):
+            if stop:
+                cols = slice(start, start + width)
+                last = r[cols] if len(shape) == 2 else float(r[start])
+                yield position, block[:, cols].reshape(shape), last, step - first
+            start += width
+        kept = [group for group, stop in zip(held, stops) if not stop]
+        if kept:
+            keep = np.repeat(np.logical_not(stops), [width for _, width, _, _ in held])
+            values, delta = block[:, keep], delta.reshape(block.shape)[:, keep]
+            res, gammas = r[keep], gammas[keep]
+        held = kept
 
 
 def _damped_picard(
     op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, float | np.ndarray, int]:
-    """Damped Picard steps on one density (M,) or on a block (M, S), column-wise.
-
-    Steps until every residual is at most tol or non-finite, or max_iters
-    steps are done; converged columns keep stepping with the others.  The
-    image G(rho) that measures a step's residual also drives the next step,
-    so i steps evaluate G exactly i + 1 times.  Returns the last iterate,
-    its residuals (as from `op.distance`) and the number of steps.
-    """
-    tau, tol = config.tau, config.tol
-    # an overflow shows up as a non-finite residual, which ends the solve
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = op.gibbs(gamma, values)
-        res = op.distance(values, image)
-        iters = 0
-        while iters < config.max_iters and _unsettled(res, tol):
-            iters += 1
-            values = (1.0 - tau) * values + tau * image
-            image = op.gibbs(gamma, values)
-            res = op.distance(values, image)
+    """The one-group case of `_picard_groups`: (last iterate, residuals, steps)."""
+    _, values, res, iters = next(_picard_groups(op, [(gamma, values)], config))
     return values, res, iters
 
 
@@ -383,8 +441,12 @@ def find_transition(
     Candidates at each gamma: the uniform state, Gibbs fixed points grown
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
-    seeds at one gamma are solved together as one (M, S) Picard block, and
-    the block is scored by its moments in one `free_energy_gap` call.
+    seeds at one gamma are one (M, S) group of a Picard stream over the
+    grid: the groups of up to 16 gammas advance as one block, each stops at
+    the step it would stop alone, and the groups are scored in grid order,
+    each by its moments in one `free_energy_gap` call, until the first gamma
+    where a candidate beats uniform.  Bisection then solves one gamma at a
+    time.
     Only the upper end of the bracket (lo, hi) is certified: a witness beats
     uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
     mode, 16 for four modes) relaxed to uniform and the competitor lost, so
@@ -425,19 +487,21 @@ def find_transition(
         eps = min(0.5, abs(u3) / 4.0)
         perturb = 1.0 + eps * math.copysign(1.0, u3) * u_values
         if np.all(perturb > 0.0):
-            competitor = (perturb / rule.integrate(perturb), u3, eps)
+            # its gap is entropy / gamma + mode energy, as in `free_energy_gap`
+            comp = perturb / rule.integrate(perturb)
+            entropy = rule.weights @ (comp * np.log(comp))
+            competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
 
-    def gap_at(gamma: float) -> tuple[float, dict]:
-        """Lowest free-energy gap to uniform among the fixed points grown from the
-        seed columns (solved together as one block) and the competitor."""
+    def score(gamma: float, values: np.ndarray, res: np.ndarray) -> tuple[float, dict]:
+        """Lowest free-energy gap to uniform among the fixed points the seed columns
+        relaxed to at gamma and the competitor; gaps above -_GAP_TOL count as 0."""
         best_gap, witness = 0.0, {"kind": "uniform"}
-        values, res, _ = _damped_picard(op, gamma, seeds, config)
         settled = np.flatnonzero(res <= config.tol)
         if settled.size:
             block = values[:, settled]
             gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
             best = int(np.argmin(gaps))  # the first of equal gaps, in seed order
-            if gaps[best] < best_gap:
+            if gaps[best] < -_GAP_TOL:
                 column = settled[best]
                 density = make_density(kernel.n, rule, values[:, column], config.K)
                 mode, amp = density.dominant_mode()
@@ -451,16 +515,26 @@ def find_transition(
                     "gap": best_gap,
                 }
         if competitor is not None:
-            comp_values, u3, eps = competitor
-            gap = free_energy_gap(kernel, basis, gamma, comp_values)
-            if gap < best_gap:
+            entropy, energy, u3, eps = competitor
+            gap = float(entropy / gamma + energy)
+            if gap < min(best_gap, -_GAP_TOL):
                 best_gap = gap
                 witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
         return best_gap, witness
 
-    prev_gamma = None
-    for gamma in gamma_grid:
-        gap, witness = gap_at(gamma)
+    def gap_at(gamma: float) -> tuple[float, dict]:
+        values, res, _ = _damped_picard(op, gamma, seeds, config)
+        return score(gamma, values, res)
+
+    # The grid's gammas are solved as one stream of seed groups and scored in
+    # grid order, up to the first where a candidate beats uniform.
+    stream = _picard_groups(op, ((gamma, seeds) for gamma in gamma_grid), config)
+    solved, prev_gamma = {}, None
+    for i, gamma in enumerate(gamma_grid):
+        while i not in solved:
+            position, values, res, _ = next(stream)
+            solved[position] = values, res
+        gap, witness = score(gamma, *solved.pop(i))
         if gap < -_GAP_TOL:
             break
         prev_gamma = gamma
@@ -471,6 +545,7 @@ def find_transition(
             type="none",
             witness={"reason": "no sign change on the gamma grid"},
         )
+    stream.close()
     if prev_gamma is None:  # certify a lower end below the grid
         prev_gamma = 0.5 * gamma
         if gap_at(prev_gamma)[0] < -_GAP_TOL:

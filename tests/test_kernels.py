@@ -211,6 +211,15 @@ class TestConvexityThreshold:
         spec2 = _spec(3, "custom", profile=lambda t: t**2, derivative_bound=2.0)
         assert convexity_threshold(spec2) == pytest.approx(1.0 / 8.0, rel=1e-13)
 
+    def test_zero_derivative_bound_gives_no_limit(self):
+        spec = _spec(3, "custom", profile=lambda t: np.zeros_like(t), derivative_bound=0.0)
+        assert convexity_threshold(spec) == math.inf
+
+    def test_flat_heat_kernel_gives_no_limit(self):
+        # e^{-k(k+1) eps} is below the series' tail tolerance for every k >= 1 at
+        # eps = 30, so the series stops at k = 0 and W' = W'' = 0
+        assert convexity_threshold(_spec(3, "heat", epsilon=30.0)) == math.inf
+
     @pytest.mark.parametrize(
         "n,eps,expected",
         [

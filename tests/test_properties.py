@@ -3,6 +3,7 @@ the particle drift and the kernel JSON reader."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from spheremv.harmonics import (
 from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
 from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import _pairwise_drift, uniform_ensemble
+from spheremv import solver
 from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
     _damped_picard,
+    _picard_groups,
     bifurcation_points,
     gibbs_fixed_point,
 )
@@ -144,6 +147,48 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
         assert single.iterations == max_iters and not single.converged
         assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
         assert column_res == pytest.approx(single.residual, rel=1e-9)
+
+
+@FEW
+@given(
+    truncations(max_K=12),
+    st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(0, 3)), min_size=1, max_size=24),
+    st.floats(0.1, 0.5),
+    st.integers(1, 30),
+    st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, solver._GROUP_WIDTH]),
+    st.integers(0, 2**32 - 1),
+)
+def test_each_group_of_a_stream_stops_as_if_alone(
+    dims, shapes, tau, max_iters, tol, nan, block_width, seed
+):
+    # More groups than fit in one block, converging at different steps, so groups
+    # enter the block at different steps; width 0 stands for one density (M,).
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    rule = gauss_jacobi_rule(n, M)
+    op = GibbsOperator(kernel, rule, K)
+    config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
+    groups = []
+    for j, (gamma, width) in enumerate(shapes):
+        columns = [
+            _random_setup(n, K, M, seed + 97 * j + c + 1)[1].values for c in range(width or 1)
+        ]
+        groups.append((gamma, np.column_stack(columns) if width else columns[0]))
+    if nan:  # a NaN column stops at once; its group goes on with its other columns
+        groups[0][1][..., 0] = np.nan
+    with mock.patch.object(solver, "_GROUP_WIDTH", block_width):
+        stopped = list(_picard_groups(op, iter(groups), config))
+    assert sorted(position for position, *_ in stopped) == list(range(len(groups)))
+    for position, values, res, iters in stopped:
+        gamma, init = groups[position]
+        alone = _damped_picard(op, gamma, init, config)
+        assert iters == alone[2] <= max_iters
+        assert values.shape == init.shape and np.shape(res) == np.shape(alone[1])
+        np.testing.assert_allclose(values, alone[0], rtol=1e-12, atol=0.0)
+        # a residual is a difference of O(1) values, so its round-off is absolute
+        np.testing.assert_allclose(res, alone[1], rtol=1e-9, atol=1e-13)
 
 
 @FEW

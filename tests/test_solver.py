@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -370,41 +369,55 @@ class TestFindTransition:
         assert report.type == "discontinuous"
 
     def test_scan_advances_all_seeds_as_one_block(self, monkeypatch):
-        calls, first_block = [], {}
-        evaluate = GibbsOperator.gibbs
+        # each gamma's 16 seeds are one group of the Picard stream; the groups of
+        # several gammas share a block step, and each stops when its slowest seed would
+        streams, shapes = [], []
+        evaluate, stream_groups = GibbsOperator.gibbs, solver._picard_groups
 
-        def counted(op, gamma, values):
-            calls.append((gamma, values.shape))
-            if gamma not in first_block:
-                first_block[gamma] = values.copy()
+        def gibbs(op, gamma, values):
+            shapes.append(values.shape)
             return evaluate(op, gamma, values)
 
-        monkeypatch.setattr(GibbsOperator, "gibbs", counted)
+        def recorded(op, groups, config):
+            groups, stopped = list(groups), []
+            streams.append((groups, stopped))
+            for item in stream_groups(op, groups, config):
+                stopped.append(item)
+                yield item
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
+        monkeypatch.setattr(solver, "_picard_groups", recorded)
         grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
         report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
         monkeypatch.undo()
         assert report.gamma_c_bracket is not None
-        assert {shape for _, shape in calls} == {(FAST.M, 16)}
-        per_gamma = [(g, len(list(group))) for g, group in itertools.groupby(calls, lambda c: c[0])]
-        assert len(per_gamma) == len(first_block) >= len(grid)
-        for gamma, count in per_gamma:
-            slowest = max(
-                gibbs_fixed_point(
-                    ONSAGER3, gamma, make_density(3, RULE3, column, FAST.K), FAST
-                ).iterations
-                for column in first_block[gamma].T
-            )
-            assert count == slowest + 1
+        assert {shape[0] for shape in shapes} == {FAST.M}
+        assert {shape[1] % 16 for shape in shapes} == {0}
+        assert max(shape[1] for shape in shapes) == 16 * len(grid)
+        scan_groups, scan_stopped = streams[0]
+        assert [gamma for gamma, _ in scan_groups] == list(grid)
+        assert len(scan_stopped) >= 2  # the grid up to the first winner
+        # bisection solves one gamma at a time
+        assert all(len(groups) == 1 for groups, _ in streams[1:])
+        for groups, stopped in streams:
+            for position, values, res, iters in stopped:
+                gamma, seeds = groups[position]
+                alone = [
+                    gibbs_fixed_point(ONSAGER3, gamma, make_density(3, RULE3, column, FAST.K), FAST)
+                    for column in seeds.T
+                ]
+                assert iters == max(result.iterations for result in alone)
+                assert values.shape == seeds.shape and res.shape == (16,)
 
     def test_scan_builds_at_most_one_density_per_gamma(self, monkeypatch):
-        # the Picard block is scored by moments; a ZonalDensity is built only
-        # for the winning column, to read its dominant mode
-        events, evaluate, build = [], GibbsOperator.gibbs, solver.make_density
+        # the seed groups are scored by moments; a ZonalDensity is built only for
+        # the best column of a gamma where it beats uniform, to read its dominant mode
+        events, gap, build = [], solver.free_energy_gap, solver.make_density
 
-        def gibbs(op, gamma, values):
-            if not events or events[-1] != gamma:
-                events.append(gamma)
-            return evaluate(op, gamma, values)
+        def free_energy_gap(kernel, basis, gamma, values):
+            gaps = gap(kernel, basis, gamma, values)
+            events.append(float(np.min(gaps)))
+            return gaps
 
         def make_density(*args):
             events.append("density")
@@ -413,16 +426,24 @@ class TestFindTransition:
         def free_energy(*args):
             raise AssertionError("the scan needs no EnergyReport")
 
-        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
+        monkeypatch.setattr(solver, "free_energy_gap", free_energy_gap)
         monkeypatch.setattr(solver, "make_density", make_density)
         monkeypatch.setattr(solver, "free_energy", free_energy)
         report = find_transition(ONSAGER3, config=FAST)
         monkeypatch.undo()
         assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
         scan = events[events.index(next(e for e in events if e != "density")):]
-        runs = [list(group) for _, group in itertools.groupby(scan, lambda e: e == "density")]
-        assert all(len(run) <= 1 for run in runs if run[0] == "density")
+        # one density right after each gamma whose best seed beats uniform, none elsewhere
+        wins = [i for i, e in enumerate(scan) if e != "density" and e < -solver._GAP_TOL]
+        assert [i for i, e in enumerate(scan) if e == "density"] == [i + 1 for i in wins]
+        assert len(wins) >= 2  # the first winner on the grid, then bisection
         assert len([e for e in scan if e != "density"]) > 100  # the grid up to gamma_c, then bisection
+
+    def test_opinion_bracket_is_pinned(self):
+        kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
+        report = find_transition(kernel, config=FAST)
+        assert report.gamma_c_bracket == (0.25478880553522026, 0.2549177902410441)
+        assert report.type == "discontinuous" and report.witness["kind"] == "fixed-point"
 
     def test_json_round_trip(self):
         # the JSON document itself is tested through the CLI (TestTransition)
