@@ -6,14 +6,19 @@ convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  The same loop advances a stream of groups, each a
 block of densities at one gamma, several groups to one mat-mat per step, and
 each group stops at the step it would stop alone: a transition scan streams
-the seed groups of its whole gamma grid that way.  Densities are relative to
-the normalized measure (see `meanfield`), so Z and the residual
-||rho - G(rho)|| are plain quadrature means.
+the seed groups of its whole gamma grid that way.  Below gamma_# a column
+also stops once its moments lie in a ball that provably relaxes to the
+uniform state (`GibbsOperator.basin_radius`), and it is returned as that
+limit, 1.  Densities are relative to the normalized measure (see
+`meanfield`), so Z and the residual ||rho - G(rho)|| are plain quadrature
+means.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -34,6 +39,8 @@ from .meanfield import (
     uniform_density,
 )
 from .specfun import QuadratureRule, gauss_jacobi_rule
+
+_log = logging.getLogger("spheremv")
 
 __all__ = [
     "BifurcationSet",
@@ -77,6 +84,8 @@ class GibbsOperator:
     """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed.
 
     Both act on one density (M,) or column-wise on a block of densities (M, S).
+    `certified` counts the columns that `_picard_groups` returned as the
+    uniform limit that `basin_radius` proves, for reports.
     """
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
@@ -88,12 +97,40 @@ class GibbsOperator:
         basis = spectral_basis(n, K, rule.order)
         self.rule = basis.rule
         self.K = K
+        self.certified = 0
         # (W * rho)(t_i) = sum_k W_hat_k Y_k(t_i) sum_j w_j Y_k(t_j) rho_j
-        table, w_hat = basis.table, kernel.coeffs[: K + 1, None]
-        self.conv_matrix = table.T @ (w_hat * table * self.rule.weights)
+        self._table, w_hat = basis.table, kernel.coeffs[: K + 1]
+        self.conv_matrix = self._table.T @ (w_hat[:, None] * self._table * self.rule.weights)
+        # the support S = {1 <= k <= K : W_hat_k != 0}: G sees only the moments on it
+        self._support = np.flatnonzero(w_hat[1:]) + 1
+        self._w_support = w_s = w_hat[self._support]
+        self._w_range = (float(w_s.min()), float(w_s.max())) if w_s.size else None
+
+    @functools.cached_property
+    def _basin(self) -> tuple[np.ndarray, bool, float]:
+        """P_S (|S|, M), whether {0} u S is orthonormal under the rule, and B.
+
+        Built at the first gamma below the instability that needs them.
+        """
+        weights = self.rule.weights
+        rows = self._table[np.r_[0, self._support]]
+        gram = (rows * weights) @ rows.T
+        orthonormal = np.max(np.abs(gram - np.eye(len(rows)))) <= 1e-10
+        # B = max_i |(W_hat_k Y_k(t_i))_{k in S}|, which bounds |W * rho| by B ||a||
+        sup_bound = np.max(np.linalg.norm(self._w_support[:, None] * rows[1:], axis=0))
+        return rows[1:] * weights, bool(orthonormal), float(sup_bound)
+
+    def moments_sq(self, values: np.ndarray):
+        """||P_S rho||^2 of one density, or per column of a block."""
+        a = self._basin[0] @ values
+        return np.dot(a, a) if a.ndim == 1 else np.einsum("ij,ij->j", a, a)
 
     def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
+        return self._image(gamma, values)
+
+    def _image(self, gamma, values: np.ndarray) -> np.ndarray:
+        # `gibbs` is one Picard evaluation; `uniform_residual` measures without one
         expo = self.conv_matrix @ values
         expo *= -gamma
         expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
@@ -108,6 +145,61 @@ class GibbsOperator:
         """
         mean_sq = np.dot(self.rule.weights, d * d)
         return math.sqrt(mean_sq) if d.ndim == 1 else np.sqrt(mean_sq)
+
+    def uniform_residual(self, gamma: float) -> float:
+        """||1 - G(1)|| at gamma."""
+        ones = np.ones(self.rule.order)
+        return self.norm(ones - self._image(gamma, ones))
+
+    def basin_bound(self, gamma: float, tau: float) -> float:
+        """basin_radius^2, the bound on ||P_S rho||^2, or -1 when the radius is 0."""
+        radius = self.basin_radius(gamma, tau)
+        return radius * radius if radius > 0.0 else -1.0
+
+    def basin_radius(self, gamma: float, tau: float) -> float:
+        """A radius r such that damped Picard from any rho with ||P_S rho|| <= r tends to 1.
+
+        Let B = max_i (sum_{k in S} W_hat_k^2 Y_k(t_i)^2)^(1/2),
+        q = max_{k in S} |1 - tau (1 + gamma W_hat_k)| and, when q < 1,
+        s = min(1, (1 - q) / (3 e tau gamma B)) and r = s / (gamma B); else r = 0.
+        An empty S gives r = inf (G is then constant), and so does a gamma B
+        that underflows.
+
+        Proof.  G depends on rho only through a = P_S rho.  Put
+        u = -gamma sum_{k in S} W_hat_k a_k Y_k; by Cauchy-Schwarz
+        |u| <= gamma B ||a|| =: sigma <= s <= 1 on the nodes.  The rows of
+        {Y_0} u S are orthonormal under the rule, so <u> = 0, and Jensen gives
+        Z = <e^u> >= 1.  With e^u = 1 + u + g, |g| <= (sigma^2 / 2) e^sigma,
+        G = e^u / Z = 1 + u + f where f = (g - <g> - u <g>) / Z and
+        |f| <= (sigma^2 / 2) e^sigma (2 + sigma) <= (3 e / 2) sigma^2.
+        P_S u has entries -gamma W_hat_k a_k, so one step
+        a' = (1 - tau) a + tau P_S G has entries
+        (1 - tau (1 + gamma W_hat_k)) a_k + tau (P_S f)_k, and by Bessel
+        ||a'|| <= q ||a|| + tau ||f|| <= q ||a|| + tau (3 e / 2) gamma B ||a|| sigma
+        <= ((1 + q) / 2) ||a||, since sigma <= (1 - q) / (3 e tau gamma B).
+        The ball ||a|| <= r is invariant and a -> 0 geometrically, so
+        G(a_n) -> 1 uniformly and
+        rho_n = (1 - tau)^n rho_0 + sum_j tau (1 - tau)^(n-1-j) G(a_j) -> 1.
+
+        Bessel and <u> = 0 need the support orthonormal under the rule; when
+        max |sum_i w_i Y_j Y_k - delta_jk| over {0} u S exceeds 1e-10 (the
+        weights lose accuracy at high n) r is 0.  Plain floats, so an
+        overflowing gamma gives q = inf and r = 0 without a warning.
+        """
+        if self._w_range is None:
+            return math.inf
+        low, high = self._w_range  # |1 - tau (1 + gamma w)| is largest at an end of the range
+        q = max(abs(1.0 - tau * (1.0 + gamma * low)), abs(1.0 - tau * (1.0 + gamma * high)))
+        # gamma_# = -1 / low as `gamma_sharp` has it, so that no round-off in q certifies there
+        if not q < 1.0 or (low < 0.0 and gamma >= -1.0 / low):
+            return 0.0
+        _, orthonormal, sup_bound = self._basin
+        if not orthonormal:
+            return 0.0
+        gb = gamma * sup_bound
+        if gb == 0.0:
+            return math.inf
+        return min(1.0, (1.0 - q) / (3.0 * math.e * tau * gb)) / gb
 
 
 @dataclass(frozen=True)
@@ -135,52 +227,71 @@ def _picard_groups(
 
     A group is one density (M,) or a block (M, S) stepped column-wise at one
     gamma.  Up to _GROUP_WIDTH groups share one block, one mat-mat per step,
-    and each stops at the step where it would stop alone: every residual at
-    most tol or non-finite, or max_iters of its own steps done.  Its settled
-    columns keep stepping with the others until then.  A stopped group is
-    yielded as (its position in the stream, last iterate, residual norms,
-    its step count), and the next group of the stream takes its place.  The
-    residual rho - G(rho) that a step measures also drives the next step,
-    rho <- rho - tau (rho - G(rho)), so i steps evaluate G at i + 1 iterates.
+    and each stops at the step where it would stop alone: every column has
+    stopped, or max_iters of its own steps are done.  A column stops when
+    its residual is at most tol or non-finite, or when its moments lie in
+    the ball ||P_S rho|| <= r(gamma) of `GibbsOperator.basin_radius`, which
+    proves that it relaxes to uniform; the check runs only while some held
+    radius is positive.  Stopped columns keep stepping with the others until
+    their group stops.  A stopped group is yielded as (its position in the
+    stream, last iterate, residual norms, its step count), where a column
+    still above tol but inside the ball is replaced by its limit, the
+    uniform density 1, with the residual ||1 - G(1)||; and the next group of
+    the stream takes its place.  The residual rho - G(rho) that a step
+    measures also drives the next step, rho <- rho - tau (rho - G(rho)), so
+    i steps evaluate G at i + 1 iterates.
     """
     tau, tol, max_iters = config.tau, config.tol, config.max_iters
     pending = enumerate(groups)
     held = []  # (position, width, first step, shape) per group, in column order
-    values = delta = res = gammas = None
+    values = delta = res = gammas = bounds = None
     step = 0
     while True:
         entering = list(itertools.islice(pending, _GROUP_WIDTH - len(held)))
         if not held and len(entering) == 1:  # a lone group keeps its shape and gamma
             new_gammas, new = entering[0][1]
+            new_bounds = op.basin_bound(new_gammas, tau)
         elif entering:
             parts = [(g, v.reshape(len(v), -1)) for _, (g, v) in entering]
             new = np.concatenate([v for _, v in parts], axis=1)
             new_gammas = np.concatenate([np.full(v.shape[1], g) for g, v in parts])
+            column_bounds = [np.full(v.shape[1], op.basin_bound(g, tau)) for g, v in parts]
+            new_bounds = np.concatenate(column_bounds)
         held += [(position, v.size // len(v), step, v.shape) for position, (_, v) in entering]
         if not held:
             return
-        # an overflow shows up as a non-finite residual, which stops the group
+        # an overflow shows up as a non-finite residual, which stops the column
         with np.errstate(over="ignore", invalid="ignore"):
             if entering:
                 new_delta = new - op.gibbs(new_gammas, new)
                 if len(held) == len(entering):
-                    values, delta, res, gammas = new, new_delta, op.norm(new_delta), new_gammas
+                    values, delta, res = new, new_delta, op.norm(new_delta)
+                    gammas, bounds = new_gammas, new_bounds
                 else:
                     values = np.concatenate((values, new), axis=1)
                     delta = np.concatenate((delta, new_delta), axis=1)
                     res = np.concatenate((res, op.norm(new_delta)))
                     gammas = np.concatenate((gammas, new_gammas))
+                    bounds = np.concatenate((bounds, new_bounds))
             due = min(first for _, _, first, _ in held) + max_iters
             flat = values.ndim == 1
+            check = bool(np.any(bounds > 0.0))
             if not flat:
                 starts = np.cumsum([0] + [width for _, width, _, _ in held[:-1]])
             while True:  # step until some group stops
+                # inside: above tol, finite and in the ball, so certified
                 if flat:  # one density: keep the per-step test to floats
-                    live = [tol < res < math.inf]
+                    outside = tol < res < math.inf
+                    inside = outside and check and op.moments_sq(values) <= bounds
+                    live = [outside and not inside]
                     if not live[0] or step == due:
                         break
-                else:  # whether each group has a column above tol and finite
-                    live = np.logical_or.reduceat((res > tol) & (res < math.inf), starts)
+                else:  # whether each group has a column above tol, finite and outside
+                    outside = (res > tol) & (res < math.inf)
+                    if check:
+                        inside = outside & (op.moments_sq(values) <= bounds)
+                        outside &= ~inside
+                    live = np.logical_or.reduceat(outside, starts)
                     if not live.all() or step == due:
                         break
                 step += 1
@@ -191,17 +302,27 @@ def _picard_groups(
             not alive or step - first == max_iters for alive, (_, _, first, _) in zip(live, held)
         ]
         block, r, start = values.reshape(len(values), -1), np.atleast_1d(res), 0
+        if check:
+            inside = np.broadcast_to(inside, r.shape)
         for (position, width, first, shape), stop in zip(held, stops):
             if stop:
                 cols = slice(start, start + width)
-                last = r[cols] if len(shape) == 2 else float(r[start])
-                yield position, block[:, cols].reshape(shape), last, step - first
+                out, last = block[:, cols], r[cols]
+                if check and inside[cols].any():  # the proven limit replaces the iterate
+                    certified = inside[cols]
+                    out, last = out.copy(), last.copy()
+                    out[:, certified] = 1.0
+                    gamma = np.broadcast_to(gammas, r.shape)[start]
+                    last[certified] = op.uniform_residual(float(gamma))
+                    op.certified += int(np.count_nonzero(certified))
+                last = last if len(shape) == 2 else float(last[0])
+                yield position, out.reshape(shape), last, step - first
             start += width
         kept = [group for group, stop in zip(held, stops) if not stop]
         if kept:
             keep = np.repeat(np.logical_not(stops), [width for _, width, _, _ in held])
             values, delta = block[:, keep], delta.reshape(block.shape)[:, keep]
-            res, gammas = r[keep], gammas[keep]
+            res, gammas, bounds = r[keep], gammas[keep], bounds[keep]
         held = kept
 
 
@@ -222,15 +343,22 @@ def gibbs_fixed_point(
 ) -> SolveResult:
     """Damped Picard iteration from init until the residual drops below tol.
 
-    Stops at once when the residual turns non-finite; the result is then
-    not converged and carries the last finite iterate.
+    Below gamma_# the iteration also stops once its moments prove that it
+    relaxes to uniform (`GibbsOperator.basin_radius`); the result is then
+    the uniform density, converged, and its message says so.  Stops at once
+    when the residual turns non-finite; the result is then not converged and
+    carries the last finite iterate.
     """
     _check_gamma(gamma)
     if op is None:
         op = GibbsOperator(kernel, init.rule, init.coeffs.K)
+    before = op.certified
     values, res, iters = _damped_picard(op, gamma, init.values, config)
-    converged = res <= config.tol
-    if converged:
+    certified = op.certified > before
+    converged = certified or res <= config.tol
+    if certified:
+        msg = f"certified to relax to the uniform state at iteration {iters}"
+    elif converged:
         msg = ""
     elif math.isfinite(res):
         msg = f"no convergence after {iters} iterations"
@@ -492,11 +620,20 @@ def find_transition(
             entropy = rule.weights @ (comp * np.log(comp))
             competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
 
-    def score(gamma: float, values: np.ndarray, res: np.ndarray) -> tuple[float, dict]:
+    # seed columns scored, within tol and certified uniform, for the debug log
+    tally = {"gammas": 0, "midpoints": 0, "columns": 0, "within_tol": 0, "certified": 0}
+
+    def score(
+        gamma: float, values: np.ndarray, res: np.ndarray, certified: int
+    ) -> tuple[float, dict]:
         """Lowest free-energy gap to uniform among the fixed points the seed columns
         relaxed to at gamma and the competitor; gaps above -_GAP_TOL count as 0."""
         best_gap, witness = 0.0, {"kind": "uniform"}
         settled = np.flatnonzero(res <= config.tol)
+        tally["gammas"] += 1
+        tally["columns"] += res.size
+        tally["within_tol"] += settled.size
+        tally["certified"] += certified
         if settled.size:
             block = values[:, settled]
             gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
@@ -523,8 +660,18 @@ def find_transition(
         return best_gap, witness
 
     def gap_at(gamma: float) -> tuple[float, dict]:
+        before = op.certified
         values, res, _ = _damped_picard(op, gamma, seeds, config)
-        return score(gamma, values, res)
+        return score(gamma, values, res, op.certified - before)
+
+    def report(**fields) -> TransitionReport:
+        _log.debug(
+            "find_transition: %d gammas scored, %d of them bisection midpoints; "
+            "%d seed columns, %d within tol, %d certified to relax to uniform",
+            tally["gammas"], tally["midpoints"], tally["columns"], tally["within_tol"],
+            tally["certified"],
+        )
+        return TransitionReport(gamma_sharp=gs.gamma, **fields)
 
     # The grid's gammas are solved as one stream of seed groups and scored in
     # grid order, up to the first where a candidate beats uniform.
@@ -532,15 +679,15 @@ def find_transition(
     solved, prev_gamma = {}, None
     for i, gamma in enumerate(gamma_grid):
         while i not in solved:
+            before = op.certified
             position, values, res, _ = next(stream)
-            solved[position] = values, res
+            solved[position] = values, res, op.certified - before
         gap, witness = score(gamma, *solved.pop(i))
         if gap < -_GAP_TOL:
             break
         prev_gamma = gamma
     else:
-        return TransitionReport(
-            gamma_sharp=gs.gamma,
+        return report(
             gamma_c_bracket=None,
             type="none",
             witness={"reason": "no sign change on the gamma grid"},
@@ -549,8 +696,7 @@ def find_transition(
     if prev_gamma is None:  # certify a lower end below the grid
         prev_gamma = 0.5 * gamma
         if gap_at(prev_gamma)[0] < -_GAP_TOL:
-            return TransitionReport(
-                gamma_sharp=gs.gamma,
+            return report(
                 gamma_c_bracket=None,
                 type="none",
                 witness={"reason": f"uniform already loses at gamma={prev_gamma}"},
@@ -559,6 +705,7 @@ def find_transition(
     lo, hi = prev_gamma, gamma
     while (hi - lo) / hi > _BRACKET_RTOL:
         mid = 0.5 * (lo + hi)
+        tally["midpoints"] += 1
         gap, wit = gap_at(mid)
         if gap < -_GAP_TOL:
             hi, witness = mid, wit
@@ -566,6 +713,4 @@ def find_transition(
             lo = mid
     step = float(np.min(np.diff(gamma_grid))) if gamma_grid.size > 1 else 0.0
     kind = "discontinuous" if hi <= gs.gamma - step else "continuous-candidate"
-    return TransitionReport(
-        gamma_sharp=gs.gamma, gamma_c_bracket=(lo, hi), type=kind, witness=witness
-    )
+    return report(gamma_c_bracket=(lo, hi), type=kind, witness=witness)

@@ -137,14 +137,16 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
     seeds = [_random_setup(n, K, M, seed + j + 1)[1] for j in range(S)]
     op = GibbsOperator(kernel, seeds[0].rule, K)
     # With tau <= 1/2 the error shrinks at most 2x per step, so nothing reaches
-    # tol = 1e-300 and both paths take exactly max_iters steps.
+    # tol = 1e-300: a column stops at max_iters or when it is certified to relax
+    # to uniform, and the block stops with its slowest column.
     config = SolverConfig(tau=tau, tol=1e-300, max_iters=max_iters, K=K, M=M)
     block = np.column_stack([d.values for d in seeds])
     values, res, iters = _damped_picard(op, gamma, block, config)
-    assert values.shape == (M, S) and res.shape == (S,) and iters == max_iters
-    for column, column_res, density in zip(values.T, res, seeds):
-        single = gibbs_fixed_point(kernel, gamma, density, config, op=op)
-        assert single.iterations == max_iters and not single.converged
+    singles = [gibbs_fixed_point(kernel, gamma, density, config, op=op) for density in seeds]
+    assert values.shape == (M, S) and res.shape == (S,)
+    assert iters == max(single.iterations for single in singles) <= max_iters
+    for column, column_res, single in zip(values.T, res, singles):
+        assert single.converged or single.iterations == max_iters
         assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
         assert column_res == pytest.approx(single.residual, rel=1e-9)
 
@@ -189,6 +191,56 @@ def test_each_group_of_a_stream_stops_as_if_alone(
         np.testing.assert_allclose(values, alone[0], rtol=1e-12, atol=0.0)
         # a residual is a difference of O(1) values, so its round-off is absolute
         np.testing.assert_allclose(res, alone[1], rtol=1e-9, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    truncations(max_K=12),
+    st.floats(0.05, 0.95),
+    st.floats(0.2, 1.0),
+    st.floats(0.5, 2.0).filter(lambda mass: abs(mass - 1.0) > 1e-3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_basin_radius_certifies_relaxation_to_uniform(dims, fraction, tau, mass, worst, seed):
+    # Damped Picard from ||a_0|| = 0.99 r(gamma), in a plain loop on the moments
+    # a = <rho, Y_k>, k in S: ||a_n|| <= ((1 + q) / 2)^n ||a_0|| and rho_n -> 1.
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    assume(K >= 1 and stability_check(kernel).unstable_modes)
+    gamma = fraction * gamma_sharp(kernel).gamma
+    basis = spectral_basis(n, K, M)
+    w = basis.rule.weights
+    support = np.flatnonzero(kernel.coeffs[1:]) + 1
+    w_hat, table = kernel.coeffs[support], basis.table[support]
+    q = float(np.max(np.abs(1.0 - tau * (1.0 + gamma * w_hat))))
+    r = GibbsOperator(kernel, basis.rule, K).basin_radius(gamma, tau)
+    if q >= 1.0:
+        assert r == 0.0
+        return
+    assume(q <= 0.98)  # a few thousand steps reach 1e-9
+    assert 0.0 < r < math.inf
+    rng = np.random.default_rng(seed)
+    # along the node where sum W_hat_k^2 Y_k^2 peaks, which drives |W * rho| to its bound
+    node = int(np.argmax(np.sum((w_hat[:, None] * table) ** 2, axis=0)))
+    direction = w_hat * table[:, node] if worst else rng.normal(size=support.size)
+    a = 0.99 * r * direction / np.linalg.norm(direction)
+    other = rng.normal(size=M)
+    other -= table.T @ (table @ (w * other))  # no moment in S
+    rho = mass + table.T @ a + 0.5 * other
+
+    def moments(rho):
+        return table @ (w * rho)
+
+    a0 = np.linalg.norm(moments(rho))
+    rate, steps = (1.0 + q) / 2.0, 0
+    while steps < 20000 and max(rate**steps * a0, (1.0 - tau) ** steps * 10.0) > 1e-12:
+        steps += 1
+        u = -gamma * ((w_hat * moments(rho)) @ table)
+        image = np.exp(u - u.max())
+        rho = (1.0 - tau) * rho + tau * image / (w @ image)
+        assert np.linalg.norm(moments(rho)) <= rate**steps * a0 + 1e-13
+    assert np.max(np.abs(rho - 1.0)) <= 1e-9
 
 
 @FEW

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -152,6 +153,118 @@ class TestGibbsFixedPoint:
         f_fp = free_energy(ONSAGER3, result.density, gamma).free_energy
         f_uni = free_energy(ONSAGER3, uniform_density(3, RULE3, FAST.K), gamma).free_energy
         assert f_fp < f_uni
+
+
+class TestBasinCertificate:
+    """The certified exit below gamma_#: r(gamma) and the columns it stops."""
+
+    OPINION3 = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
+
+    def test_radius_vanishes_at_and_above_gamma_sharp(self):
+        for kernel in (ONSAGER3, self.OPINION3):
+            op = GibbsOperator(kernel, RULE3, FAST.K)
+            gs = gamma_sharp(kernel).gamma
+            assert op.basin_radius(0.9 * gs, FAST.tau) > 0.0
+            for gamma in (gs, math.nextafter(gs, math.inf), 1.5 * gs, 1e3 * gs):
+                for tau in (0.1, 0.5, 1.0):
+                    assert op.basin_radius(gamma, tau) == 0.0
+
+    def test_round_off_at_gamma_sharp_certifies_nothing(self):
+        # for this W_hat_2, gamma_# W_hat_2 = -1 + 1 ulp, so q = 1 - 1e-16 at tau = 1
+        w2 = -0.4290931844828499
+        kernel = ZonalCoefficients(n=3, coeffs=np.array([0.0, 0.0, w2]))
+        op = GibbsOperator(kernel, gauss_jacobi_rule(3, 8), 2)
+        gamma = gamma_sharp(kernel).gamma
+        assert abs(1.0 - (1.0 + gamma * w2)) < 1.0
+        assert op.basin_radius(gamma, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.01])
+    def test_radius_follows_its_formula_on_one_mode(self, gamma):
+        # W_hat = (0, 0, -1/2): S = {2}, B = |W_hat_2| max_i |Y_2(t_i)| and
+        # q = |1 - tau (1 + gamma W_hat_2)|; s is capped at 1 for the small gamma
+        tau, w2 = 0.5, -0.5
+        rule = gauss_jacobi_rule(3, 8)
+        op = GibbsOperator(ZonalCoefficients(n=3, coeffs=np.array([0.0, 0.0, w2])), rule, 2)
+        B = abs(w2) * np.max(np.abs(y_l0(2, 3, rule.nodes)))
+        q = abs(1.0 - tau * (1.0 + gamma * w2))
+        s = min(1.0, (1.0 - q) / (3.0 * math.e * tau * gamma * B))
+        assert (s == 1.0) == (gamma == 0.01)
+        assert op.basin_radius(gamma, tau) == pytest.approx(s / (gamma * B), rel=1e-13)
+
+    def test_extreme_gamma_raises_no_warning(self):
+        kernel = ZonalCoefficients(n=3, coeffs=np.array([1.0, 10.0, -5.0]))
+        rule = gauss_jacobi_rule(3, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op in (GibbsOperator(kernel, rule, 2), GibbsOperator(ONSAGER3, RULE3, FAST.K)):
+                assert op.basin_radius(1e308, FAST.tau) == 0.0
+                assert op.basin_radius(5e-324, FAST.tau) > 0.0
+
+    @pytest.mark.parametrize("coeffs", [[0.7], [0.7, 0.0, 0.0, 0.0]])
+    def test_empty_support_is_certified_at_once(self, coeffs):
+        # K = 0, or a constant kernel: G is constant, so every start relaxes to 1
+        K = len(coeffs) - 1
+        kernel = ZonalCoefficients(n=3, coeffs=np.array(coeffs))
+        rule = gauss_jacobi_rule(3, K + 4)
+        op = GibbsOperator(kernel, rule, K)
+        assert op.basin_radius(2.0, 0.5) == math.inf
+        init = _kicked_uniform(3, rule, 1, 0.3, K)
+        result = gibbs_fixed_point(kernel, 2.0, init, SolverConfig(K=K, M=K + 4), op=op)
+        assert result.converged and result.iterations == 0
+        assert result.message == "certified to relax to the uniform state at iteration 0"
+        assert np.max(np.abs(result.density.values - 1.0)) <= 1e-15  # ones of unit mass
+
+    def test_certified_solve_returns_the_uniform_state(self, monkeypatch):
+        gamma = 0.5 * GAMMA_SHARP_ONSAGER
+        init = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        result = gibbs_fixed_point(ONSAGER3, gamma, init, FAST, op=op)
+        assert result.converged and op.certified == 1
+        assert result.message == f"certified to relax to the uniform state at iteration {result.iterations}"
+        assert np.max(np.abs(result.density.values - 1.0)) <= 1e-15  # ones of unit mass
+        assert result.residual == op.uniform_residual(gamma) <= FAST.tol
+        assert residual(ONSAGER3, gamma, result.density) <= FAST.tol
+        # without the certificate the same solve steps on to tol, towards 1
+        monkeypatch.setattr(GibbsOperator, "basin_radius", lambda op, gamma, tau: 0.0)
+        plain = gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
+        assert plain.converged and plain.message == ""
+        assert plain.iterations > result.iterations
+        assert np.max(np.abs(plain.density.values - 1.0)) < 1e-9
+
+    def test_gram_guard_keeps_the_plain_solve(self, monkeypatch):
+        # at n = 100, K = 48, M = 72 the rule's weights leave sum w Y_j Y_k off by 1e-4
+        kernel = coefficients(KernelSpec(n=100, family="onsager"), 48)
+        config = SolverConfig()
+        rule = gauss_jacobi_rule(100, config.M)
+        op = GibbsOperator(kernel, rule, config.K)
+        gamma = 0.5 * gamma_sharp(kernel).gamma
+        assert op.basin_radius(gamma, config.tau) == 0.0
+        init = _kicked_uniform(100, rule, 2, 0.3, config.K)
+        result = gibbs_fixed_point(kernel, gamma, init, config, op=op)
+        monkeypatch.setattr(GibbsOperator, "basin_radius", lambda op, gamma, tau: 0.0)
+        plain = gibbs_fixed_point(kernel, gamma, init, config)
+        assert op.certified == 0 and result.message == plain.message
+        assert result.iterations == plain.iterations and result.residual == plain.residual
+        assert np.array_equal(result.density.values, plain.density.values)
+
+    @pytest.mark.parametrize("coeffs", [None, [0.7, 0.0, 0.0]])
+    def test_nan_column_is_never_certified(self, coeffs):
+        kernel = ONSAGER3 if coeffs is None else ZonalCoefficients(n=3, coeffs=np.array(coeffs))
+        K = kernel.K
+        rule = gauss_jacobi_rule(3, K + 16)
+        config = SolverConfig(K=K, M=K + 16)
+        op = GibbsOperator(kernel, rule, K)
+        gamma = 0.5 * GAMMA_SHARP_ONSAGER
+        assert op.basin_radius(gamma, config.tau) > 0.0
+        good = _kicked_uniform(3, rule, 2, 0.3, K).values
+        block = np.column_stack((good, np.full(rule.order, np.nan)))
+        values, res, _ = _damped_picard(op, gamma, block, config)
+        assert np.all(values[:, 0] == 1.0) and res[0] <= config.tol
+        assert math.isnan(res[1]) and np.all(np.isnan(values[:, 1]))
+        assert op.certified == 1
+        values, res, iters = _damped_picard(op, gamma, block[:, 1], config)
+        assert math.isnan(res) and iters == 0 and np.all(np.isnan(values))
+        assert op.certified == 1
 
 
 class TestBifurcationPoints:
@@ -438,6 +551,42 @@ class TestFindTransition:
         assert [i for i, e in enumerate(scan) if e == "density"] == [i + 1 for i in wins]
         assert len(wins) >= 2  # the first winner on the grid, then bisection
         assert len([e for e in scan if e != "density"]) > 100  # the grid up to gamma_c, then bisection
+
+    def test_basin_exit_bounds_the_grid_work(self, monkeypatch):
+        # columns of every G evaluation on the grid part of the Onsager K=32/M=48
+        # scan: 89,296 with the certified exit below gamma_#, 401,936 without it
+        columns, phase = {"grid": 0, "bisection": 0}, ["grid"]
+        evaluate, solve = GibbsOperator.gibbs, solver._damped_picard
+
+        def gibbs(op, gamma, values):
+            columns[phase[0]] += values.shape[1] if values.ndim == 2 else 1
+            return evaluate(op, gamma, values)
+
+        def damped_picard(*args):
+            phase[0] = "bisection"
+            return solve(*args)
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
+        monkeypatch.setattr(solver, "_damped_picard", damped_picard)
+        report = find_transition(ONSAGER3, config=FAST)
+        monkeypatch.undo()
+        assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
+        assert report.witness["seed"] == "mode2+0.8"
+        assert 0 < columns["grid"] <= 120_000 and columns["bisection"] > 0
+
+    def test_scan_logs_one_debug_line(self, caplog):
+        grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
+        with caplog.at_level(logging.WARNING, logger="spheremv"):
+            find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+        assert report.gamma_c_bracket is not None
+        [record] = caplog.records
+        counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
+        scored, midpoints, columns, within_tol, certified = counts
+        assert midpoints >= 1 and scored >= midpoints + 2  # the grid up to the winner, then bisection
+        assert columns == 16 * scored and 0 < certified <= within_tol <= columns
 
     def test_opinion_bracket_is_pinned(self):
         kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
