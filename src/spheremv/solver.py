@@ -5,13 +5,13 @@ G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  The same loop advances a stream of groups, each a
 block of densities at one gamma, several groups to one mat-mat per step, and
-each group stops at the step it would stop alone: a transition scan streams
-the seed groups of its whole gamma grid that way.  Below gamma_# a column
-also stops once its moments lie in a ball that provably relaxes to the
-uniform state (`GibbsOperator.basin_radius`), and it is returned as that
-limit, 1.  Densities are relative to the normalized measure (see
-`meanfield`), so Z and the residual ||rho - G(rho)|| are plain quadrature
-means.
+each column leaves the block at the step it would stop alone: a transition
+scan streams the seed groups of its whole gamma grid that way, and then
+each round of bisection midpoints.  Below gamma_# a column also stops once
+its moments lie in a ball that provably relaxes to the uniform state
+(`GibbsOperator.basin_radius`), and it is returned as that limit, 1.
+Densities are relative to the normalized measure (see `meanfield`), so Z
+and the residual ||rho - G(rho)|| are plain quadrature means.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +84,9 @@ class GibbsOperator:
     """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed.
 
     Both act on one density (M,) or column-wise on a block of densities (M, S).
-    `certified` counts the columns that `_picard_groups` returned as the
-    uniform limit that `basin_radius` proves, for reports.
+    For reports, `evaluations` counts the `gibbs` calls and `columns` the
+    densities they evaluate, and `certified` counts the columns that
+    `_picard_groups` returned as the uniform limit that `basin_radius` proves.
     """
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
@@ -97,7 +98,7 @@ class GibbsOperator:
         basis = spectral_basis(n, K, rule.order)
         self.rule = basis.rule
         self.K = K
-        self.certified = 0
+        self.evaluations = self.columns = self.certified = 0
         # (W * rho)(t_i) = sum_k W_hat_k Y_k(t_i) sum_j w_j Y_k(t_j) rho_j
         self._table, w_hat = basis.table, kernel.coeffs[: K + 1]
         self.conv_matrix = self._table.T @ (w_hat[:, None] * self._table * self.rule.weights)
@@ -127,6 +128,8 @@ class GibbsOperator:
 
     def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
+        self.evaluations += 1
+        self.columns += 1 if values.ndim == 1 else values.shape[1]
         return self._image(gamma, values)
 
     def _image(self, gamma, values: np.ndarray) -> np.ndarray:
@@ -153,7 +156,7 @@ class GibbsOperator:
 
     def basin_bound(self, gamma: float, tau: float) -> float:
         """basin_radius^2, the bound on ||P_S rho||^2, or -1 when the radius is 0."""
-        radius = self.basin_radius(gamma, tau)
+        radius = self.basin_radius(float(gamma), tau)
         return radius * radius if radius > 0.0 else -1.0
 
     def basin_radius(self, gamma: float, tau: float) -> float:
@@ -188,6 +191,7 @@ class GibbsOperator:
         """
         if self._w_range is None:
             return math.inf
+        gamma = float(gamma)
         low, high = self._w_range  # |1 - tau (1 + gamma w)| is largest at an end of the range
         q = max(abs(1.0 - tau * (1.0 + gamma * low)), abs(1.0 - tau * (1.0 + gamma * high)))
         # gamma_# = -1 / low as `gamma_sharp` has it, so that no round-off in q certifies there
@@ -217,7 +221,33 @@ def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> 
     return op.norm(density.values - op.gibbs(gamma, density.values))
 
 
-_GROUP_WIDTH = 16  # groups advanced together in one Picard block
+# groups advanced together in one Picard block; bisection solves log2 of it levels at once
+_GROUP_WIDTH = 16
+
+
+def _picard_alone(
+    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
+) -> tuple[np.ndarray, float, int]:
+    """`_picard_groups` on one density (M,), its per-step test kept to floats."""
+    tau, tol = config.tau, config.tol
+    bound = op.basin_bound(gamma, tau)
+    step, inside = 0, False
+    # an overflow shows up as a non-finite residual, which stops the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = values - op.gibbs(gamma, values)
+        res = op.norm(delta)
+        while tol < res < math.inf:
+            inside = bound > 0.0 and op.moments_sq(values) <= bound
+            if inside or step == config.max_iters:
+                break
+            step += 1
+            values = values - tau * delta
+            delta = values - op.gibbs(gamma, values)
+            res = op.norm(delta)
+    if inside:  # the proven limit replaces the iterate
+        op.certified += 1
+        return np.ones(len(values)), op.uniform_residual(float(gamma)), step
+    return values, res, step
 
 
 def _picard_groups(
@@ -226,104 +256,104 @@ def _picard_groups(
     """Damped Picard steps on a stream of groups (gamma, values), yielding each as it stops.
 
     A group is one density (M,) or a block (M, S) stepped column-wise at one
-    gamma.  Up to _GROUP_WIDTH groups share one block, one mat-mat per step,
-    and each stops at the step where it would stop alone: every column has
-    stopped, or max_iters of its own steps are done.  A column stops when
-    its residual is at most tol or non-finite, or when its moments lie in
-    the ball ||P_S rho|| <= r(gamma) of `GibbsOperator.basin_radius`, which
-    proves that it relaxes to uniform; the check runs only while some held
-    radius is positive.  Stopped columns keep stepping with the others until
-    their group stops.  A stopped group is yielded as (its position in the
-    stream, last iterate, residual norms, its step count), where a column
-    still above tol but inside the ball is replaced by its limit, the
-    uniform density 1, with the residual ||1 - G(1)||; and the next group of
-    the stream takes its place.  The residual rho - G(rho) that a step
-    measures also drives the next step, rho <- rho - tau (rho - G(rho)), so
-    i steps evaluate G at i + 1 iterates.
+    gamma.  The columns of up to _GROUP_WIDTH groups share one block, one
+    mat-mat per step, and each column leaves the block at the step where it
+    would stop alone: its residual is at most tol or non-finite, its moments
+    lie in the ball ||P_S rho|| <= r(gamma) of `GibbsOperator.basin_radius`,
+    which proves that it relaxes to uniform (checked only while some held
+    radius is positive), or it has taken max_iters steps of its own.  Its
+    last iterate goes into its group's output, except that a column still
+    above tol but inside the ball is replaced by its limit, the uniform
+    density 1, with the residual ||1 - G(1)||.  A group is yielded once its
+    last column has stopped, as (its position in the stream, iterates,
+    residual norms, the step count of its slowest column), and the next group
+    of the stream takes its place.  A lone density (M,) steps by
+    `_picard_alone`.  The residual rho - G(rho) that a step measures also
+    drives the next step, rho <- rho - tau (rho - G(rho)), so i steps
+    evaluate G at i + 1 iterates.
     """
     tau, tol, max_iters = config.tau, config.tol, config.max_iters
     pending = enumerate(groups)
-    held = []  # (position, width, first step, shape) per group, in column order
-    values = delta = res = gammas = bounds = None
+    # per held group, in stream order: (gamma, shape, first step, its columns' slots)
+    held = {}
+    # per column of the block: iterate, residual vector, residual norm, gamma,
+    # basin bound, and (group position, slot, step it is due)
+    values = delta = res = gammas = bounds = tags = None
+    # a stopped column's iterate, residual norm and certificate wait in its slot
+    store, free = None, []
     step = 0
     while True:
         entering = list(itertools.islice(pending, _GROUP_WIDTH - len(held)))
-        if not held and len(entering) == 1:  # a lone group keeps its shape and gamma
-            new_gammas, new = entering[0][1]
-            new_bounds = op.basin_bound(new_gammas, tau)
-        elif entering:
-            parts = [(g, v.reshape(len(v), -1)) for _, (g, v) in entering]
-            new = np.concatenate([v for _, v in parts], axis=1)
-            new_gammas = np.concatenate([np.full(v.shape[1], g) for g, v in parts])
-            column_bounds = [np.full(v.shape[1], op.basin_bound(g, tau)) for g, v in parts]
-            new_bounds = np.concatenate(column_bounds)
-        held += [(position, v.size // len(v), step, v.shape) for position, (_, v) in entering]
-        if not held:
+        if not held and len(entering) == 1 and entering[0][1][1].ndim == 1:
+            position, (gamma, density) = entering[0]
+            yield (position, *_picard_alone(op, gamma, density, config))
+            continue
+        if not held and not entering:
             return
         # an overflow shows up as a non-finite residual, which stops the column
         with np.errstate(over="ignore", invalid="ignore"):
             if entering:
+                parts = [(p, g, v.reshape(len(v), -1)) for p, (g, v) in entering]
+                widths = [v.shape[1] for _, _, v in parts]
+                new = np.concatenate([v for _, _, v in parts], axis=1)
+                new_gammas = np.repeat([g for _, g, _ in parts], widths)
                 new_delta = new - op.gibbs(new_gammas, new)
-                if len(held) == len(entering):
-                    values, delta, res = new, new_delta, op.norm(new_delta)
-                    gammas, bounds = new_gammas, new_bounds
-                else:
-                    values = np.concatenate((values, new), axis=1)
-                    delta = np.concatenate((delta, new_delta), axis=1)
-                    res = np.concatenate((res, op.norm(new_delta)))
-                    gammas = np.concatenate((gammas, new_gammas))
-                    bounds = np.concatenate((bounds, new_bounds))
-            due = min(first for _, _, first, _ in held) + max_iters
-            flat = values.ndim == 1
+                width = len(new_gammas)
+                if len(free) < width:  # add the slots missing to the store
+                    size, grow = len(store[1]) if store else 0, width - len(free)
+                    free += range(size, size + grow)
+                    more = np.empty((len(new), grow)), np.empty(grow), np.empty(grow, dtype=bool)
+                    store = tuple(map(np.hstack, zip(store, more))) if store else more
+                slots, free = free[:width], free[width:]
+                columns = (
+                    new,
+                    new_delta,
+                    op.norm(new_delta),
+                    new_gammas,
+                    np.repeat([op.basin_bound(g, tau) for _, g, _ in parts], widths),
+                    np.stack((
+                        np.repeat([p for p, _, _ in parts], widths),
+                        slots,
+                        np.full(width, step + max_iters),
+                    )),
+                )
+                for (position, (gamma, v)), w, end in zip(entering, widths, np.cumsum(widths)):
+                    held[position] = gamma, v.shape, step, slots[end - w : end]
+                if values is not None:
+                    old = values, delta, res, gammas, bounds, tags
+                    columns = map(np.hstack, zip(old, columns))
+                values, delta, res, gammas, bounds, tags = columns
+            due = int(tags[2].min())
             check = bool(np.any(bounds > 0.0))
-            if not flat:
-                starts = np.cumsum([0] + [width for _, width, _, _ in held[:-1]])
-            while True:  # step until some group stops
-                # inside: above tol, finite and in the ball, so certified
-                if flat:  # one density: keep the per-step test to floats
-                    outside = tol < res < math.inf
-                    inside = outside and check and op.moments_sq(values) <= bounds
-                    live = [outside and not inside]
-                    if not live[0] or step == due:
-                        break
-                else:  # whether each group has a column above tol, finite and outside
-                    outside = (res > tol) & (res < math.inf)
-                    if check:
-                        inside = outside & (op.moments_sq(values) <= bounds)
-                        outside &= ~inside
-                    live = np.logical_or.reduceat(outside, starts)
-                    if not live.all() or step == due:
-                        break
+            while True:  # step until some column stops
+                outside = (res > tol) & (res < math.inf)
+                if check:  # inside: above tol, finite and in the ball, so certified
+                    inside = outside & (op.moments_sq(values) <= bounds)
+                    outside &= ~inside
+                if step == due or not outside.all():
+                    break
                 step += 1
                 values = values - tau * delta
                 delta = values - op.gibbs(gammas, values)
                 res = op.norm(delta)
-        stops = [
-            not alive or step - first == max_iters for alive, (_, _, first, _) in zip(live, held)
-        ]
-        block, r, start = values.reshape(len(values), -1), np.atleast_1d(res), 0
-        if check:
-            inside = np.broadcast_to(inside, r.shape)
-        for (position, width, first, shape), stop in zip(held, stops):
-            if stop:
-                cols = slice(start, start + width)
-                out, last = block[:, cols], r[cols]
-                if check and inside[cols].any():  # the proven limit replaces the iterate
-                    certified = inside[cols]
-                    out, last = out.copy(), last.copy()
-                    out[:, certified] = 1.0
-                    gamma = np.broadcast_to(gammas, r.shape)[start]
-                    last[certified] = op.uniform_residual(float(gamma))
-                    op.certified += int(np.count_nonzero(certified))
-                last = last if len(shape) == 2 else float(last[0])
-                yield position, out.reshape(shape), last, step - first
-            start += width
-        kept = [group for group, stop in zip(held, stops) if not stop]
-        if kept:
-            keep = np.repeat(np.logical_not(stops), [width for _, width, _, _ in held])
-            values, delta = block[:, keep], delta.reshape(block.shape)[:, keep]
-            res, gammas, bounds = r[keep], gammas[keep], bounds[keep]
-        held = kept
+        stop = ~outside | (tags[2] == step)
+        done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+        slots = tags[1, done]
+        store[0][:, slots], store[1][slots] = values[:, done], res[done]
+        store[2][slots] = inside[done] if check else False
+        values, delta, res = values[:, keep], delta[:, keep], res[keep]
+        gammas, bounds, tags = gammas[keep], bounds[keep], tags[:, keep]
+        stepping = set(tags[0].tolist())
+        for position in [p for p in held if p not in stepping]:
+            gamma, shape, first, slots = held.pop(position)
+            out, last, certified = (a[..., slots] for a in store)
+            free += slots
+            if certified.any():  # the proven limit replaces the iterate
+                out[:, certified] = 1.0
+                last[certified] = op.uniform_residual(float(gamma))
+                op.certified += int(np.count_nonzero(certified))
+            last = last if len(shape) == 2 else float(last[0])
+            yield position, out.reshape(shape), last, step - first
 
 
 def _damped_picard(
@@ -570,11 +600,14 @@ def find_transition(
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
     seeds at one gamma are one (M, S) group of a Picard stream over the
-    grid: the groups of up to 16 gammas advance as one block, each stops at
-    the step it would stop alone, and the groups are scored in grid order,
-    each by its moments in one `free_energy_gap` call, until the first gamma
-    where a candidate beats uniform.  Bisection then solves one gamma at a
-    time.
+    grid: the groups of up to 16 gammas advance as one block, each seed
+    leaves it at the step it would stop alone, and the groups are scored in
+    grid order, each by its moments in one `free_energy_gap` call, until the
+    first gamma where a candidate beats uniform.  Bisection then halves the
+    bracket in rounds: the midpoints the halving could visit in its next
+    four levels (up to 15) are solved as one stream, and only those on its
+    path are scored, so lo, hi and the witness are those of halving one
+    midpoint at a time.  Every gamma of the grid must be positive and finite.
     Only the upper end of the bracket (lo, hi) is certified: a witness beats
     uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
     mode, 16 for four modes) relaxed to uniform and the competitor lost, so
@@ -590,6 +623,8 @@ def find_transition(
     if gamma_grid is None:
         gamma_grid = np.geomspace(0.2 * gs.gamma, gs.gamma, 200)
     gamma_grid = np.asarray(sorted(gamma_grid), dtype=float)
+    for gamma in gamma_grid:
+        _check_gamma(gamma)
 
     basis = spectral_basis(kernel.n, config.K, config.M)
     rule = basis.rule
@@ -620,8 +655,10 @@ def find_transition(
             entropy = rule.weights @ (comp * np.log(comp))
             competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
 
-    # seed columns scored, within tol and certified uniform, for the debug log
-    tally = {"gammas": 0, "midpoints": 0, "columns": 0, "within_tol": 0, "certified": 0}
+    # gammas scored, bisection midpoints walked and solved, and seed columns
+    # scored, within tol and certified uniform, for the debug log
+    tally = {"gammas": 0, "midpoints": 0, "solved": 0, "columns": 0, "within_tol": 0,
+             "certified": 0}
 
     def score(
         gamma: float, values: np.ndarray, res: np.ndarray, certified: int
@@ -659,30 +696,36 @@ def find_transition(
                 witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
         return best_gap, witness
 
-    def gap_at(gamma: float) -> tuple[float, dict]:
-        before = op.certified
-        values, res, _ = _damped_picard(op, gamma, seeds, config)
-        return score(gamma, values, res, op.certified - before)
+    def stream_of(gammas: Sequence[float]) -> tuple[Callable[[int], tuple[float, dict]], Callable]:
+        """Solve the seeds at each gamma as one Picard stream: (score by position, close)."""
+        stream = _picard_groups(op, ((gamma, seeds) for gamma in gammas), config)
+        solved = {}
+
+        def gap_of(i: int) -> tuple[float, dict]:
+            while i not in solved:  # the certificates of a group count as it is yielded
+                before = op.certified
+                position, values, res, _ = next(stream)
+                solved[position] = values, res, op.certified - before
+            return score(gammas[i], *solved.pop(i))
+
+        return gap_of, stream.close
 
     def report(**fields) -> TransitionReport:
         _log.debug(
-            "find_transition: %d gammas scored, %d of them bisection midpoints; "
-            "%d seed columns, %d within tol, %d certified to relax to uniform",
-            tally["gammas"], tally["midpoints"], tally["columns"], tally["within_tol"],
-            tally["certified"],
+            "find_transition: %d gammas scored, %d of them bisection midpoints of %d solved; "
+            "%d seed columns, %d within tol, %d certified to relax to uniform; "
+            "%d block steps, %d column-steps",
+            tally["gammas"], tally["midpoints"], tally["solved"], tally["columns"],
+            tally["within_tol"], tally["certified"], op.evaluations, op.columns,
         )
         return TransitionReport(gamma_sharp=gs.gamma, **fields)
 
     # The grid's gammas are solved as one stream of seed groups and scored in
     # grid order, up to the first where a candidate beats uniform.
-    stream = _picard_groups(op, ((gamma, seeds) for gamma in gamma_grid), config)
-    solved, prev_gamma = {}, None
+    prev_gamma = None
+    gap_of, close = stream_of(gamma_grid)
     for i, gamma in enumerate(gamma_grid):
-        while i not in solved:
-            before = op.certified
-            position, values, res, _ = next(stream)
-            solved[position] = values, res, op.certified - before
-        gap, witness = score(gamma, *solved.pop(i))
+        gap, witness = gap_of(i)
         if gap < -_GAP_TOL:
             break
         prev_gamma = gamma
@@ -692,10 +735,11 @@ def find_transition(
             type="none",
             witness={"reason": "no sign change on the gamma grid"},
         )
-    stream.close()
+    close()
     if prev_gamma is None:  # certify a lower end below the grid
         prev_gamma = 0.5 * gamma
-        if gap_at(prev_gamma)[0] < -_GAP_TOL:
+        probe, _ = stream_of([prev_gamma])
+        if probe(0)[0] < -_GAP_TOL:
             return report(
                 gamma_c_bracket=None,
                 type="none",
@@ -704,13 +748,26 @@ def find_transition(
 
     lo, hi = prev_gamma, gamma
     while (hi - lo) / hi > _BRACKET_RTOL:
-        mid = 0.5 * (lo + hi)
-        tally["midpoints"] += 1
-        gap, wit = gap_at(mid)
-        if gap < -_GAP_TOL:
-            hi, witness = mid, wit
-        else:
-            lo = mid
+        # Each round solves, as one stream, the midpoints that the next levels of
+        # this loop could visit, breadth first to the depth one block holds, and
+        # walks the loop's path through them.
+        tree, level = {}, [(lo, hi)]  # bracket -> position of its midpoint in the stream
+        for _ in range(max(_GROUP_WIDTH.bit_length() - 1, 1)):
+            level = [(l, h) for l, h in level if (h - l) / h > _BRACKET_RTOL]
+            for bracket in level:
+                tree[bracket] = len(tree)
+            level = [half for l, h in level for half in ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
+        tally["solved"] += len(tree)
+        gap_of, close = stream_of([0.5 * (l + h) for l, h in tree])
+        while (lo, hi) in tree:
+            mid = 0.5 * (lo + hi)
+            tally["midpoints"] += 1
+            gap, wit = gap_of(tree[lo, hi])
+            if gap < -_GAP_TOL:
+                hi, witness = mid, wit
+            else:
+                lo = mid
+        close()
     step = float(np.min(np.diff(gamma_grid))) if gamma_grid.size > 1 else 0.0
     kind = "discontinuous" if hi <= gs.gamma - step else "continuous-candidate"
     return report(gamma_c_bracket=(lo, hi), type=kind, witness=witness)

@@ -154,6 +154,40 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
 @FEW
 @given(
     truncations(max_K=12),
+    st.floats(0.1, 5.0),
+    st.floats(0.1, 0.5),
+    st.integers(1, 60),
+    st.floats(-11.0, -2.0).map(lambda exponent: 10.0**exponent),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_each_column_of_a_block_stops_as_if_alone(dims, gamma, tau, max_iters, tol, S, seed):
+    # With a real tol the columns of one block stop at different steps; each
+    # leaves the block at its own stop, so it is its lone (M,) solve.
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
+    config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
+    block = np.column_stack([_random_setup(n, K, M, seed + j + 1)[1].values for j in range(S)])
+    values, res, iters = _damped_picard(op, gamma, block, config)
+    alone = [_damped_picard(op, gamma, column, config) for column in block.T]
+    assert values.shape == (M, S) and res.shape == (S,)
+    assert iters == max(steps for _, _, steps in alone) <= max_iters
+    # Where the damped map expands at uniform (q >= 1), a column that never settles
+    # grows the round-off of mat-mat against mat-vec at every step (to 1.1e-12 in
+    # 15 steps); it is checked by its step count only.
+    q = np.max(np.abs(1.0 - tau * (1.0 + gamma * kernel.coeffs[1:])), initial=0.0)
+    for column, column_res, (lone, lone_res, steps) in zip(values.T, res, alone):
+        if q >= 1.0 and steps == max_iters and not lone_res <= tol:
+            continue
+        np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
+        # a residual is a difference of O(1) values, so its round-off is absolute
+        np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+
+
+@FEW
+@given(
+    truncations(max_K=12),
     st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(0, 3)), min_size=1, max_size=24),
     st.floats(0.1, 0.5),
     st.integers(1, 30),

@@ -199,6 +199,8 @@ class TestBasinCertificate:
             for op in (GibbsOperator(kernel, rule, 2), GibbsOperator(ONSAGER3, RULE3, FAST.K)):
                 assert op.basin_radius(1e308, FAST.tau) == 0.0
                 assert op.basin_radius(5e-324, FAST.tau) > 0.0
+                # a numpy gamma, as a grid gives it: the squared radius overflows to inf
+                assert op.basin_bound(np.float64(1e-300), FAST.tau) == math.inf
 
     @pytest.mark.parametrize("coeffs", [[0.7], [0.7, 0.0, 0.0, 0.0]])
     def test_empty_support_is_certified_at_once(self, coeffs):
@@ -482,45 +484,82 @@ class TestFindTransition:
         assert report.type == "discontinuous"
 
     def test_scan_advances_all_seeds_as_one_block(self, monkeypatch):
-        # each gamma's 16 seeds are one group of the Picard stream; the groups of
-        # several gammas share a block step, and each stops when its slowest seed would
-        streams, shapes = [], []
-        evaluate, stream_groups = GibbsOperator.gibbs, solver._picard_groups
-
-        def gibbs(op, gamma, values):
-            shapes.append(values.shape)
-            return evaluate(op, gamma, values)
-
-        def recorded(op, groups, config):
-            groups, stopped = list(groups), []
-            streams.append((groups, stopped))
-            for item in stream_groups(op, groups, config):
-                stopped.append(item)
-                yield item
-
-        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
-        monkeypatch.setattr(solver, "_picard_groups", recorded)
+        # each gamma's 16 seeds are one group of a Picard stream: the groups of several
+        # gammas share a block step and each column leaves it at its own stop; the
+        # bisection midpoints the sequential loop could visit are one stream per round
         grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
-        report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
-        monkeypatch.undo()
-        assert report.gamma_c_bracket is not None
+        evaluate, stream_groups, gap = GibbsOperator.gibbs, solver._picard_groups, solver.free_energy_gap
+
+        def scan(width):
+            streams, shapes, scored = [], [], []
+
+            def gibbs(op, gamma, values):
+                shapes.append(values.shape)
+                return evaluate(op, gamma, values)
+
+            def recorded(op, groups, config):
+                groups, stopped = list(groups), []
+                streams.append((groups, stopped))
+                for item in stream_groups(op, groups, config):
+                    stopped.append(item)
+                    yield item
+
+            def free_energy_gap(kernel, basis, gamma, values):
+                scored.append(gamma)
+                return gap(kernel, basis, gamma, values)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_GROUP_WIDTH", width)
+                patch.setattr(GibbsOperator, "gibbs", gibbs)
+                patch.setattr(solver, "_picard_groups", recorded)
+                patch.setattr(solver, "free_energy_gap", free_energy_gap)
+                report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+            return report, streams, shapes, scored
+
+        report, streams, shapes, scored = scan(16)
+        # one group at a time and one midpoint per round: the sequential bisection loop
+        one_by_one, sequential, _, sequential_scored = scan(1)
+        assert all(len(groups) == 1 for groups, _ in sequential[1:])
+        assert report.gamma_c_bracket == one_by_one.gamma_c_bracket
+        assert report.type == one_by_one.type
+        assert report.witness["seed"] == one_by_one.witness["seed"]
+        assert scored == sequential_scored  # the walked path is the sequential loop's
+
         assert {shape[0] for shape in shapes} == {FAST.M}
-        assert {shape[1] % 16 for shape in shapes} == {0}
-        assert max(shape[1] for shape in shapes) == 16 * len(grid)
+        assert shapes[0][1] == 16 * len(grid)  # the whole grid enters the first block
+        assert max(shape[1] for shape in shapes) == 16 * 15  # a round of 15 midpoints
         scan_groups, scan_stopped = streams[0]
         assert [gamma for gamma, _ in scan_groups] == list(grid)
         assert len(scan_stopped) >= 2  # the grid up to the first winner
-        # bisection solves one gamma at a time
-        assert all(len(groups) == 1 for groups, _ in streams[1:])
+        # each round streams the breadth-first tree of midpoints from its bracket,
+        # at most 4 levels deep, without brackets already narrow enough
+        midpoints = [gamma for gamma in scored if gamma not in grid]
+        hi = min(gamma for gamma in grid if gamma > midpoints[0])
+        lo = max(gamma for gamma in grid if gamma < midpoints[0])
+        for groups, _ in streams[1:]:
+            tree, level = [], [(lo, hi)]
+            for _ in range(4):
+                level = [(l, h) for l, h in level if (h - l) / h > solver._BRACKET_RTOL]
+                tree += [0.5 * (l + h) for l, h in level]
+                level = [pair for l, h in level for pair in ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
+            assert [gamma for gamma, _ in groups] == tree
+            while midpoints and midpoints[0] in tree:
+                mid = midpoints.pop(0)
+                assert mid == 0.5 * (lo + hi)
+                won = midpoints[0] < mid if midpoints else mid == report.gamma_c_bracket[1]
+                lo, hi = (lo, mid) if won else (mid, hi)
+        assert not midpoints and (lo, hi) == report.gamma_c_bracket
+        # every column of a retired group is its lone solve, stopped at its own step
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
         for groups, stopped in streams:
             for position, values, res, iters in stopped:
                 gamma, seeds = groups[position]
-                alone = [
-                    gibbs_fixed_point(ONSAGER3, gamma, make_density(3, RULE3, column, FAST.K), FAST)
-                    for column in seeds.T
-                ]
-                assert iters == max(result.iterations for result in alone)
                 assert values.shape == seeds.shape and res.shape == (16,)
+                alone = [_damped_picard(op, gamma, column, FAST) for column in seeds.T]
+                assert iters == max(steps for _, _, steps in alone)
+                for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
+                    np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
 
     def test_scan_builds_at_most_one_density_per_gamma(self, monkeypatch):
         # the seed groups are scored by moments; a ZonalDensity is built only for
@@ -553,40 +592,61 @@ class TestFindTransition:
         assert len([e for e in scan if e != "density"]) > 100  # the grid up to gamma_c, then bisection
 
     def test_basin_exit_bounds_the_grid_work(self, monkeypatch):
-        # columns of every G evaluation on the grid part of the Onsager K=32/M=48
-        # scan: 89,296 with the certified exit below gamma_#, 401,936 without it
-        columns, phase = {"grid": 0, "bisection": 0}, ["grid"]
-        evaluate, solve = GibbsOperator.gibbs, solver._damped_picard
+        # G evaluations (block steps) and their columns over the whole Onsager
+        # K=32/M=48 scan: 834 and 37,197 when each column leaves the block at its
+        # own stop (certified exit included) and bisection streams its midpoints;
+        # 1,829 and 111,008 when stopped columns stepped on with their group
+        counts = {"steps": 0, "columns": 0}
+        evaluate = GibbsOperator.gibbs
 
         def gibbs(op, gamma, values):
-            columns[phase[0]] += values.shape[1] if values.ndim == 2 else 1
+            counts["steps"] += 1
+            counts["columns"] += values.shape[1] if values.ndim == 2 else 1
             return evaluate(op, gamma, values)
 
-        def damped_picard(*args):
-            phase[0] = "bisection"
-            return solve(*args)
-
         monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
-        monkeypatch.setattr(solver, "_damped_picard", damped_picard)
         report = find_transition(ONSAGER3, config=FAST)
         monkeypatch.undo()
         assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
         assert report.witness["seed"] == "mode2+0.8"
-        assert 0 < columns["grid"] <= 120_000 and columns["bisection"] > 0
+        assert 0 < counts["steps"] <= 900 and 0 < counts["columns"] <= 45_000
 
-    def test_scan_logs_one_debug_line(self, caplog):
+    def test_scan_logs_one_debug_line(self, caplog, monkeypatch):
         grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
         with caplog.at_level(logging.WARNING, logger="spheremv"):
             find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
         assert caplog.records == []
+        evaluated, evaluate = [], GibbsOperator.gibbs
+
+        def gibbs(op, gamma, values):
+            evaluated.append(values.shape[1])
+            return evaluate(op, gamma, values)
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
         assert report.gamma_c_bracket is not None
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        scored, midpoints, columns, within_tol, certified = counts
+        scored, midpoints, solved, columns, within_tol, certified, steps, column_steps = counts
         assert midpoints >= 1 and scored >= midpoints + 2  # the grid up to the winner, then bisection
+        assert midpoints <= solved <= 15 * midpoints  # at most 15 solved per midpoint walked
         assert columns == 16 * scored and 0 < certified <= within_tol <= columns
+        assert (steps, column_steps) == (len(evaluated), sum(evaluated))
+
+    @pytest.mark.parametrize(
+        "grid", [[math.nan, 9.5], [9.5, math.nan], [math.inf], [-math.inf, 9.5], [0.0, 9.5], [-1.0, 9.5]]
+    )
+    def test_rejects_invalid_grid_values(self, grid):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+
+    def test_tiny_grid_gamma_raises_no_overflow_warning(self):
+        # r(1e-300)^2 overflows; pytest turns a numpy overflow warning into an error
+        report = find_transition(ONSAGER3, gamma_grid=[1e-300, 9.5], config=FAST)
+        lo, hi = report.gamma_c_bracket
+        assert lo < 9.34253 and hi > 9.33779 and (hi - lo) / hi <= 1e-3
+        assert report.witness["seed"] == "mode2+0.8"
 
     def test_opinion_bracket_is_pinned(self):
         kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
