@@ -3,13 +3,13 @@
 The iteration is damped Picard: rho <- (1 - tau) rho + tau G(rho) with
 G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
-small dense mat-vecs.  The same loop advances a stream of groups, each a
-block of densities at one gamma, several groups to one mat-mat per step, and
-each column leaves the block at the step it would stop alone: a transition
-scan streams the seed groups of its whole gamma grid that way, and then
-each round of bisection midpoints.  Below gamma_# a column also stops once
-its moments lie in a ball that provably relaxes to the uniform state
-(`GibbsOperator.basin_radius`), and it is returned as that limit, 1.
+small dense mat-vecs.  A block of densities, one gamma per column, takes
+one mat-mat per step, and each column leaves the block at the step it would
+stop alone: a transition scan solves the seeds of up to 16 gammas of its
+grid that way, and then each round of bisection midpoints.  Below gamma_# a
+column also stops once its moments lie in a ball that provably relaxes to
+the uniform state (`GibbsOperator.basin_radius`), and it is returned as that
+limit, 1.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -21,7 +21,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class GibbsOperator:
     Both act on one density (M,) or column-wise on a block of densities (M, S).
     For reports, `evaluations` counts the `gibbs` calls and `columns` the
     densities they evaluate, and `certified` counts the columns that
-    `_picard_groups` returned as the uniform limit that `basin_radius` proves.
+    `_damped_picard` returned as the uniform limit that `basin_radius` proves.
     """
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
@@ -221,14 +221,14 @@ def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> 
     return op.norm(density.values - op.gibbs(gamma, density.values))
 
 
-# groups advanced together in one Picard block; bisection solves log2 of it levels at once
+# gammas whose seeds are solved as one Picard block
 _GROUP_WIDTH = 16
 
 
 def _picard_alone(
     op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, float, int]:
-    """`_picard_groups` on one density (M,), its per-step test kept to floats."""
+    """`_damped_picard` on one density (M,), its per-step test kept to floats."""
     tau, tol = config.tau, config.tol
     bound = op.basin_bound(gamma, tau)
     step, inside = 0, False
@@ -250,118 +250,63 @@ def _picard_alone(
     return values, res, step
 
 
-def _picard_groups(
-    op: GibbsOperator, groups: Iterable[tuple[float, np.ndarray]], config: SolverConfig
-) -> Iterator[tuple[int, np.ndarray, float | np.ndarray, int]]:
-    """Damped Picard steps on a stream of groups (gamma, values), yielding each as it stops.
-
-    A group is one density (M,) or a block (M, S) stepped column-wise at one
-    gamma.  The columns of up to _GROUP_WIDTH groups share one block, one
-    mat-mat per step, and each column leaves the block at the step where it
-    would stop alone: its residual is at most tol or non-finite, its moments
-    lie in the ball ||P_S rho|| <= r(gamma) of `GibbsOperator.basin_radius`,
-    which proves that it relaxes to uniform (checked only while some held
-    radius is positive), or it has taken max_iters steps of its own.  Its
-    last iterate goes into its group's output, except that a column still
-    above tol but inside the ball is replaced by its limit, the uniform
-    density 1, with the residual ||1 - G(1)||.  A group is yielded once its
-    last column has stopped, as (its position in the stream, iterates,
-    residual norms, the step count of its slowest column), and the next group
-    of the stream takes its place.  A lone density (M,) steps by
-    `_picard_alone`.  The residual rho - G(rho) that a step measures also
-    drives the next step, rho <- rho - tau (rho - G(rho)), so i steps
-    evaluate G at i + 1 iterates.
-    """
-    tau, tol, max_iters = config.tau, config.tol, config.max_iters
-    pending = enumerate(groups)
-    # per held group, in stream order: (gamma, shape, first step, its columns' slots)
-    held = {}
-    # per column of the block: iterate, residual vector, residual norm, gamma,
-    # basin bound, and (group position, slot, step it is due)
-    values = delta = res = gammas = bounds = tags = None
-    # a stopped column's iterate, residual norm and certificate wait in its slot
-    store, free = None, []
-    step = 0
-    while True:
-        entering = list(itertools.islice(pending, _GROUP_WIDTH - len(held)))
-        if not held and len(entering) == 1 and entering[0][1][1].ndim == 1:
-            position, (gamma, density) = entering[0]
-            yield (position, *_picard_alone(op, gamma, density, config))
-            continue
-        if not held and not entering:
-            return
-        # an overflow shows up as a non-finite residual, which stops the column
-        with np.errstate(over="ignore", invalid="ignore"):
-            if entering:
-                parts = [(p, g, v.reshape(len(v), -1)) for p, (g, v) in entering]
-                widths = [v.shape[1] for _, _, v in parts]
-                new = np.concatenate([v for _, _, v in parts], axis=1)
-                new_gammas = np.repeat([g for _, g, _ in parts], widths)
-                new_delta = new - op.gibbs(new_gammas, new)
-                width = len(new_gammas)
-                if len(free) < width:  # add the slots missing to the store
-                    size, grow = len(store[1]) if store else 0, width - len(free)
-                    free += range(size, size + grow)
-                    more = np.empty((len(new), grow)), np.empty(grow), np.empty(grow, dtype=bool)
-                    store = tuple(map(np.hstack, zip(store, more))) if store else more
-                slots, free = free[:width], free[width:]
-                columns = (
-                    new,
-                    new_delta,
-                    op.norm(new_delta),
-                    new_gammas,
-                    np.repeat([op.basin_bound(g, tau) for _, g, _ in parts], widths),
-                    np.stack((
-                        np.repeat([p for p, _, _ in parts], widths),
-                        slots,
-                        np.full(width, step + max_iters),
-                    )),
-                )
-                for (position, (gamma, v)), w, end in zip(entering, widths, np.cumsum(widths)):
-                    held[position] = gamma, v.shape, step, slots[end - w : end]
-                if values is not None:
-                    old = values, delta, res, gammas, bounds, tags
-                    columns = map(np.hstack, zip(old, columns))
-                values, delta, res, gammas, bounds, tags = columns
-            due = int(tags[2].min())
-            check = bool(np.any(bounds > 0.0))
-            while True:  # step until some column stops
-                outside = (res > tol) & (res < math.inf)
-                if check:  # inside: above tol, finite and in the ball, so certified
-                    inside = outside & (op.moments_sq(values) <= bounds)
-                    outside &= ~inside
-                if step == due or not outside.all():
-                    break
-                step += 1
-                values = values - tau * delta
-                delta = values - op.gibbs(gammas, values)
-                res = op.norm(delta)
-        stop = ~outside | (tags[2] == step)
-        done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
-        slots = tags[1, done]
-        store[0][:, slots], store[1][slots] = values[:, done], res[done]
-        store[2][slots] = inside[done] if check else False
-        values, delta, res = values[:, keep], delta[:, keep], res[keep]
-        gammas, bounds, tags = gammas[keep], bounds[keep], tags[:, keep]
-        stepping = set(tags[0].tolist())
-        for position in [p for p in held if p not in stepping]:
-            gamma, shape, first, slots = held.pop(position)
-            out, last, certified = (a[..., slots] for a in store)
-            free += slots
-            if certified.any():  # the proven limit replaces the iterate
-                out[:, certified] = 1.0
-                last[certified] = op.uniform_residual(float(gamma))
-                op.certified += int(np.count_nonzero(certified))
-            last = last if len(shape) == 2 else float(last[0])
-            yield position, out.reshape(shape), last, step - first
-
-
 def _damped_picard(
-    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
+    op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, float | np.ndarray, int]:
-    """The one-group case of `_picard_groups`: (last iterate, residuals, steps)."""
-    _, values, res, iters = next(_picard_groups(op, [(gamma, values)], config))
-    return values, res, iters
+    """Damped Picard steps on one density (M,) or column-wise on a block (M, S).
+
+    Returns (last iterates, residual norms, steps).  For a block, gamma is a
+    float or one value per column, and each column leaves the block at the
+    step where it would stop alone: its residual is at most tol or
+    non-finite, its moments lie in the ball ||P_S rho|| <= r(gamma) of
+    `GibbsOperator.basin_radius`, which proves that it relaxes to uniform, or
+    it has taken max_iters steps; the block's count is that of its slowest
+    column.  A column still above tol but inside the ball is replaced by its
+    limit, the uniform density 1, with the residual ||1 - G(1)||.  A lone
+    density steps by `_picard_alone`.  The residual rho - G(rho) that a step
+    measures also drives the next step, rho <- rho - tau (rho - G(rho)), so i
+    steps evaluate G at i + 1 iterates.
+    """
+    if values.ndim == 1:
+        return _picard_alone(op, gamma, values, config)
+    tau, tol = config.tau, config.tol
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), values.shape[1:])
+    distinct, which = np.unique(gammas, return_inverse=True)
+    bounds = np.array([op.basin_bound(g, tau) for g in distinct])[which]
+    check = bool(np.any(bounds > 0.0))  # the ball test runs only where some radius is positive
+    out, last = np.empty_like(values), np.empty(len(gammas))
+    certified = np.zeros(len(gammas), dtype=bool)
+    live, step = np.arange(len(gammas)), 0
+    # an overflow shows up as a non-finite residual, which stops the column
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = values - op.gibbs(gammas, values)
+        res = op.norm(delta)
+        while True:
+            stepping = (res > tol) & (res < math.inf)
+            if check:  # inside: above tol, finite and in the ball, so certified
+                inside = stepping & (op.moments_sq(values) <= bounds)
+                stepping &= ~inside
+            if step == config.max_iters:
+                stepping[:] = False
+            if not stepping.all():  # the stopped columns leave the block
+                stop = live[~stepping]
+                out[:, stop], last[stop] = values[:, ~stepping], res[~stepping]
+                if check:
+                    certified[stop] = inside[~stepping]
+                if not stepping.any():
+                    break
+                live, values, delta = live[stepping], values[:, stepping], delta[:, stepping]
+                gammas, bounds = gammas[stepping], bounds[stepping]
+            step += 1
+            values = values - tau * delta
+            delta = values - op.gibbs(gammas, values)
+            res = op.norm(delta)
+    if certified.any():  # the proven limit replaces the iterate
+        out[:, certified] = 1.0
+        for i in np.unique(which[certified]):
+            last[certified & (which == i)] = op.uniform_residual(float(distinct[i]))
+        op.certified += int(np.count_nonzero(certified))
+    return out, last, step
 
 
 def gibbs_fixed_point(
@@ -599,15 +544,15 @@ def find_transition(
     Candidates at each gamma: the uniform state, Gibbs fixed points grown
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
-    seeds at one gamma are one (M, S) group of a Picard stream over the
-    grid: the groups of up to 16 gammas advance as one block, each seed
-    leaves it at the step it would stop alone, and the groups are scored in
+    seeds of up to 16 gammas are solved as one Picard block, each seed
+    leaving it at the step it would stop alone, and the gammas are scored in
     grid order, each by its moments in one `free_energy_gap` call, until the
-    first gamma where a candidate beats uniform.  Bisection then halves the
-    bracket in rounds: the midpoints the halving could visit in its next
-    four levels (up to 15) are solved as one stream, and only those on its
-    path are scored, so lo, hi and the witness are those of halving one
-    midpoint at a time.  Every gamma of the grid must be positive and finite.
+    first gamma where a candidate beats uniform.  Bisection then narrows the
+    bracket in rounds: the midpoints of four levels of halving (lo, hi),
+    where a piece is still wider than the tolerance (up to 15), are solved as
+    one block and scored in order, and the lowest winning midpoint of each
+    round is the new hi, the point below it the new lo (hi is kept when no
+    midpoint wins).  Every gamma of the grid must be positive and finite.
     Only the upper end of the bracket (lo, hi) is certified: a witness beats
     uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
     mode, 16 for four modes) relaxed to uniform and the competitor lost, so
@@ -655,14 +600,12 @@ def find_transition(
             entropy = rule.weights @ (comp * np.log(comp))
             competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
 
-    # gammas scored, bisection midpoints walked and solved, and seed columns
+    # gammas scored, bisection midpoints scored and solved, and seed columns
     # scored, within tol and certified uniform, for the debug log
     tally = {"gammas": 0, "midpoints": 0, "solved": 0, "columns": 0, "within_tol": 0,
              "certified": 0}
 
-    def score(
-        gamma: float, values: np.ndarray, res: np.ndarray, certified: int
-    ) -> tuple[float, dict]:
+    def score(gamma: float, values: np.ndarray, res: np.ndarray) -> tuple[float, dict]:
         """Lowest free-energy gap to uniform among the fixed points the seed columns
         relaxed to at gamma and the competitor; gaps above -_GAP_TOL count as 0."""
         best_gap, witness = 0.0, {"kind": "uniform"}
@@ -670,9 +613,10 @@ def find_transition(
         tally["gammas"] += 1
         tally["columns"] += res.size
         tally["within_tol"] += settled.size
-        tally["certified"] += certified
         if settled.size:
             block = values[:, settled]
+            # `_damped_picard` returns a certified column as exactly 1
+            tally["certified"] += int(np.count_nonzero(np.all(block == 1.0, axis=0)))
             gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
             best = int(np.argmin(gaps))  # the first of equal gaps, in seed order
             if gaps[best] < -_GAP_TOL:
@@ -696,19 +640,21 @@ def find_transition(
                 witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
         return best_gap, witness
 
-    def stream_of(gammas: Sequence[float]) -> tuple[Callable[[int], tuple[float, dict]], Callable]:
-        """Solve the seeds at each gamma as one Picard stream: (score by position, close)."""
-        stream = _picard_groups(op, ((gamma, seeds) for gamma in gammas), config)
-        solved = {}
-
-        def gap_of(i: int) -> tuple[float, dict]:
-            while i not in solved:  # the certificates of a group count as it is yielded
-                before = op.certified
-                position, values, res, _ = next(stream)
-                solved[position] = values, res, op.certified - before
-            return score(gammas[i], *solved.pop(i))
-
-        return gap_of, stream.close
+    def first_win(gammas: Sequence[float]) -> Optional[tuple[int, dict]]:
+        """Solve the seeds at the gammas, _GROUP_WIDTH gammas to a block, and score them
+        in order: (index, witness) of the first where a candidate beats uniform."""
+        width = seeds.shape[1]
+        for start in range(0, len(gammas), _GROUP_WIDTH):
+            chunk = gammas[start : start + _GROUP_WIDTH]
+            values, res, _ = _damped_picard(
+                op, np.repeat(chunk, width), np.tile(seeds, len(chunk)), config
+            )
+            for i, gamma in enumerate(chunk):
+                columns = slice(i * width, (i + 1) * width)
+                gap, witness = score(gamma, values[:, columns], res[columns])
+                if gap < -_GAP_TOL:
+                    return start + i, witness
+        return None
 
     def report(**fields) -> TransitionReport:
         _log.debug(
@@ -720,54 +666,40 @@ def find_transition(
         )
         return TransitionReport(gamma_sharp=gs.gamma, **fields)
 
-    # The grid's gammas are solved as one stream of seed groups and scored in
-    # grid order, up to the first where a candidate beats uniform.
-    prev_gamma = None
-    gap_of, close = stream_of(gamma_grid)
-    for i, gamma in enumerate(gamma_grid):
-        gap, witness = gap_of(i)
-        if gap < -_GAP_TOL:
-            break
-        prev_gamma = gamma
-    else:
+    # The grid's gammas are solved in blocks and scored in grid order, up to the
+    # first where a candidate beats uniform.
+    won = first_win(gamma_grid)
+    if won is None:
         return report(
             gamma_c_bracket=None,
             type="none",
             witness={"reason": "no sign change on the gamma grid"},
         )
-    close()
-    if prev_gamma is None:  # certify a lower end below the grid
-        prev_gamma = 0.5 * gamma
-        probe, _ = stream_of([prev_gamma])
-        if probe(0)[0] < -_GAP_TOL:
-            return report(
-                gamma_c_bracket=None,
-                type="none",
-                witness={"reason": f"uniform already loses at gamma={prev_gamma}"},
-            )
+    i, witness = won
+    hi = gamma_grid[i]
+    lo = gamma_grid[i - 1] if i else 0.5 * hi
+    if not i and first_win([lo]) is not None:  # certify a lower end below the grid
+        return report(
+            gamma_c_bracket=None,
+            type="none",
+            witness={"reason": f"uniform already loses at gamma={lo}"},
+        )
 
-    lo, hi = prev_gamma, gamma
     while (hi - lo) / hi > _BRACKET_RTOL:
-        # Each round solves, as one stream, the midpoints that the next levels of
-        # this loop could visit, breadth first to the depth one block holds, and
-        # walks the loop's path through them.
-        tree, level = {}, [(lo, hi)]  # bracket -> position of its midpoint in the stream
-        for _ in range(max(_GROUP_WIDTH.bit_length() - 1, 1)):
-            level = [(l, h) for l, h in level if (h - l) / h > _BRACKET_RTOL]
-            for bracket in level:
-                tree[bracket] = len(tree)
-            level = [half for l, h in level for half in ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
-        tally["solved"] += len(tree)
-        gap_of, close = stream_of([0.5 * (l + h) for l, h in tree])
-        while (lo, hi) in tree:
-            mid = 0.5 * (lo + hi)
-            tally["midpoints"] += 1
-            gap, wit = gap_of(tree[lo, hi])
-            if gap < -_GAP_TOL:
-                hi, witness = mid, wit
-            else:
-                lo = mid
-        close()
+        # Each round solves the midpoints of four levels of halving (lo, hi), where
+        # a piece is still wide, and the lowest winner among them is the new hi.
+        points = [lo, hi]
+        for _ in range(4):
+            points = sorted(points + [
+                0.5 * (l + h) for l, h in zip(points, points[1:]) if (h - l) / h > _BRACKET_RTOL
+            ])
+        midpoints = points[1:-1]
+        tally["solved"] += len(midpoints)
+        scored = tally["gammas"]
+        won = first_win(midpoints)
+        tally["midpoints"] += tally["gammas"] - scored
+        i, witness = won or (len(midpoints), witness)  # hi itself when no midpoint wins
+        lo, hi = points[i], points[i + 1]
     step = float(np.min(np.diff(gamma_grid))) if gamma_grid.size > 1 else 0.0
     kind = "discontinuous" if hi <= gs.gamma - step else "continuous-candidate"
     return report(gamma_c_bracket=(lo, hi), type=kind, witness=witness)

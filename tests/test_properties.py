@@ -3,11 +3,10 @@ the particle drift and the kernel JSON reader."""
 
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spheremv.harmonics import (
@@ -21,12 +20,10 @@ from spheremv.harmonics import (
 from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
 from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import _pairwise_drift, uniform_ensemble
-from spheremv import solver
 from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
     _damped_picard,
-    _picard_groups,
     bifurcation_points,
     gibbs_fixed_point,
 )
@@ -131,6 +128,7 @@ def test_cached_rule_and_basis_are_read_only(dims):
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
+@example(dims=(6, 4, 6), gamma=4.0, tau=0.46875, max_iters=25, S=4, seed=6)
 def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
     n, K, M = dims
     kernel, _ = _random_setup(n, K, M, seed)
@@ -145,8 +143,13 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
     singles = [gibbs_fixed_point(kernel, gamma, density, config, op=op) for density in seeds]
     assert values.shape == (M, S) and res.shape == (S,)
     assert iters == max(single.iterations for single in singles) <= max_iters
+    # as in test_each_column_of_a_block_stops_as_if_alone: where the damped map
+    # expands at uniform, a column that never settles is checked by its step count
+    q = np.max(np.abs(1.0 - tau * (1.0 + gamma * kernel.coeffs[1:])), initial=0.0)
     for column, column_res, single in zip(values.T, res, singles):
         assert single.converged or single.iterations == max_iters
+        if q >= 1.0 and not single.converged:
+            continue
         assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
         assert column_res == pytest.approx(single.residual, rel=1e-9)
 
@@ -188,43 +191,35 @@ def test_each_column_of_a_block_stops_as_if_alone(dims, gamma, tau, max_iters, t
 @FEW
 @given(
     truncations(max_K=12),
-    st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(0, 3)), min_size=1, max_size=24),
+    st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(1, 4)), min_size=1, max_size=6),
     st.floats(0.1, 0.5),
     st.integers(1, 30),
     st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
-    st.booleans(),
-    st.sampled_from([1, 2, 3, solver._GROUP_WIDTH]),
+    st.data(),
     st.integers(0, 2**32 - 1),
 )
-def test_each_group_of_a_stream_stops_as_if_alone(
-    dims, shapes, tau, max_iters, tol, nan, block_width, seed
+def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
+    dims, runs, tau, max_iters, tol, data, seed
 ):
-    # More groups than fit in one block, converging at different steps, so groups
-    # enter the block at different steps; width 0 stands for one density (M,).
+    # One gamma per column, in runs of equal gamma, and one NaN column: each column
+    # leaves the block at its own stop, so it is its lone (M,) solve at its gamma.
     n, K, M = dims
     kernel, _ = _random_setup(n, K, M, seed)
-    rule = gauss_jacobi_rule(n, M)
-    op = GibbsOperator(kernel, rule, K)
+    op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
     config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
-    groups = []
-    for j, (gamma, width) in enumerate(shapes):
-        columns = [
-            _random_setup(n, K, M, seed + 97 * j + c + 1)[1].values for c in range(width or 1)
-        ]
-        groups.append((gamma, np.column_stack(columns) if width else columns[0]))
-    if nan:  # a NaN column stops at once; its group goes on with its other columns
-        groups[0][1][..., 0] = np.nan
-    with mock.patch.object(solver, "_GROUP_WIDTH", block_width):
-        stopped = list(_picard_groups(op, iter(groups), config))
-    assert sorted(position for position, *_ in stopped) == list(range(len(groups)))
-    for position, values, res, iters in stopped:
-        gamma, init = groups[position]
-        alone = _damped_picard(op, gamma, init, config)
-        assert iters == alone[2] <= max_iters
-        assert values.shape == init.shape and np.shape(res) == np.shape(alone[1])
-        np.testing.assert_allclose(values, alone[0], rtol=1e-12, atol=0.0)
+    gammas = np.repeat([gamma for gamma, _ in runs], [length for _, length in runs])
+    block = np.column_stack(
+        [_random_setup(n, K, M, seed + j + 1)[1].values for j in range(len(gammas))]
+    )
+    block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
+    values, res, iters = _damped_picard(op, gammas, block, config)
+    alone = [_damped_picard(op, g, column, config) for g, column in zip(gammas, block.T)]
+    assert values.shape == block.shape and res.shape == gammas.shape
+    assert iters == max(steps for _, _, steps in alone) <= max_iters
+    for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
+        np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
         # a residual is a difference of O(1) values, so its round-off is absolute
-        np.testing.assert_allclose(res, alone[1], rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)

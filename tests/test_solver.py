@@ -484,25 +484,23 @@ class TestFindTransition:
         assert report.type == "discontinuous"
 
     def test_scan_advances_all_seeds_as_one_block(self, monkeypatch):
-        # each gamma's 16 seeds are one group of a Picard stream: the groups of several
-        # gammas share a block step and each column leaves it at its own stop; the
-        # bisection midpoints the sequential loop could visit are one stream per round
+        # the 16 seeds of each of up to 16 gammas are one Picard block and each column
+        # leaves it at its own stop; a bisection round solves the midpoints of the
+        # pruned dyadic refinement of its bracket, four levels deep, as one block
         grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
-        evaluate, stream_groups, gap = GibbsOperator.gibbs, solver._picard_groups, solver.free_energy_gap
+        evaluate, solve, gap = GibbsOperator.gibbs, solver._damped_picard, solver.free_energy_gap
 
         def scan(width):
-            streams, shapes, scored = [], [], []
+            blocks, shapes, scored = [], [], []
 
             def gibbs(op, gamma, values):
                 shapes.append(values.shape)
                 return evaluate(op, gamma, values)
 
-            def recorded(op, groups, config):
-                groups, stopped = list(groups), []
-                streams.append((groups, stopped))
-                for item in stream_groups(op, groups, config):
-                    stopped.append(item)
-                    yield item
+            def damped_picard(op, gamma, values, config):
+                result = solve(op, gamma, values, config)
+                blocks.append((gamma, values, result))
+                return result
 
             def free_energy_gap(kernel, basis, gamma, values):
                 scored.append(gamma)
@@ -511,55 +509,74 @@ class TestFindTransition:
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_GROUP_WIDTH", width)
                 patch.setattr(GibbsOperator, "gibbs", gibbs)
-                patch.setattr(solver, "_picard_groups", recorded)
+                patch.setattr(solver, "_damped_picard", damped_picard)
                 patch.setattr(solver, "free_energy_gap", free_energy_gap)
                 report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
-            return report, streams, shapes, scored
+            return report, blocks, shapes, scored
 
-        report, streams, shapes, scored = scan(16)
-        # one group at a time and one midpoint per round: the sequential bisection loop
-        one_by_one, sequential, _, sequential_scored = scan(1)
-        assert all(len(groups) == 1 for groups, _ in sequential[1:])
+        report, blocks, shapes, scored = scan(16)
+        # one gamma per block scores the same gammas and gives the same bracket
+        one_by_one, _, _, one_by_one_scored = scan(1)
         assert report.gamma_c_bracket == one_by_one.gamma_c_bracket
         assert report.type == one_by_one.type
         assert report.witness["seed"] == one_by_one.witness["seed"]
-        assert scored == sequential_scored  # the walked path is the sequential loop's
+        assert scored == one_by_one_scored
 
         assert {shape[0] for shape in shapes} == {FAST.M}
-        assert shapes[0][1] == 16 * len(grid)  # the whole grid enters the first block
-        assert max(shape[1] for shape in shapes) == 16 * 15  # a round of 15 midpoints
-        scan_groups, scan_stopped = streams[0]
-        assert [gamma for gamma, _ in scan_groups] == list(grid)
-        assert len(scan_stopped) >= 2  # the grid up to the first winner
-        # each round streams the breadth-first tree of midpoints from its bracket,
-        # at most 4 levels deep, without brackets already narrow enough
+        assert shapes[0][1] == 16 * min(16, len(grid))  # the first block holds the grid
+        rounds = [list(dict.fromkeys(gamma.tolist())) for gamma, _, _ in blocks]
+        assert rounds.pop(0) == list(grid)
+        # the first round's bracket is the grid interval around its midpoints; each
+        # round scores its midpoints in order up to the first winner, the new hi
         midpoints = [gamma for gamma in scored if gamma not in grid]
-        hi = min(gamma for gamma in grid if gamma > midpoints[0])
-        lo = max(gamma for gamma in grid if gamma < midpoints[0])
-        for groups, _ in streams[1:]:
-            tree, level = [], [(lo, hi)]
+        lo = max(gamma for gamma in grid if gamma < rounds[0][0])
+        hi = min(gamma for gamma in grid if gamma > rounds[0][0])
+        for k, solved in enumerate(rounds):
+            points = [lo, hi]
             for _ in range(4):
-                level = [(l, h) for l, h in level if (h - l) / h > solver._BRACKET_RTOL]
-                tree += [0.5 * (l + h) for l, h in level]
-                level = [pair for l, h in level for pair in ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
-            assert [gamma for gamma, _ in groups] == tree
-            while midpoints and midpoints[0] in tree:
-                mid = midpoints.pop(0)
-                assert mid == 0.5 * (lo + hi)
-                won = midpoints[0] < mid if midpoints else mid == report.gamma_c_bracket[1]
-                lo, hi = (lo, mid) if won else (mid, hi)
-        assert not midpoints and (lo, hi) == report.gamma_c_bracket
-        # every column of a retired group is its lone solve, stopped at its own step
+                points = sorted(points + [
+                    0.5 * (l + h) for l, h in zip(points, points[1:]) if (h - l) / h > solver._BRACKET_RTOL
+                ])
+            assert solved == points[1:-1]
+            if k + 1 < len(rounds):
+                lo = max(gamma for gamma in points if gamma < rounds[k + 1][0])
+                hi = min(gamma for gamma in points if gamma > rounds[k + 1][0])
+            else:
+                lo, hi = report.gamma_c_bracket
+            assert points.index(hi) == points.index(lo) + 1
+            walked = solved[: points.index(hi)]
+            assert midpoints[: len(walked)] == walked
+            del midpoints[: len(walked)]
+        assert not midpoints
+        # every column of a block is its lone solve, stopped at its own step
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        for groups, stopped in streams:
-            for position, values, res, iters in stopped:
-                gamma, seeds = groups[position]
-                assert values.shape == seeds.shape and res.shape == (16,)
-                alone = [_damped_picard(op, gamma, column, FAST) for column in seeds.T]
-                assert iters == max(steps for _, _, steps in alone)
-                for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
-                    np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
-                    np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+        for gammas, seeds, (values, res, iters) in blocks:
+            assert values.shape == seeds.shape and res.shape == gammas.shape
+            alone = [_damped_picard(op, gamma, column, FAST) for gamma, column in zip(gammas, seeds.T)]
+            assert iters == max(steps for _, _, steps in alone)
+            for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
+                np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+
+    def test_round_ends_at_its_lowest_winner(self, monkeypatch):
+        # The gap need not change sign once along a round: among the midpoints
+        # x_1 < ... < x_15 of (x_0, x_16), the transformer n=16 beta=4 scan at K=32
+        # wins at x_3, loses at x_4 and x_5 and wins from x_6 on.  The bracket ends
+        # at the lowest winner, (x_2, x_3); halving one midpoint at a time walks
+        # x_8, x_4, x_6, x_5 to (x_5, x_6).  Here (8, 8.1) takes one round to narrow.
+        points = [8.0, 8.1]
+        for _ in range(4):
+            points = sorted(points + [0.5 * (l + h) for l, h in zip(points, points[1:])])
+        assert (points[1] - points[0]) / points[1] <= solver._BRACKET_RTOL
+        wins = {points[3], *points[6:]}
+
+        def free_energy_gap(kernel, basis, gamma, values):
+            return np.where(gamma in wins, -1.0, 1.0) * np.ones(values.shape[1])
+
+        monkeypatch.setattr(solver, "free_energy_gap", free_energy_gap)
+        report = find_transition(ONSAGER3, gamma_grid=[points[0], points[-1]], config=FAST)
+        assert report.gamma_c_bracket == (points[2], points[3])
+        assert report.witness["gap"] == -1.0
 
     def test_scan_builds_at_most_one_density_per_gamma(self, monkeypatch):
         # the seed groups are scored by moments; a ZonalDensity is built only for
@@ -593,9 +610,10 @@ class TestFindTransition:
 
     def test_basin_exit_bounds_the_grid_work(self, monkeypatch):
         # G evaluations (block steps) and their columns over the whole Onsager
-        # K=32/M=48 scan: 834 and 37,197 when each column leaves the block at its
-        # own stop (certified exit included) and bisection streams its midpoints;
-        # 1,829 and 111,008 when stopped columns stepped on with their group
+        # K=32/M=48 scan: 772 and 28,418 when each column leaves the block at its
+        # own stop (certified exit included) and a bisection round ends at its
+        # lowest winner; 1,829 and 111,008 when stopped columns stepped on with
+        # their group
         counts = {"steps": 0, "columns": 0}
         evaluate = GibbsOperator.gibbs
 
@@ -630,7 +648,7 @@ class TestFindTransition:
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
         scored, midpoints, solved, columns, within_tol, certified, steps, column_steps = counts
         assert midpoints >= 1 and scored >= midpoints + 2  # the grid up to the winner, then bisection
-        assert midpoints <= solved <= 15 * midpoints  # at most 15 solved per midpoint walked
+        assert midpoints <= solved <= 15 * midpoints  # at most 15 solved per midpoint scored
         assert columns == 16 * scored and 0 < certified <= within_tol <= columns
         assert (steps, column_steps) == (len(evaluated), sum(evaluated))
 
