@@ -6,10 +6,11 @@ convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  A block of densities, one gamma per column, takes
 one mat-mat per step, and each column leaves the block at the step it would
 stop alone: a transition scan solves the seeds of up to 16 gammas of its
-grid that way, and then each round of bisection midpoints.  Below gamma_# a
-column also stops once its moments lie in a ball that provably relaxes to
-the uniform state (`GibbsOperator.basin_radius`), and it is returned as that
-limit, 1.
+grid that way, and then each round of bisection midpoints; it scores each
+gamma once its seeds have all left and ends the block at the first winner.
+Below gamma_# a column also stops once its moments lie in a ball that
+provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
+is returned as that limit, 1.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -21,7 +22,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -251,7 +252,11 @@ def _picard_alone(
 
 
 def _damped_picard(
-    op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig
+    op: GibbsOperator,
+    gamma,
+    values: np.ndarray,
+    config: SolverConfig,
+    _until: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], bool]] = None,
 ) -> tuple[np.ndarray, float | np.ndarray, int]:
     """Damped Picard steps on one density (M,) or column-wise on a block (M, S).
 
@@ -261,11 +266,16 @@ def _damped_picard(
     non-finite, its moments lie in the ball ||P_S rho|| <= r(gamma) of
     `GibbsOperator.basin_radius`, which proves that it relaxes to uniform, or
     it has taken max_iters steps; the block's count is that of its slowest
-    column.  A column still above tol but inside the ball is replaced by its
-    limit, the uniform density 1, with the residual ||1 - G(1)||.  A lone
-    density steps by `_picard_alone`.  The residual rho - G(rho) that a step
-    measures also drives the next step, rho <- rho - tau (rho - G(rho)), so i
-    steps evaluate G at i + 1 iterates.
+    column.  A column still above tol but inside the ball is replaced, as it
+    leaves, by its limit, the uniform density 1, with the residual
+    ||1 - G(1)||.  After each step at which columns leave a block,
+    `_until(iterates, residuals, stopped)` sees the final iterates and
+    residuals of the columns that `stopped` (S,) marks; when it returns true
+    the block ends there, and each column still in it comes back as its
+    current iterate and residual, which is its lone solve with max_iters set
+    to the block's steps.  A lone density steps by `_picard_alone`.  The
+    residual rho - G(rho) that a step measures also drives the next step,
+    rho <- rho - tau (rho - G(rho)), so i steps evaluate G at i + 1 iterates.
     """
     if values.ndim == 1:
         return _picard_alone(op, gamma, values, config)
@@ -274,8 +284,9 @@ def _damped_picard(
     distinct, which = np.unique(gammas, return_inverse=True)
     bounds = np.array([op.basin_bound(g, tau) for g in distinct])[which]
     check = bool(np.any(bounds > 0.0))  # the ball test runs only where some radius is positive
+    uniform = functools.cache(op.uniform_residual)  # once per gamma that certifies a column
     out, last = np.empty_like(values), np.empty(len(gammas))
-    certified = np.zeros(len(gammas), dtype=bool)
+    stopped = np.zeros(len(gammas), dtype=bool)
     live, step = np.arange(len(gammas)), 0
     # an overflow shows up as a non-finite residual, which stops the column
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,10 +301,14 @@ def _damped_picard(
                 stepping[:] = False
             if not stepping.all():  # the stopped columns leave the block
                 stop = live[~stepping]
-                out[:, stop], last[stop] = values[:, ~stepping], res[~stepping]
-                if check:
-                    certified[stop] = inside[~stepping]
-                if not stepping.any():
+                out[:, stop], last[stop], stopped[stop] = values[:, ~stepping], res[~stepping], True
+                if check and inside.any():  # the proven limit replaces the iterate
+                    out[:, live[inside]] = 1.0
+                    last[live[inside]] = [uniform(float(g)) for g in gammas[inside]]
+                    op.certified += int(np.count_nonzero(inside))
+                # `_until` also sees the step where the last columns leave
+                if (_until is not None and _until(out, last, stopped)) or not stepping.any():
+                    out[:, live[stepping]], last[live[stepping]] = values[:, stepping], res[stepping]
                     break
                 live, values, delta = live[stepping], values[:, stepping], delta[:, stepping]
                 gammas, bounds = gammas[stepping], bounds[stepping]
@@ -301,11 +316,6 @@ def _damped_picard(
             values = values - tau * delta
             delta = values - op.gibbs(gammas, values)
             res = op.norm(delta)
-    if certified.any():  # the proven limit replaces the iterate
-        out[:, certified] = 1.0
-        for i in np.unique(which[certified]):
-            last[certified & (which == i)] = op.uniform_residual(float(distinct[i]))
-        op.certified += int(np.count_nonzero(certified))
     return out, last, step
 
 
@@ -545,14 +555,16 @@ def find_transition(
     from each unstable mode's eigenvector (several amplitudes, both signs),
     and the cubic-resonance competitor with the prescribed epsilon.  The
     seeds of up to 16 gammas are solved as one Picard block, each seed
-    leaving it at the step it would stop alone, and the gammas are scored in
-    grid order, each by its moments in one `free_energy_gap` call, until the
-    first gamma where a candidate beats uniform.  Bisection then narrows the
-    bracket in rounds: the midpoints of four levels of halving (lo, hi),
-    where a piece is still wider than the tolerance (up to 15), are solved as
-    one block and scored in order, and the lowest winning midpoint of each
-    round is the new hi, the point below it the new lo (hi is kept when no
-    midpoint wins).  Every gamma of the grid must be positive and finite.
+    leaving it at the step it would stop alone.  In grid order, each gamma is
+    scored by its moments in one `free_energy_gap` call at the step where its
+    last seed leaves, and the block ends at the first gamma where a candidate
+    beats uniform; the seeds of the gammas above it are dropped unscored.
+    Bisection then narrows the bracket in rounds: the midpoints of four
+    levels of halving (lo, hi), where a piece is still wider than the
+    tolerance (up to 15), are solved and scored in the same way as one
+    block, and the lowest winning midpoint of each round is the new hi, the
+    point below it the new lo (hi is kept when no midpoint wins).  Every
+    gamma of the grid must be positive and finite.
     Only the upper end of the bracket (lo, hi) is certified: a witness beats
     uniform at hi, so gamma_c <= hi.  At lo every cold seed (four per seed
     mode, 16 for four modes) relaxed to uniform and the competitor lost, so
@@ -600,10 +612,10 @@ def find_transition(
             entropy = rule.weights @ (comp * np.log(comp))
             competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
 
-    # gammas scored, bisection midpoints scored and solved, and seed columns
-    # scored, within tol and certified uniform, for the debug log
-    tally = {"gammas": 0, "midpoints": 0, "solved": 0, "columns": 0, "within_tol": 0,
-             "certified": 0}
+    # gammas scored, bisection midpoints scored and entered, and seed columns
+    # scored, within tol, certified uniform and left unscored, for the debug log
+    tally = {"gammas": 0, "midpoints": 0, "entered": 0, "columns": 0, "within_tol": 0,
+             "certified": 0, "unscored": 0}
 
     def score(gamma: float, values: np.ndarray, res: np.ndarray) -> tuple[float, dict]:
         """Lowest free-energy gap to uniform among the fixed points the seed columns
@@ -645,24 +657,33 @@ def find_transition(
         in order: (index, witness) of the first where a candidate beats uniform."""
         width = seeds.shape[1]
         for start in range(0, len(gammas), _GROUP_WIDTH):
-            chunk = gammas[start : start + _GROUP_WIDTH]
-            values, res, _ = _damped_picard(
-                op, np.repeat(chunk, width), np.tile(seeds, len(chunk)), config
-            )
-            for i, gamma in enumerate(chunk):
-                columns = slice(i * width, (i + 1) * width)
-                gap, witness = score(gamma, values[:, columns], res[columns])
-                if gap < -_GAP_TOL:
-                    return start + i, witness
+            chunk, scored, won = gammas[start : start + _GROUP_WIDTH], 0, None
+
+            def until_won(values: np.ndarray, res: np.ndarray, stopped: np.ndarray) -> bool:
+                # score each gamma once all its seeds have stopped; the block ends at a winner
+                nonlocal scored, won
+                while won is None and scored < len(chunk):
+                    columns = slice(scored * width, (scored + 1) * width)
+                    if not stopped[columns].all():
+                        break
+                    gap, witness = score(chunk[scored], values[:, columns], res[columns])
+                    won = (start + scored, witness) if gap < -_GAP_TOL else None
+                    scored += 1
+                return won is not None
+
+            _damped_picard(op, np.repeat(chunk, width), np.tile(seeds, len(chunk)), config, until_won)
+            if won is not None:
+                tally["unscored"] += (len(chunk) - scored) * width
+                return won
         return None
 
     def report(**fields) -> TransitionReport:
         _log.debug(
-            "find_transition: %d gammas scored, %d of them bisection midpoints of %d solved; "
-            "%d seed columns, %d within tol, %d certified to relax to uniform; "
-            "%d block steps, %d column-steps",
-            tally["gammas"], tally["midpoints"], tally["solved"], tally["columns"],
-            tally["within_tol"], tally["certified"], op.evaluations, op.columns,
+            "find_transition: %d gammas scored, %d of them bisection midpoints of %d entered; "
+            "%d seed columns, %d within tol, %d certified to relax to uniform, "
+            "%d left unscored at a first winner; %d block steps, %d column-steps",
+            tally["gammas"], tally["midpoints"], tally["entered"], tally["columns"],
+            tally["within_tol"], tally["certified"], tally["unscored"], op.evaluations, op.columns,
         )
         return TransitionReport(gamma_sharp=gs.gamma, **fields)
 
@@ -694,7 +715,7 @@ def find_transition(
                 0.5 * (l + h) for l, h in zip(points, points[1:]) if (h - l) / h > _BRACKET_RTOL
             ])
         midpoints = points[1:-1]
-        tally["solved"] += len(midpoints)
+        tally["entered"] += len(midpoints)
         scored = tally["gammas"]
         won = first_win(midpoints)
         tally["midpoints"] += tally["gammas"] - scored

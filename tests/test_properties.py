@@ -29,7 +29,7 @@ from spheremv.solver import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import DRIFT_SPECS, outer_rule
+from helpers import DRIFT_SPECS, assert_columns_solve_alone, outer_rule
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -139,19 +139,10 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
     # to uniform, and the block stops with its slowest column.
     config = SolverConfig(tau=tau, tol=1e-300, max_iters=max_iters, K=K, M=M)
     block = np.column_stack([d.values for d in seeds])
-    values, res, iters = _damped_picard(op, gamma, block, config)
-    singles = [gibbs_fixed_point(kernel, gamma, density, config, op=op) for density in seeds]
-    assert values.shape == (M, S) and res.shape == (S,)
-    assert iters == max(single.iterations for single in singles) <= max_iters
-    # as in test_each_column_of_a_block_stops_as_if_alone: where the damped map
-    # expands at uniform, a column that never settles is checked by its step count
-    q = np.max(np.abs(1.0 - tau * (1.0 + gamma * kernel.coeffs[1:])), initial=0.0)
-    for column, column_res, single in zip(values.T, res, singles):
-        assert single.converged or single.iterations == max_iters
-        if q >= 1.0 and not single.converged:
-            continue
-        assert np.allclose(column, single.density.values, rtol=1e-12, atol=0.0)
-        assert column_res == pytest.approx(single.residual, rel=1e-9)
+    result = _damped_picard(op, gamma, block, config)
+    alone = assert_columns_solve_alone(op, kernel, gamma, block, config, result)
+    assert result[2] == max(steps for _, _, steps in alone) <= max_iters
+    assert all(steps == max_iters or np.all(lone == 1.0) for lone, _, steps in alone)
 
 
 @FEW
@@ -172,20 +163,9 @@ def test_each_column_of_a_block_stops_as_if_alone(dims, gamma, tau, max_iters, t
     op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
     config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
     block = np.column_stack([_random_setup(n, K, M, seed + j + 1)[1].values for j in range(S)])
-    values, res, iters = _damped_picard(op, gamma, block, config)
-    alone = [_damped_picard(op, gamma, column, config) for column in block.T]
-    assert values.shape == (M, S) and res.shape == (S,)
-    assert iters == max(steps for _, _, steps in alone) <= max_iters
-    # Where the damped map expands at uniform (q >= 1), a column that never settles
-    # grows the round-off of mat-mat against mat-vec at every step (to 1.1e-12 in
-    # 15 steps); it is checked by its step count only.
-    q = np.max(np.abs(1.0 - tau * (1.0 + gamma * kernel.coeffs[1:])), initial=0.0)
-    for column, column_res, (lone, lone_res, steps) in zip(values.T, res, alone):
-        if q >= 1.0 and steps == max_iters and not lone_res <= tol:
-            continue
-        np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
-        # a residual is a difference of O(1) values, so its round-off is absolute
-        np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+    result = _damped_picard(op, gamma, block, config)
+    alone = assert_columns_solve_alone(op, kernel, gamma, block, config, result)
+    assert result[2] == max(steps for _, _, steps in alone) <= max_iters
 
 
 @FEW
@@ -212,14 +192,68 @@ def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
         [_random_setup(n, K, M, seed + j + 1)[1].values for j in range(len(gammas))]
     )
     block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
-    values, res, iters = _damped_picard(op, gammas, block, config)
-    alone = [_damped_picard(op, g, column, config) for g, column in zip(gammas, block.T)]
-    assert values.shape == block.shape and res.shape == gammas.shape
-    assert iters == max(steps for _, _, steps in alone) <= max_iters
-    for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
-        np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
-        # a residual is a difference of O(1) values, so its round-off is absolute
-        np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+    result = _damped_picard(op, gammas, block, config)
+    alone = assert_columns_solve_alone(op, kernel, gammas, block, config, result)
+    assert result[2] == max(steps for _, _, steps in alone) <= max_iters
+
+
+@FEW
+@given(
+    truncations(max_K=12),
+    st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(1, 4)), min_size=1, max_size=6),
+    st.floats(0.1, 0.5),
+    st.integers(1, 30),
+    st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+    st.sampled_from(["column", "count", "never"]),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_block_ends_at_the_first_step_its_predicate_holds(
+    dims, runs, tau, max_iters, tol, predicate, data, seed
+):
+    # The predicate "column j has stopped" or "at least k columns have stopped" sees
+    # the stopped columns after each step at which some leave, as they will be
+    # returned; the block ends at the first step where it holds, and each column is
+    # its lone solve capped at that step.  One that never holds changes nothing.
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
+    config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
+    gammas = np.repeat([gamma for gamma, _ in runs], [length for _, length in runs])
+    block = np.column_stack(
+        [_random_setup(n, K, M, seed + j + 1)[1].values for j in range(len(gammas))]
+    )
+    if data.draw(st.booleans()):
+        block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
+    target = data.draw(st.integers(0, len(gammas) - 1))
+    holds = {
+        "column": lambda stopped: bool(stopped[target]),
+        "count": lambda stopped: np.count_nonzero(stopped) > target,
+        "never": lambda stopped: False,
+    }[predicate]
+    seen = []
+
+    def until(values, res, stopped):
+        seen.append((stopped.copy(), values[:, stopped].copy(), res[stopped].copy()))
+        return holds(stopped)
+
+    result = _damped_picard(op, gammas, block, config, until)
+    # each column's own stop, from its lone solve, orders the calls
+    full = [_damped_picard(op, g, column, config) for g, column in zip(gammas, block.T)]
+    stops = np.array([steps for _, _, steps in full])
+    leaves = np.unique(stops)  # the steps at which columns leave an unended block
+    calls = [stops <= step for step in leaves]
+    ends = next((i for i, stopped in enumerate(calls) if holds(stopped)), len(calls) - 1)
+    assert result[2] == leaves[ends]
+    assert [stopped.tolist() for stopped, _, _ in seen] == [c.tolist() for c in calls[: ends + 1]]
+    for (stopped, values, res), step in zip(seen, leaves):
+        seen_result = (values, res, step)
+        assert_columns_solve_alone(op, kernel, gammas[stopped], block[:, stopped], config, seen_result)
+    assert_columns_solve_alone(op, kernel, gammas, block, config, result)
+    if predicate == "never":
+        plain = _damped_picard(op, gammas, block, config)
+        assert result[2] == plain[2]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(result[:2], plain[:2]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,7 @@ from spheremv.solver import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import outer_rule
+from helpers import assert_columns_solve_alone, outer_rule
 
 FAST = SolverConfig(K=32, M=48, max_iters=5000)
 RULE3 = gauss_jacobi_rule(3, FAST.M)
@@ -497,9 +497,10 @@ class TestFindTransition:
                 shapes.append(values.shape)
                 return evaluate(op, gamma, values)
 
-            def damped_picard(op, gamma, values, config):
-                result = solve(op, gamma, values, config)
-                blocks.append((gamma, values, result))
+            def damped_picard(op, gamma, values, config, until=None):
+                before = len(scored)
+                result = solve(op, gamma, values, config, until)
+                blocks.append((gamma, values, result, scored[before:]))
                 return result
 
             def free_energy_gap(kernel, basis, gamma, values):
@@ -524,7 +525,7 @@ class TestFindTransition:
 
         assert {shape[0] for shape in shapes} == {FAST.M}
         assert shapes[0][1] == 16 * min(16, len(grid))  # the first block holds the grid
-        rounds = [list(dict.fromkeys(gamma.tolist())) for gamma, _, _ in blocks]
+        rounds = [list(dict.fromkeys(gamma.tolist())) for gamma, _, _, _ in blocks]
         assert rounds.pop(0) == list(grid)
         # the first round's bracket is the grid interval around its midpoints; each
         # round scores its midpoints in order up to the first winner, the new hi
@@ -548,15 +549,14 @@ class TestFindTransition:
             assert midpoints[: len(walked)] == walked
             del midpoints[: len(walked)]
         assert not midpoints
-        # every column of a block is its lone solve, stopped at its own step
+        # every column of a block is its lone solve, stopped at its own step or at the
+        # block's end; a block ends once its gammas up to the first winner (all of them
+        # when none wins) have stopped and are scored
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        for gammas, seeds, (values, res, iters) in blocks:
-            assert values.shape == seeds.shape and res.shape == gammas.shape
-            alone = [_damped_picard(op, gamma, column, FAST) for gamma, column in zip(gammas, seeds.T)]
-            assert iters == max(steps for _, _, steps in alone)
-            for column, column_res, (lone, lone_res, _) in zip(values.T, res, alone):
-                np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(column_res, lone_res, rtol=1e-9, atol=1e-13)
+        for gammas, seeds, result, block_scored in blocks:
+            alone = assert_columns_solve_alone(op, ONSAGER3, gammas, seeds, FAST, result)
+            last = max(block_scored)
+            assert result[2] == max(steps for g, (_, _, steps) in zip(gammas, alone) if g <= last)
 
     def test_round_ends_at_its_lowest_winner(self, monkeypatch):
         # The gap need not change sign once along a round: among the midpoints
@@ -635,21 +635,28 @@ class TestFindTransition:
             find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
         assert caplog.records == []
         evaluated, evaluate = [], GibbsOperator.gibbs
+        entering, solve = [], solver._damped_picard
 
         def gibbs(op, gamma, values):
             evaluated.append(values.shape[1])
             return evaluate(op, gamma, values)
 
+        def damped_picard(op, gamma, values, config, until=None):
+            entering.append(values.shape[1])
+            return solve(op, gamma, values, config, until)
+
         monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
+        monkeypatch.setattr(solver, "_damped_picard", damped_picard)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
         assert report.gamma_c_bracket is not None
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        scored, midpoints, solved, columns, within_tol, certified, steps, column_steps = counts
+        scored, midpoints, entered, columns, within_tol, certified, unscored, steps, column_steps = counts
         assert midpoints >= 1 and scored >= midpoints + 2  # the grid up to the winner, then bisection
-        assert midpoints <= solved <= 15 * midpoints  # at most 15 solved per midpoint scored
+        assert midpoints <= entered <= 15 * midpoints  # at most 15 entered per midpoint scored
         assert columns == 16 * scored and 0 < certified <= within_tol <= columns
+        assert unscored == sum(entering) - columns
         assert (steps, column_steps) == (len(evaluated), sum(evaluated))
 
     @pytest.mark.parametrize(
@@ -666,11 +673,23 @@ class TestFindTransition:
         assert lo < 9.34253 and hi > 9.33779 and (hi - lo) / hi <= 1e-3
         assert report.witness["seed"] == "mode2+0.8"
 
-    def test_opinion_bracket_is_pinned(self):
+    def test_opinion_bracket_is_pinned(self, monkeypatch):
+        # 1,414 block steps when a block ends at its first winner; 2,736 when the
+        # last grid block also solved gamma = 0.26039, just below gamma_#, for
+        # 1,792 steps although no gamma above the winner 0.25621 is scored
+        steps, evaluate = [], GibbsOperator.gibbs
+
+        def gibbs(op, gamma, values):
+            steps.append(values.shape)
+            return evaluate(op, gamma, values)
+
+        monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
         kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
         report = find_transition(kernel, config=FAST)
+        monkeypatch.undo()
         assert report.gamma_c_bracket == (0.25478880553522026, 0.2549177902410441)
         assert report.type == "discontinuous" and report.witness["kind"] == "fixed-point"
+        assert 0 < len(steps) <= 1500
 
     def test_json_round_trip(self):
         # the JSON document itself is tested through the CLI (TestTransition)
