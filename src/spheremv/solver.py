@@ -252,10 +252,7 @@ def _picard_alone(
 
 
 def _damped_picard(
-    op: GibbsOperator,
-    gamma,
-    values: np.ndarray,
-    config: SolverConfig,
+    op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig,
     _until: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], bool]] = None,
 ) -> tuple[np.ndarray, float | np.ndarray, int]:
     """Damped Picard steps on one density (M,) or column-wise on a block (M, S).
@@ -273,13 +270,17 @@ def _damped_picard(
     residuals of the columns that `stopped` (S,) marks; when it returns true
     the block ends there, and each column still in it comes back as its
     current iterate and residual, which is its lone solve with max_iters set
-    to the block's steps.  A lone density steps by `_picard_alone`.  The
-    residual rho - G(rho) that a step measures also drives the next step,
-    rho <- rho - tau (rho - G(rho)), so i steps evaluate G at i + 1 iterates.
+    to the block's steps; `_until` runs under the caller's floating-point
+    error state.  A lone density steps by `_picard_alone` and takes no
+    `_until`.  The residual rho - G(rho) that a step measures also drives the
+    next step, rho <- rho - tau (rho - G(rho)), so i steps evaluate G at
+    i + 1 iterates.
     """
     if values.ndim == 1:
+        if _until is not None:
+            raise ValueError("a lone density (M,) takes no _until predicate")
         return _picard_alone(op, gamma, values, config)
-    tau, tol = config.tau, config.tol
+    tau, tol, caller = config.tau, config.tol, np.geterr()
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), values.shape[1:])
     distinct, which = np.unique(gammas, return_inverse=True)
     bounds = np.array([op.basin_bound(g, tau) for g in distinct])[which]
@@ -307,7 +308,9 @@ def _damped_picard(
                     last[live[inside]] = [uniform(float(g)) for g in gammas[inside]]
                     op.certified += int(np.count_nonzero(inside))
                 # `_until` also sees the step where the last columns leave
-                if (_until is not None and _until(out, last, stopped)) or not stepping.any():
+                with np.errstate(**caller):
+                    ended = _until is not None and _until(out, last, stopped)
+                if ended or not stepping.any():
                     out[:, live[stepping]], last[live[stepping]] = values[:, stepping], res[stepping]
                     break
                 live, values, delta = live[stepping], values[:, stepping], delta[:, stepping]

@@ -153,29 +153,30 @@ def reference_order_axis(positions):
     return -axis if np.dot(axis, positions.mean(axis=0)) < 0.0 else axis
 
 
-def assert_columns_solve_alone(op, kernel, gamma, block, config, result):
+def assert_columns_solve_alone(op, kernel, gamma, block, config, result, cap=None):
     """Assert that each column of a block solve is its lone (M,) solve; return the lone solves.
 
     `result` is (values, res, steps) of `_damped_picard(op, gamma, block, config, ...)`,
     gamma a float or one value per column.  Each column of `block` is solved alone
-    at its gamma with max_iters capped at the block's steps, since a block that
-    ends early returns its unstopped columns as they stand.  Where the damped map
-    expands at uniform, q = max_k |1 - tau (1 + gamma W_hat_k)| >= 1, a column
-    that runs to that cap unsettled grows the round-off of mat-mat against
-    mat-vec at every step (to 1.1e-12 in 15 steps), so it is checked by its
-    step count only, which the caller compares with the block's.
+    at its gamma with config.max_iters, or with min(config.max_iters, cap) where a
+    block may end early at step `cap` and return its unstopped columns as they
+    stand.  Where the damped map expands at uniform, q = max_k |1 - tau (1 + gamma
+    W_hat_k)| >= 1, a column that runs to that limit unsettled grows the round-off
+    of mat-mat against mat-vec at every step (to 1.1e-12 in 15 steps), so it is
+    checked by its step count only, which the caller compares with the block's.
     """
     values, res, steps = result
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), block.shape[1:])
     assert values.shape == block.shape and res.shape == gammas.shape
+    max_iters = config.max_iters if cap is None else min(config.max_iters, cap)
     # the cap may be 0 steps, which a SolverConfig rejects; the lone loop reads only these
-    capped = SimpleNamespace(tau=config.tau, tol=config.tol, max_iters=min(config.max_iters, steps))
+    lone_config = SimpleNamespace(tau=config.tau, tol=config.tol, max_iters=max_iters)
     alone = []
     for g, start, column, column_res in zip(gammas, block.T, values.T, res):
-        lone, lone_res, lone_steps = _damped_picard(op, g, start, capped)
+        lone, lone_res, lone_steps = _damped_picard(op, g, start, lone_config)
         alone.append((lone, lone_res, lone_steps))
         q = np.max(np.abs(1.0 - config.tau * (1.0 + g * kernel.coeffs[1:])), initial=0.0)
-        if q >= 1.0 and lone_steps == capped.max_iters and not lone_res <= config.tol:
+        if q >= 1.0 and lone_steps == max_iters and not lone_res <= config.tol:
             continue
         np.testing.assert_allclose(column, lone, rtol=1e-12, atol=0.0)
         # a residual is a difference of O(1) values, so its round-off is absolute

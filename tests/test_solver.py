@@ -146,6 +146,19 @@ class TestGibbsFixedPoint:
         assert res[0] <= FAST.tol and math.isnan(res[1])
         assert np.allclose(values[:, 0], single.density.values, rtol=1e-9)
 
+    def test_predicate_keeps_the_callers_warnings(self):
+        # the block ignores its own overflow, not one raised by the predicate it calls
+        good = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        block = np.column_stack((good.values, np.full(RULE3.order, np.nan)))
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _damped_picard(op, 1.2 * GAMMA_SHARP_ONSAGER, block, FAST, lambda *_: bool(np.exp(1e3)))
+
+    def test_lone_density_takes_no_predicate(self):
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        with pytest.raises(ValueError, match="predicate"):
+            _damped_picard(op, 1.0, np.ones(RULE3.order), FAST, lambda *_: False)
+
     def test_fixed_point_lowers_free_energy(self):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
         init = _kicked_uniform(3, RULE3, 2, 0.5, FAST.K)
@@ -554,7 +567,7 @@ class TestFindTransition:
         # when none wins) have stopped and are scored
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
         for gammas, seeds, result, block_scored in blocks:
-            alone = assert_columns_solve_alone(op, ONSAGER3, gammas, seeds, FAST, result)
+            alone = assert_columns_solve_alone(op, ONSAGER3, gammas, seeds, FAST, result, cap=result[2])
             last = max(block_scored)
             assert result[2] == max(steps for g, (_, _, steps) in zip(gammas, alone) if g <= last)
 
