@@ -10,7 +10,9 @@ grid that way, and then each round of bisection midpoints; it scores each
 gamma once its seeds have all left and ends the block at the first winner.
 Below gamma_# a column also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
-is returned as that limit, 1.
+is returned as that limit, 1.  Where no such ball exists, a lone solve runs
+Picard down to the residual _HANDOFF and finishes with guarded Newton on the
+moments a = P_S rho (`_newton`).
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -21,7 +23,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,8 +88,10 @@ class GibbsOperator:
 
     Both act on one density (M,) or column-wise on a block of densities (M, S).
     For reports, `evaluations` counts the `gibbs` calls and `columns` the
-    densities they evaluate, and `certified` counts the columns that
-    `_damped_picard` returned as the uniform limit that `basin_radius` proves.
+    densities they evaluate, `certified` counts the columns that
+    `_damped_picard` returned as the uniform limit that `basin_radius` proves,
+    and `handoffs` and `rejected` count the lone solves that `gibbs_fixed_point`
+    handed to Newton and those whose Newton root it rejected.
     """
 
     def __init__(self, kernel: ZonalCoefficients, rule: QuadratureRule, K: int):
@@ -99,7 +103,7 @@ class GibbsOperator:
         basis = spectral_basis(n, K, rule.order)
         self.rule = basis.rule
         self.K = K
-        self.evaluations = self.columns = self.certified = 0
+        self.evaluations = self.columns = self.certified = self.handoffs = self.rejected = 0
         # (W * rho)(t_i) = sum_k W_hat_k Y_k(t_i) sum_j w_j Y_k(t_j) rho_j
         self._table, w_hat = basis.table, kernel.coeffs[: K + 1]
         self.conv_matrix = self._table.T @ (w_hat[:, None] * self._table * self.rule.weights)
@@ -109,23 +113,36 @@ class GibbsOperator:
         self._w_range = (float(w_s.min()), float(w_s.max())) if w_s.size else None
 
     @functools.cached_property
-    def _basin(self) -> tuple[np.ndarray, bool, float]:
-        """P_S (|S|, M), whether {0} u S is orthonormal under the rule, and B.
+    def _basin(self) -> tuple[np.ndarray, np.ndarray, bool, float]:
+        """P_S (|S|, M), W_hat_S Y_S (|S|, M), whether {0} u S is orthonormal under the rule, and B.
 
-        Built at the first gamma below the instability that needs them.
+        Built at the first gamma that needs them: below the instability for
+        the basin, and at a Newton handoff for the moment image.
         """
         weights = self.rule.weights
         rows = self._table[np.r_[0, self._support]]
         gram = (rows * weights) @ rows.T
         orthonormal = np.max(np.abs(gram - np.eye(len(rows)))) <= 1e-10
+        scaled = self._w_support[:, None] * rows[1:]
         # B = max_i |(W_hat_k Y_k(t_i))_{k in S}|, which bounds |W * rho| by B ||a||
-        sup_bound = np.max(np.linalg.norm(self._w_support[:, None] * rows[1:], axis=0))
-        return rows[1:] * weights, bool(orthonormal), float(sup_bound)
+        sup_bound = np.max(np.linalg.norm(scaled, axis=0))
+        return rows[1:] * weights, scaled, bool(orthonormal), float(sup_bound)
 
     def moments_sq(self, values: np.ndarray):
         """||P_S rho||^2 of one density, or per column of a block."""
         a = self._basin[0] @ values
         return np.dot(a, a) if a.ndim == 1 else np.einsum("ij,ij->j", a, a)
+
+    def moment_image(self, gamma: float, a: np.ndarray) -> np.ndarray:
+        """G at the moments a = P_S rho, from the field Y_S^T (W_hat_S a), which `_basin` holds."""
+        return self._boltzmann(gamma, self._basin[1].T @ a)
+
+    def moment_jacobian(self, gamma: float, image: np.ndarray) -> np.ndarray:
+        """dF/da = I + gamma Cov_p(Y_S) diag(W_hat_S) of F(a) = a - P_S G(a), at p = G(a) = image."""
+        proj, scaled = self._basin[:2]
+        mean = proj @ image  # E_p Y_S
+        cov_w = (proj * image) @ scaled.T - np.outer(mean, self._w_support * mean)
+        return np.eye(len(mean)) + gamma * cov_w
 
     def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
@@ -135,7 +152,10 @@ class GibbsOperator:
 
     def _image(self, gamma, values: np.ndarray) -> np.ndarray:
         # `gibbs` is one Picard evaluation; `uniform_residual` measures without one
-        expo = self.conv_matrix @ values
+        return self._boltzmann(gamma, self.conv_matrix @ values)
+
+    def _boltzmann(self, gamma, expo: np.ndarray) -> np.ndarray:
+        """e^u / <e^u> with u = -gamma W * rho, given W * rho; overwrites it."""
         expo *= -gamma
         expo -= expo.max(axis=0)  # Z is scale invariant; keeps exp in range
         e = np.exp(expo, out=expo)
@@ -198,7 +218,7 @@ class GibbsOperator:
         # gamma_# = -1 / low as `gamma_sharp` has it, so that no round-off in q certifies there
         if not q < 1.0 or (low < 0.0 and gamma >= -1.0 / low):
             return 0.0
-        _, orthonormal, sup_bound = self._basin
+        _, _, orthonormal, sup_bound = self._basin
         if not orthonormal:
             return 0.0
         gb = gamma * sup_bound
@@ -211,9 +231,10 @@ class GibbsOperator:
 class SolveResult:
     density: ZonalDensity
     residual: float
-    iterations: int
+    iterations: int  # Picard steps
     converged: bool
     message: str = ""
+    newton_steps: int = 0
 
 
 def residual(kernel: ZonalCoefficients, gamma: float, density: ZonalDensity) -> float:
@@ -322,6 +343,60 @@ def _damped_picard(
     return out, last, step
 
 
+# A lone solve that no basin ball can certify hands its Picard iterate to
+# Newton on the moments once the residual is at most _HANDOFF; Newton takes at
+# most _NEWTON_STEPS steps.
+_HANDOFF = 1e-5
+_NEWTON_STEPS = 8
+
+
+def _newton(
+    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
+) -> tuple[Optional[tuple[np.ndarray, float]], int]:
+    """Newton on F(a) = a - P_S G(a), a = P_S rho, from the Picard iterate `values`.
+
+    Returns ((root, residual) or None, steps).  Each step solves
+    dF/da d = -F at a = P_S rho and takes rho <- G(a + d), so it evaluates
+    G twice: through `GibbsOperator.moment_image`, and through `gibbs` for the
+    residual ||rho - G(rho)|| and the next F; so n steps make n + 1 `gibbs`
+    calls.  The root is accepted only when its residual is at most tol, the
+    residual fell at every step (at most _NEWTON_STEPS), rho > 0 on every
+    node, and it is the Picard limit of `values`: every eigenvalue lambda of
+    dF/da at the root a_N has |1 - tau lambda| < 1, and
+    ||F(a_h) - dF/da(a_N) (a_h - a_N)|| <= ||F(a_h)|| / 4 at a_h = P_S values.
+    A singular dF/da rejects the root too.
+    """
+    proj = op._basin[0]
+    # an overflow shows up as a non-finite residual, which rejects the root
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = op.gibbs(gamma, values)
+        res = op.norm(values - image)
+        start = a = proj @ values
+        f_start = f = a - proj @ image
+        steps = 0
+        try:
+            while res > config.tol:
+                if steps == _NEWTON_STEPS:
+                    return None, steps
+                step = np.linalg.solve(op.moment_jacobian(gamma, image), f)
+                values = op.moment_image(gamma, a - step)
+                image = op.gibbs(gamma, values)
+                steps += 1
+                last, res = res, op.norm(values - image)
+                if not res < last:
+                    return None, steps
+                a = proj @ values
+                f = a - proj @ image
+            jac = op.moment_jacobian(gamma, image)
+            attracts = np.all(np.abs(1.0 - config.tau * np.linalg.eigvals(jac)) < 1.0)
+        except np.linalg.LinAlgError:
+            return None, steps
+    near = np.linalg.norm(f_start - jac @ (start - a)) <= 0.25 * np.linalg.norm(f_start)
+    if attracts and near and np.all(values > 0.0):
+        return (values, res), steps
+    return None, steps
+
+
 def gibbs_fixed_point(
     kernel: ZonalCoefficients,
     gamma: float,
@@ -333,15 +408,33 @@ def gibbs_fixed_point(
 
     Below gamma_# the iteration also stops once its moments prove that it
     relaxes to uniform (`GibbsOperator.basin_radius`); the result is then
-    the uniform density, converged, and its message says so.  Stops at once
-    when the residual turns non-finite; the result is then not converged and
-    carries the last finite iterate.
+    the uniform density, converged, and its message says so.  Where no such
+    ball exists (at or above gamma_#, or wherever `basin_radius` is 0),
+    Picard stops at the residual _HANDOFF and `_newton` finishes on the
+    moments; when the guard rejects its root, Picard resumes from the handoff
+    iterate with the steps left, which is the plain Picard solve.
+    `iterations` counts Picard steps, `newton_steps` the Newton steps,
+    accepted or not.  Stops at once when the residual turns non-finite; the
+    result is then not converged and carries the last finite iterate.
     """
     _check_gamma(gamma)
     if op is None:
         op = GibbsOperator(kernel, init.rule, init.coeffs.K)
     before = op.certified
-    values, res, iters = _damped_picard(op, gamma, init.values, config)
+    handoff = config.tol if op.basin_bound(gamma, config.tau) > 0.0 else max(config.tol, _HANDOFF)
+    values, res, iters = _damped_picard(op, gamma, init.values, replace(config, tol=handoff))
+    newton_steps = 0
+    if config.tol < res <= handoff:
+        op.handoffs += 1
+        root, newton_steps = _newton(op, gamma, values, config)
+        if root is not None:
+            values, res = root
+        else:
+            op.rejected += 1
+            if iters < config.max_iters:
+                rest = replace(config, max_iters=config.max_iters - iters)
+                values, res, more = _damped_picard(op, gamma, values, rest)
+                iters += more
     certified = op.certified > before
     converged = certified or res <= config.tol
     if certified:
@@ -354,7 +447,8 @@ def gibbs_fixed_point(
         msg = f"non-finite residual at iteration {iters}"
     density = make_density(init.n, init.rule, values, op.K)
     return SolveResult(
-        density=density, residual=res, iterations=iters, converged=converged, message=msg
+        density=density, residual=res, iterations=iters, converged=converged, message=msg,
+        newton_steps=newton_steps,
     )
 
 
@@ -425,24 +519,30 @@ def trace_branch(
         for sign in (+1.0, -1.0)
     ]
     branch: list[BranchPoint] = []
+    diagnostic, picard, newton = "", 0, 0
     for gamma in gamma_grid:
         found = []
         for seed in seeds:
             result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
+            picard, newton = picard + result.iterations, newton + result.newton_steps
             l, amp = result.density.dominant_mode()
             if result.converged and abs(amp) > 10 * config.tol:
                 found.append((abs(amp), l, amp, result))
         if not found:
-            if branch:
-                return branch, f"branch lost at gamma={gamma} (fell back to uniform)"
-            return branch, f"branch not found at gamma={gamma}"
+            diagnostic = (f"branch lost at gamma={gamma} (fell back to uniform)" if branch
+                          else f"branch not found at gamma={gamma}")
+            break
         _, l, amp, result = min(found, key=lambda c: c[0])
         branch.append(
             BranchPoint(gamma, result.density, l, amp, free_energy(kernel, result.density, gamma),
                         result.residual, result.iterations)
         )
         seeds = [result.density]
-    return branch, ""
+    _log.debug(
+        "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected",
+        len(branch), picard, newton, op.rejected, op.handoffs,
+    )
+    return branch, diagnostic
 
 
 @dataclass(frozen=True)

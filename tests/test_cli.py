@@ -200,6 +200,21 @@ class TestBranch:
         assert calls == [row[0] for row in rows]
 
 
+    def test_singular_newton_jacobian_keeps_the_picard_walk(self, capsys, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, so one reaching `main` would exit 2
+        argv = ["branch", *BOTH_FORMATS["branch"]]
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        expected = _run(capsys, argv)
+        monkeypatch.undo()
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert _run(capsys, argv) == expected
+        assert expected[0] == 0
+
+
 class TestTransition:
     def test_stable_kernel_reports_none(self, capsys):
         code, out, _ = _run(capsys, ["transition", "--kernel", STABLE, "--K", "8"])

@@ -27,6 +27,7 @@ from spheremv.solver import (
     bifurcation_points,
     gibbs_fixed_point,
 )
+from spheremv import solver
 from spheremv.specfun import gauss_jacobi_rule
 
 from helpers import DRIFT_SPECS, assert_columns_solve_alone, outer_rule
@@ -100,8 +101,37 @@ def test_picard_evaluates_gibbs_once_per_iteration(dims, gamma, tau, max_iters, 
     op.gibbs = counted
     config = SolverConfig(tau=tau, tol=1e-9, max_iters=max_iters, K=K, M=M)
     result = gibbs_fixed_point(kernel, gamma, density, config, op=op)
-    assert len(calls) == result.iterations + 1
+    # i Picard steps evaluate G at i + 1 iterates; a Newton handoff adds n + 1 for its n
+    # steps, and a rejected one one more, as Picard resumes at the handoff iterate
+    assert op.rejected <= op.handoffs <= 1
+    newton = op.handoffs * (result.newton_steps + 1) + op.rejected
+    assert len(calls) == result.iterations + 1 + newton
     assert result.iterations <= max_iters
+    assert result.newton_steps <= solver._NEWTON_STEPS * op.handoffs
+
+
+@FEW
+@given(
+    truncations(max_K=12),
+    st.floats(0.05, 20.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_moment_jacobian_matches_central_differences(dims, gamma, scale, seed):
+    n, K, M = dims
+    kernel, _ = _random_setup(n, K, M, seed)
+    op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
+    proj = op._basin[0]
+    a = scale * np.random.default_rng(seed).normal(size=len(proj))
+
+    def residual(a):  # F(a) = a - P_S G(a)
+        return a - proj @ op.moment_image(gamma, a)
+
+    h = 1e-6
+    columns = [(residual(a + h * e) - residual(a - h * e)) / (2.0 * h) for e in np.eye(len(a))]
+    differences = np.array(columns).T.reshape(len(a), len(a))
+    jacobian = op.moment_jacobian(gamma, op.moment_image(gamma, a))
+    assert np.allclose(jacobian, differences, rtol=1e-6, atol=1e-6)
 
 
 @FEW

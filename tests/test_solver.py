@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,9 +136,10 @@ class TestGibbsFixedPoint:
         assert result.message == "non-finite residual at iteration 0"
         assert np.all(np.isfinite(result.density.values))
 
-    def test_non_finite_column_does_not_hold_the_block(self):
+    def test_non_finite_column_does_not_hold_the_block(self, monkeypatch):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
         good = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)  # the block is plain Picard, and so is this solve
         single = gibbs_fixed_point(ONSAGER3, gamma, good, FAST)
         block = np.column_stack((good.values, np.full(RULE3.order, np.nan)))
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
@@ -166,6 +168,132 @@ class TestGibbsFixedPoint:
         f_fp = free_energy(ONSAGER3, result.density, gamma).free_energy
         f_uni = free_energy(ONSAGER3, uniform_density(3, RULE3, FAST.K), gamma).free_energy
         assert f_fp < f_uni
+
+
+# the canonical CLI kernels, each walked from 1.01 to 1.5 gamma_# as `spheremv branch` does
+CLI_SPECS = {
+    "onsager": KernelSpec(n=3, family="onsager"),
+    "transformer": KernelSpec(n=4, family="transformer", beta=1.0),
+    "opinion": KernelSpec(n=3, family="opinion", p=5.0),
+    "heat": KernelSpec(n=3, family="heat", epsilon=0.3),
+}
+
+
+def _cli_walk(name, K):
+    kernel = coefficients(CLI_SPECS[name], K)
+    gs = gamma_sharp(kernel)
+    return kernel, gs.modes[0], np.linspace(1.01 * gs.gamma, 1.5 * gs.gamma, 10)
+
+
+def _plain_newton(op, gamma, values, config, steps=30):
+    """Newton on the moments with no guard: (iterate, residual) once the residual is <= tol."""
+    proj = op._basin[0]
+    for _ in range(steps):
+        image = op.gibbs(gamma, values)
+        res = op.norm(values - image)
+        if res <= config.tol:
+            return values, res
+        a = proj @ values
+        values = op.moment_image(gamma, a - np.linalg.solve(op.moment_jacobian(gamma, image), a - proj @ image))
+    raise AssertionError("plain Newton did not converge")
+
+
+class TestNewtonHandoff:
+    def test_residual_decays_quadratically(self):
+        gamma = 1.05 * GAMMA_SHARP_ONSAGER
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        seed = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        start, res, _ = _damped_picard(op, gamma, seed.values, replace(FAST, tol=1e-2))
+        trail, norm = [], op.norm
+        op.norm = lambda d: trail.append(norm(d)) or trail[-1]
+        root, steps = solver._newton(op, gamma, start, FAST)
+        assert root is not None and root[1] == trail[-1] <= FAST.tol
+        assert trail[0] == res and len(trail) == steps + 1
+        above_round_off = [(r, s) for r, s in zip(trail, trail[1:]) if s > 1e-13]
+        assert len(above_round_off) >= 2
+        assert all(s <= r * r for r, s in above_round_off)
+
+    @pytest.mark.parametrize("name", ["onsager", "transformer", "heat"])
+    def test_guard_rejects_foreign_roots(self, monkeypatch, name):
+        # From the walk's first state, at its second gamma, Newton alone converges to a root
+        # Picard does not reach from there: uniform (Onsager, transformer) or the mirror (heat).
+        config = SolverConfig(K=48, M=72)
+        kernel, mode, grid = _cli_walk(name, config.K)
+        [first], _ = trace_branch(kernel, mode, grid[:1], config)
+        warm, gamma = first.density, grid[1]
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        picard = gibbs_fixed_point(kernel, gamma, warm, config)
+        _, picard_amp = picard.density.dominant_mode()
+        op = GibbsOperator(kernel, warm.rule, config.K)
+        foreign, _ = _plain_newton(op, gamma, warm.values, config)
+        _, foreign_amp = make_density(warm.n, warm.rule, foreign, config.K).dominant_mode()
+        assert picard.converged and abs(foreign_amp - picard_amp) > 0.1 * abs(picard_amp)
+        assert solver._newton(op, gamma, warm.values, config)[0] is None
+        # handed off at the warm start itself, the rejected root leaves the plain Picard solve
+        assert residual(kernel, gamma, warm) <= 1.0
+        monkeypatch.setattr(solver, "_HANDOFF", 1.0)
+        op = GibbsOperator(kernel, warm.rule, config.K)
+        result = gibbs_fixed_point(kernel, gamma, warm, config, op=op)
+        assert op.handoffs == op.rejected == 1 and result.newton_steps >= 1
+        assert np.array_equal(result.density.values, picard.density.values)
+        assert (result.residual, result.iterations) == (picard.residual, picard.iterations)
+
+    def test_guard_rejects_the_unstable_uniform_state(self, monkeypatch):
+        # a seed this close to uniform is handed off at once, and Newton finds uniform,
+        # which repels Picard above gamma_#: |1 - tau (1 + gamma W_hat_2)| > 1
+        gamma = 1.2 * GAMMA_SHARP_ONSAGER
+        init = _kicked_uniform(3, RULE3, 2, 1e-8, FAST.K)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        result = gibbs_fixed_point(ONSAGER3, gamma, init, FAST, op=op)
+        assert op.handoffs == op.rejected == 1 and result.newton_steps >= 1
+        # Picard's i + 1, Newton's n + 1, and the handoff iterate again as Picard resumes
+        assert op.evaluations == result.iterations + 1 + result.newton_steps + 1 + 1
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        picard = gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
+        assert np.array_equal(result.density.values, picard.density.values)
+        mode, amp = result.density.dominant_mode()
+        assert result.converged and mode == 2 and abs(amp) > 0.1
+
+    @pytest.mark.parametrize("name", sorted(CLI_SPECS))
+    def test_walk_matches_picard_all_the_way(self, monkeypatch, name):
+        config = SolverConfig(K=16, M=28)
+        kernel, mode, grid = _cli_walk(name, config.K)
+        newton, diagnostic = trace_branch(kernel, mode, grid, config)
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        picard, picard_diagnostic = trace_branch(kernel, mode, grid, config)
+        assert diagnostic == picard_diagnostic == "" and len(newton) == len(picard) == len(grid)
+        for p, q in zip(newton, picard):
+            assert p.dominant_mode == q.dominant_mode
+            assert p.amplitude == pytest.approx(q.amplitude, rel=1e-7)  # the same mirror state
+            assert np.allclose(p.density.values, q.density.values, rtol=1e-7, atol=0.0)
+            assert p.residual <= config.tol
+        assert sum(p.iterations for p in newton) < sum(q.iterations for q in picard)
+
+    def test_singular_jacobian_keeps_the_picard_solve(self, monkeypatch):
+        gamma = 1.2 * GAMMA_SHARP_ONSAGER
+        init = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        plain = gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
+        monkeypatch.undo()
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        result = gibbs_fixed_point(ONSAGER3, gamma, init, FAST, op=op)
+        assert op.handoffs == op.rejected == 1 and result.newton_steps == 0
+        assert np.array_equal(result.density.values, plain.density.values)
+        assert (result.residual, result.iterations, result.converged, result.message) == (
+            plain.residual, plain.iterations, plain.converged, plain.message)
+
+    def test_no_handoff_where_a_basin_ball_exists(self):
+        # below gamma_# the certificate ends the solve, as before
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        init = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
+        result = gibbs_fixed_point(ONSAGER3, 0.9 * GAMMA_SHARP_ONSAGER, init, FAST, op=op)
+        assert result.converged and op.certified == 1
+        assert op.handoffs == result.newton_steps == 0
 
 
 class TestBasinCertificate:
@@ -369,6 +497,27 @@ class TestTraceBranch:
     def test_empty_grid(self):
         branch, diag = trace_branch(ONSAGER3, 2, [], FAST)
         assert branch == [] and diag == "empty gamma grid"
+
+    def test_walk_logs_one_debug_line(self, caplog, monkeypatch):
+        results, solve = [], solver.gibbs_fixed_point
+
+        def spied(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == "" and len(branch) == len(grid)
+        [record] = caplog.records
+        counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
+        points, picard, newton, rejected, handoffs = counts
+        assert points == len(branch) and len(results) == len(grid) + 1  # two seeds at the first
+        assert picard == sum(r.iterations for r in results)
+        assert newton == sum(r.newton_steps for r in results)
+        assert handoffs == len(results) and 0 <= rejected < handoffs
+        assert newton >= handoffs - rejected  # an accepted root took at least one step
 
     def test_later_points_start_from_the_previous_state(self, monkeypatch):
         inits = []
