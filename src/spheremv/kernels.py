@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import hyp0f1, poch
 
 from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct
@@ -109,8 +108,13 @@ def kernel_spec_from_json(data) -> KernelSpec:
             raise ValueError(f"custom profile table is not numeric: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError("custom profile table must be rows of [t, g(t)]")
+        from scipy.interpolate import CubicSpline  # loaded here only: it pulls in scipy.optimize
+
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
             profile = CubicSpline(table[:, 0], table[:, 1])
+        t_lo, t_hi = table[0, 0], table[-1, 0]  # increasing: CubicSpline checked it
+        if t_lo > -1.0 or t_hi < 1.0:
+            raise ValueError(f"custom profile table spans [{t_lo:g}, {t_hi:g}], not all of [-1, 1]")
         if not np.all(np.isfinite(profile.c)):
             raise ValueError("custom profile table overflows its cubic spline")
         deriv = profile.derivative()

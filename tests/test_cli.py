@@ -410,6 +410,16 @@ class TestErrors:
         assert code == EXIT_CONFIG and out == ""
         assert json.loads(err)["error"] == "config"
 
+    @pytest.mark.parametrize(
+        "profile", [[[0, 1], [0.5, 2], [0.7, 1]], [[-1, 1], [0, 0]], [[-0.5, 1], [0.5, 0]]]
+    )
+    def test_custom_profile_short_of_the_interval_is_config_error(self, capsys, profile):
+        kernel = json.dumps({"n": 3, "family": "custom", "profile": profile})
+        code, out, err = _run(capsys, ["decompose", "--kernel", kernel, "--K", "3"])
+        assert code == EXIT_CONFIG and out == ""
+        error = json.loads(err)
+        assert error["error"] == "config" and "spans" in error["message"]
+
     def test_malformed_inline_kernel_reports_the_json_error(self, capsys):
         code, _, err = _run(capsys, ["decompose", "--kernel", '{"n": 3,', "--K", "4"])
         message = json.loads(err)["message"]

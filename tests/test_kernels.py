@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,36 @@ class TestKernelSpec:
         spec = kernel_spec_from_json({"n": 3, "family": "custom", "profile": table})
         grid = np.linspace(-1, 1, 11)
         assert np.max(np.abs(spec.profile(grid) - grid**2)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "table,span",
+        [
+            ([[0, 1], [0.5, 2], [0.7, 1]], "[0, 0.7]"),
+            ([[-1, 1], [0, 0]], "[-1, 0]"),
+            ([[-0.5, 1], [0.5, 0]], "[-0.5, 0.5]"),
+        ],
+    )
+    def test_table_short_of_the_interval_is_rejected(self, table, span):
+        with pytest.raises(ValueError, match=re.escape(f"spans {span}")):
+            kernel_spec_from_json({"n": 3, "family": "custom", "profile": table})
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]],  # the README's example
+            [[-1, -1], [0, -1], [1, -1]],
+            [[-1, 1.0], [0, -0.5], [1, -2.0]],
+            [[-2, 0.0], [0, 1.0], [2, 0.0]],  # wider than [-1, 1]
+        ],
+    )
+    def test_table_spanning_the_interval_is_accepted(self, table):
+        spec = kernel_spec_from_json({"n": 3, "family": "custom", "profile": table})
+        assert np.all(np.isfinite(spec.profile(np.linspace(-1, 1, 11))))
+
+    def test_reversed_table_keeps_the_splines_error(self):
+        table = [[1, 1], [0, 0], [-1, 0]]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kernel_spec_from_json({"n": 3, "family": "custom", "profile": table})
 
 
 class TestClosedForms:
