@@ -1,8 +1,9 @@
 """Command-line front end: spectral analyses, solves, scans, and simulations.
 
-Every subcommand reads a kernel description (JSON file or inline JSON),
-applies flag overrides, and writes a deterministic CSV or JSON artifact
-whose header embeds the fully resolved configuration.
+Every subcommand takes a kernel description (JSON file or inline JSON),
+which `main` reads once and overrides with `--n`, and writes a
+deterministic CSV or JSON artifact whose header embeds the fully resolved
+configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Errors
 are emitted as one JSON object on stderr.
@@ -87,13 +88,6 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _load_spec(args: argparse.Namespace) -> KernelSpec:
-    spec = kernel_spec_from_json(args.kernel)
-    if args.n is not None and args.n != spec.n:
-        spec = dataclasses.replace(spec, n=args.n)
-    return spec
-
-
 def _emit(args: argparse.Namespace, header: dict, rows: list[tuple], columns: list[str]) -> None:
     """Write rows either as commented-header CSV or as a JSON document."""
     meta = json.dumps(header, sort_keys=True)
@@ -149,16 +143,14 @@ def _state_row(point: BranchPoint) -> tuple:
             energy.free_energy, point.residual, point.iterations)
 
 
-def _cmd_decompose(args) -> int:
-    spec = _load_spec(args)
+def _cmd_decompose(args, spec: KernelSpec) -> int:
     coeffs = coefficients(spec, args.K)
     rows = [(k, c) for k, c in enumerate(coeffs.coeffs)]
     _emit(args, _resolved_config(args), rows, ["k", "coeff"])
     return 0
 
 
-def _cmd_bifurcations(args) -> int:
-    spec = _load_spec(args)
+def _cmd_bifurcations(args, spec: KernelSpec) -> int:
     coeffs = coefficients(spec, args.K)
     if stability_check(coeffs).stable:
         _emit(args, {**_resolved_config(args), "note": "stable kernel"}, [], ["k", "gamma_k"])
@@ -171,8 +163,7 @@ def _cmd_bifurcations(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    spec = _load_spec(args)
+def _cmd_spectrum(args, spec: KernelSpec) -> int:
     coeffs = coefficients(spec, args.K)
     spectrum = linear_spectrum(coeffs, args.gamma, args.K)
     rows = [(l, v) for l, v in enumerate(spectrum.eigenvalues)]
@@ -180,17 +171,17 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, spec: KernelSpec) -> int:
     if not 0 <= args.mode <= args.K:
         raise ValueError(f"--mode must lie in 0..K = 0..{args.K}, got {args.mode}")
-    spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
     rule = gauss_jacobi_rule(spec.n, config.M)
-    base = uniform_density(spec.n, rule, config.K)
     if args.mode > 0:
-        base = _seeded_density(spec.n, rule, config.K, base.values, args.mode, 0.2)
-    result = gibbs_fixed_point(coeffs, args.gamma, base, config)
+        init = _seeded_density(spec.n, rule, config.K, args.mode, 0.2)
+    else:
+        init = uniform_density(spec.n, rule, config.K)
+    result = gibbs_fixed_point(coeffs, args.gamma, init, config)
     if not result.converged:
         raise RuntimeError(f"fixed-point iteration failed: {result.message}")
     mode, amp = result.density.dominant_mode()
@@ -201,11 +192,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_branch(args) -> int:
+def _cmd_branch(args, spec: KernelSpec) -> int:
     if not 1 <= args.mode <= args.K:
         raise ValueError(f"--mode must lie in 1..K = 1..{args.K}, got {args.mode}")
     _check_gamma_grid(args)
-    spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
     grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
@@ -217,7 +207,7 @@ def _cmd_branch(args) -> int:
     return 0
 
 
-def _cmd_transition(args) -> int:
+def _cmd_transition(args, spec: KernelSpec) -> int:
     bounds = (args.gamma_min, args.gamma_max)
     if None in bounds and (bounds != (None, None) or args.gamma_steps is not None):
         raise ValueError("--gamma-min and --gamma-max must be given together; --gamma-steps needs both")
@@ -225,7 +215,6 @@ def _cmd_transition(args) -> int:
     if None not in bounds:
         _check_gamma_grid(args)
         grid = np.geomspace(args.gamma_min, args.gamma_max, args.gamma_steps or 100)
-    spec = _load_spec(args)
     config = _solver_config(args)
     coeffs = coefficients(spec, config.K)
     report = find_transition(coeffs, gamma_grid=grid, config=config)
@@ -240,10 +229,9 @@ def _cmd_transition(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, spec: KernelSpec) -> int:
     if args.particles < 2:
         raise ValueError(f"--particles must be >= 2, got {args.particles}")
-    spec = _load_spec(args)
     sim = SimConfig(dt=args.dt, steps=args.steps, gamma=args.gamma, seed=args.seed)
     result = simulate(spec, sim, args.particles)
     rows = [(int(k), *moments) for k, moments in zip(result.recorded_steps, result.moments)]
@@ -269,7 +257,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        spec = kernel_spec_from_json(args.kernel)  # loaded once, before any other check
+        if args.n is not None and args.n != spec.n:
+            spec = dataclasses.replace(spec, n=args.n)
+        return _COMMANDS[args.command](args, spec)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return EXIT_CONFIG

@@ -79,8 +79,10 @@ class ZonalDensity:
         return u_hat
 
     def dominant_mode(self) -> tuple[int, float]:
-        """(degree, amplitude) of the largest |u_hat_l| among l >= 1."""
+        """(degree, amplitude) of the largest |u_hat_l| among l >= 1; (0, 0.0) when K = 0."""
         u_hat = self.perturbation_coefficients()
+        if u_hat.size == 1:
+            return 0, 0.0
         l = int(np.argmax(np.abs(u_hat[1:]))) + 1
         return l, float(u_hat[l])
 

@@ -223,16 +223,11 @@ def simulate(
     recorded, rows = [], []
     for k in range(1, config.steps + 1):
         ensemble = step(ensemble, spec, config)
-        if k >= first_record and k % config.record_every == 0:
-            axis = order_axis(ensemble)
-            summary = empirical_moments(ensemble, axis, degrees)
+        due = k >= first_record and k % config.record_every == 0
+        if due or (k == config.steps and not rows):  # the final state when nothing was due
+            summary = empirical_moments(ensemble, order_axis(ensemble), degrees)
             recorded.append(k)
             rows.append(summary.means)
-    if not rows:  # always record the final state
-        axis = order_axis(ensemble)
-        summary = empirical_moments(ensemble, axis, degrees)
-        recorded.append(config.steps)
-        rows.append(summary.means)
     return SimResult(
         ensemble=ensemble,
         recorded_steps=np.array(recorded),

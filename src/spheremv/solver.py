@@ -4,11 +4,12 @@ The iteration is damped Picard: rho <- (1 - tau) rho + tau G(rho) with
 G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  A block of densities, one gamma per column, takes
-one mat-mat per step, and each column leaves the block at the step it would
-stop alone: a transition scan solves the seeds of up to 16 gammas of its
-grid that way, and then each round of bisection midpoints; it scores each
-gamma once its seeds have all left and ends the block at the first winner.
-Below gamma_# a column also stops once its moments lie in a ball that
+one mat-mat per step in `_damped_picard`, and each column leaves the block
+at the step it would stop alone in `_picard_alone`, the engine of a lone
+solve: a transition scan solves the seeds of up to 16 gammas of its grid as
+one block, and then each round of bisection midpoints; it scores each gamma
+once its seeds have all left and ends the block at the first winner.
+Below gamma_# a density also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
@@ -34,12 +35,10 @@ from .meanfield import (
     EnergyReport,
     ZonalDensity,
     _check_gamma,
-    _mode_energy,
     free_energy,
     free_energy_gap,
     gamma_sharp,
     make_density,
-    uniform_density,
 )
 from .specfun import QuadratureRule, gauss_jacobi_rule
 
@@ -250,7 +249,8 @@ _GROUP_WIDTH = 16
 def _picard_alone(
     op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, float, int]:
-    """`_damped_picard` on one density (M,), its per-step test kept to floats."""
+    """Damped Picard steps on one density (M,), the lone solve that each column of a
+    `_damped_picard` block equals; its per-step test is kept to floats."""
     tau, tol = config.tau, config.tol
     bound = op.basin_bound(gamma, tau)
     step, inside = 0, False
@@ -275,12 +275,12 @@ def _picard_alone(
 def _damped_picard(
     op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig,
     _until: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], bool]] = None,
-) -> tuple[np.ndarray, float | np.ndarray, int]:
-    """Damped Picard steps on one density (M,) or column-wise on a block (M, S).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Damped Picard steps column-wise on a block of densities (M, S).
 
-    Returns (last iterates, residual norms, steps).  For a block, gamma is a
-    float or one value per column, and each column leaves the block at the
-    step where it would stop alone: its residual is at most tol or
+    Returns (last iterates, residual norms (S,), steps).  gamma is a float or
+    one value per column, and each column leaves the block at the step where
+    it would stop alone (`_picard_alone`): its residual is at most tol or
     non-finite, its moments lie in the ball ||P_S rho|| <= r(gamma) of
     `GibbsOperator.basin_radius`, which proves that it relaxes to uniform, or
     it has taken max_iters steps; the block's count is that of its slowest
@@ -292,15 +292,10 @@ def _damped_picard(
     the block ends there, and each column still in it comes back as its
     current iterate and residual, which is its lone solve with max_iters set
     to the block's steps; `_until` runs under the caller's floating-point
-    error state.  A lone density steps by `_picard_alone` and takes no
-    `_until`.  The residual rho - G(rho) that a step measures also drives the
-    next step, rho <- rho - tau (rho - G(rho)), so i steps evaluate G at
+    error state.  The residual rho - G(rho) that a step measures also drives
+    the next step, rho <- rho - tau (rho - G(rho)), so i steps evaluate G at
     i + 1 iterates.
     """
-    if values.ndim == 1:
-        if _until is not None:
-            raise ValueError("a lone density (M,) takes no _until predicate")
-        return _picard_alone(op, gamma, values, config)
     tau, tol, caller = config.tau, config.tol, np.geterr()
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), values.shape[1:])
     distinct, which = np.unique(gammas, return_inverse=True)
@@ -422,7 +417,7 @@ def gibbs_fixed_point(
         op = GibbsOperator(kernel, init.rule, init.coeffs.K)
     before = op.certified
     handoff = config.tol if op.basin_bound(gamma, config.tau) > 0.0 else max(config.tol, _HANDOFF)
-    values, res, iters = _damped_picard(op, gamma, init.values, replace(config, tol=handoff))
+    values, res, iters = _picard_alone(op, gamma, init.values, replace(config, tol=handoff))
     newton_steps = 0
     if config.tol < res <= handoff:
         op.handoffs += 1
@@ -433,7 +428,7 @@ def gibbs_fixed_point(
             op.rejected += 1
             if iters < config.max_iters:
                 rest = replace(config, max_iters=config.max_iters - iters)
-                values, res, more = _damped_picard(op, gamma, values, rest)
+                values, res, more = _picard_alone(op, gamma, values, rest)
                 iters += more
     certified = op.certified > before
     converged = certified or res <= config.tol
@@ -488,8 +483,10 @@ class BranchPoint:
 
 
 def _seeded_density(
-    n: int, rule: QuadratureRule, K: int, base: np.ndarray, mode: int, amplitude: float
+    n: int, rule: QuadratureRule, K: int, mode: int, amplitude: float
 ) -> ZonalDensity:
+    """The uniform state 1 / <1> of `uniform_density` kicked by amplitude * Y_mode."""
+    base = 1.0 / rule.integrate(np.ones(rule.order))
     values = np.clip(base + amplitude * y_l0(mode, n, rule.nodes), 1e-14, None)
     return make_density(n, rule, values, K)
 
@@ -513,11 +510,7 @@ def trace_branch(
         return [], "empty gamma grid"
     rule = gauss_jacobi_rule(kernel.n, config.M)
     op = GibbsOperator(kernel, rule, config.K)
-    uniform = uniform_density(kernel.n, rule, config.K)
-    seeds = [
-        _seeded_density(kernel.n, rule, config.K, uniform.values, mode, sign * 0.01)
-        for sign in (+1.0, -1.0)
-    ]
+    seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
     diagnostic, picard, newton = "", 0, 0
     for gamma in gamma_grid:
@@ -581,8 +574,10 @@ def resonance_check(kernel: ZonalCoefficients, delta: float = 0.0) -> ResonanceR
 
     Single modes are scanned first, then sign/weight patterns over pairs and
     triples of resonant modes.  The bandwidth test is
-    delta < min(1/4, <u^3>^2 / 49).
+    delta < min(1/4, <u^3>^2 / 49), for a bandwidth delta in [0, 1).
     """
+    if not 0.0 <= delta < 1.0:  # delta >= 1 would count stable modes as resonant
+        raise ValueError(f"bandwidth delta must lie in [0, 1), got {delta}")
     gs = gamma_sharp(kernel)
     n = kernel.n
     threshold = -(1.0 - delta) / gs.gamma
@@ -689,7 +684,6 @@ def find_transition(
     basis = spectral_basis(kernel.n, config.K, config.M)
     rule = basis.rule
     op = GibbsOperator(kernel, rule, config.K)
-    uniform = uniform_density(kernel.n, rule, config.K)
 
     seed_modes = sorted({k for k, _ in bifurcation_points(kernel).points[:4]} | set(gs.modes))
     labels, seeds = [], []
@@ -697,10 +691,11 @@ def find_transition(
         sup = abs(y_l0(k, kernel.n, 1.0))
         for amp, sign in itertools.product((0.3, 0.8), (+1.0, -1.0)):
             labels.append(f"mode{k}{'+' if sign > 0 else '-'}{amp}")
-            seed = _seeded_density(kernel.n, rule, config.K, uniform.values, k, sign * amp / sup)
+            seed = _seeded_density(kernel.n, rule, config.K, k, sign * amp / sup)
             seeds.append(seed.values)
     seeds = np.column_stack(seeds)
 
+    # the competitor 1 + eps xi u at unit mass, scored after the seeds at each gamma
     reso = resonance_check(kernel, delta=0.0)
     competitor = None
     if abs(reso.u3) > 1e-12:
@@ -710,10 +705,8 @@ def find_transition(
         eps = min(0.5, abs(u3) / 4.0)
         perturb = 1.0 + eps * math.copysign(1.0, u3) * u_values
         if np.all(perturb > 0.0):
-            # its gap is entropy / gamma + mode energy, as in `free_energy_gap`
-            comp = perturb / rule.integrate(perturb)
-            entropy = rule.weights @ (comp * np.log(comp))
-            competitor = (entropy, _mode_energy(kernel, basis, comp), u3, eps)
+            competitor = perturb / rule.integrate(perturb)
+            rival = {"kind": "competitor", "epsilon": eps, "u3": u3}
 
     # gammas scored, bisection midpoints scored and entered, and seed columns
     # scored, within tol, certified uniform and left unscored, for the debug log
@@ -723,37 +716,28 @@ def find_transition(
     def score(gamma: float, values: np.ndarray, res: np.ndarray) -> tuple[float, dict]:
         """Lowest free-energy gap to uniform among the fixed points the seed columns
         relaxed to at gamma and the competitor; gaps above -_GAP_TOL count as 0."""
-        best_gap, witness = 0.0, {"kind": "uniform"}
         settled = np.flatnonzero(res <= config.tol)
         tally["gammas"] += 1
         tally["columns"] += res.size
         tally["within_tol"] += settled.size
+        block = values[:, settled]
+        # `_damped_picard` returns a certified column as exactly 1
+        tally["certified"] += int(np.count_nonzero(np.all(block == 1.0, axis=0)))
+        gaps = np.empty(0)
         if settled.size:
-            block = values[:, settled]
-            # `_damped_picard` returns a certified column as exactly 1
-            tally["certified"] += int(np.count_nonzero(np.all(block == 1.0, axis=0)))
             gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
-            best = int(np.argmin(gaps))  # the first of equal gaps, in seed order
-            if gaps[best] < -_GAP_TOL:
-                column = settled[best]
-                density = make_density(kernel.n, rule, values[:, column], config.K)
-                mode, amp = density.dominant_mode()
-                best_gap = float(gaps[best])
-                witness = {
-                    "kind": "fixed-point",
-                    "seed": labels[column],
-                    "dominant_mode": mode,
-                    "amplitude": amp,
-                    "residual": float(res[column]),
-                    "gap": best_gap,
-                }
-        if competitor is not None:
-            entropy, energy, u3, eps = competitor
-            gap = float(entropy / gamma + energy)
-            if gap < min(best_gap, -_GAP_TOL):
-                best_gap = gap
-                witness = {"kind": "competitor", "epsilon": eps, "u3": u3, "gap": gap}
-        return best_gap, witness
+        if competitor is not None:  # its own call: a column more moves the seeds' gaps by round-off
+            gaps = np.append(gaps, free_energy_gap(kernel, basis, gamma, competitor))
+        if not (gaps.size and gaps.min() < -_GAP_TOL):
+            return 0.0, {"kind": "uniform"}
+        best = int(np.argmin(gaps))  # the first of equal gaps: seed order, then the competitor
+        gap = float(gaps[best])
+        if best == settled.size:
+            return gap, {**rival, "gap": gap}
+        column = settled[best]
+        mode, amp = make_density(kernel.n, rule, values[:, column], config.K).dominant_mode()
+        return gap, {"kind": "fixed-point", "seed": labels[column], "dominant_mode": mode,
+                     "amplitude": amp, "residual": float(res[column]), "gap": gap}
 
     def first_win(gammas: Sequence[float]) -> Optional[tuple[int, dict]]:
         """Solve the seeds at the gammas, _GROUP_WIDTH gammas to a block, and score them

@@ -15,7 +15,7 @@ from scipy.special import roots_chebyt, roots_jacobi, roots_legendre
 
 from spheremv.harmonics import omega_n
 from spheremv.kernels import KernelSpec, profile_derivative
-from spheremv.solver import _damped_picard
+from spheremv.solver import _picard_alone
 
 
 def c_lambda(lam: float) -> float:
@@ -173,7 +173,7 @@ def assert_columns_solve_alone(op, kernel, gamma, block, config, result, cap=Non
     lone_config = SimpleNamespace(tau=config.tau, tol=config.tol, max_iters=max_iters)
     alone = []
     for g, start, column, column_res in zip(gammas, block.T, values.T, res):
-        lone, lone_res, lone_steps = _damped_picard(op, g, start, lone_config)
+        lone, lone_res, lone_steps = _picard_alone(op, g, start, lone_config)
         alone.append((lone, lone_res, lone_steps))
         q = np.max(np.abs(1.0 - config.tau * (1.0 + g * kernel.coeffs[1:])), initial=0.0)
         if q >= 1.0 and lone_steps == max_iters and not lone_res <= config.tol:

@@ -181,6 +181,14 @@ class TestSolve:
         assert abs(float(row["amplitude"])) > 0.1
         assert float(row["residual"]) <= 1e-11
 
+    def test_zero_truncation_reports_mode_zero(self, capsys):
+        argv = ["solve", "--kernel", ONSAGER, "--K", "0", "--M", "2", "--gamma", "5",
+                "--format", "json"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["mode"], row["amplitude"]) == (0, 0.0)
+
 
 class TestBranch:
     def test_one_free_energy_per_point(self, capsys, monkeypatch):
@@ -359,6 +367,14 @@ class TestErrors:
         code, out, err = _run(capsys, argv)
         assert code == EXIT_CONFIG and out == ""
         assert "--mode" in json.loads(err)["message"]
+
+    def test_kernel_error_comes_before_other_flags(self, capsys):
+        # the kernel is loaded before a subcommand checks its own flags
+        argv = ["solve", "--kernel", '{"n": 3, "family": "bogus"}', "--K", "16", "--gamma", "12.0",
+                "--mode", "99"]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "--mode" not in json.loads(err)["message"]
 
     @pytest.mark.parametrize("mode", ["0", "99"])
     def test_branch_mode_outside_truncation_is_config_error(self, capsys, mode):

@@ -81,6 +81,13 @@ class TestZonalDensity:
         mode, amp = d.dominant_mode()
         assert mode == 3 and amp == pytest.approx(eps, rel=1e-10)
 
+    def test_dominant_mode_at_zero_truncation(self):
+        # at K = 0 no mode l >= 1 is kept, so the truncated perturbation is zero
+        rule = gauss_jacobi_rule(3, 2)
+        kicked = make_density(3, rule, 1.0 + 0.5 * y_l0(1, 3, rule.nodes), 0)
+        assert uniform_density(3, rule, 0).dominant_mode() == (0, 0.0)
+        assert kicked.dominant_mode() == (0, 0.0)
+
 
 class TestConvolve:
     def test_uniform_gives_constant(self):

@@ -24,6 +24,7 @@ from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
     _damped_picard,
+    _picard_alone,
     bifurcation_points,
     gibbs_fixed_point,
 )
@@ -269,7 +270,7 @@ def test_a_block_ends_at_the_first_step_its_predicate_holds(
 
     result = _damped_picard(op, gammas, block, config, until)
     # each column's own stop, from its lone solve, orders the calls
-    full = [_damped_picard(op, g, column, config) for g, column in zip(gammas, block.T)]
+    full = [_picard_alone(op, g, column, config) for g, column in zip(gammas, block.T)]
     stops = np.array([steps for _, _, steps in full])
     leaves = np.unique(stops)  # the steps at which columns leave an unended block
     calls = [stops <= step for step in leaves]

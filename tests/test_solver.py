@@ -21,6 +21,7 @@ from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
     _damped_picard,
+    _picard_alone,
     bifurcation_points,
     competitor_energy_gap,
     find_transition,
@@ -156,11 +157,6 @@ class TestGibbsFixedPoint:
         with pytest.warns(RuntimeWarning, match="overflow"):
             _damped_picard(op, 1.2 * GAMMA_SHARP_ONSAGER, block, FAST, lambda *_: bool(np.exp(1e3)))
 
-    def test_lone_density_takes_no_predicate(self):
-        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        with pytest.raises(ValueError, match="predicate"):
-            _damped_picard(op, 1.0, np.ones(RULE3.order), FAST, lambda *_: False)
-
     def test_fixed_point_lowers_free_energy(self):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
         init = _kicked_uniform(3, RULE3, 2, 0.5, FAST.K)
@@ -203,7 +199,7 @@ class TestNewtonHandoff:
         gamma = 1.05 * GAMMA_SHARP_ONSAGER
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
         seed = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
-        start, res, _ = _damped_picard(op, gamma, seed.values, replace(FAST, tol=1e-2))
+        start, res, _ = _picard_alone(op, gamma, seed.values, replace(FAST, tol=1e-2))
         trail, norm = [], op.norm
         op.norm = lambda d: trail.append(norm(d)) or trail[-1]
         root, steps = solver._newton(op, gamma, start, FAST)
@@ -405,7 +401,7 @@ class TestBasinCertificate:
         assert np.all(values[:, 0] == 1.0) and res[0] <= config.tol
         assert math.isnan(res[1]) and np.all(np.isnan(values[:, 1]))
         assert op.certified == 1
-        values, res, iters = _damped_picard(op, gamma, block[:, 1], config)
+        values, res, iters = _picard_alone(op, gamma, block[:, 1], config)
         assert math.isnan(res) and iters == 0 and np.all(np.isnan(values))
         assert op.certified == 1
 
@@ -580,6 +576,12 @@ class TestResonance:
         assert u3 == pytest.approx(direct, rel=1e-12)
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan, 1.0, 1.5, math.inf])
+    def test_rejects_bandwidth_outside_unit_interval(self, delta):
+        # delta < 0 or NaN leaves no resonant mode; delta >= 1 counts stable ones
+        with pytest.raises(ValueError, match="bandwidth delta"):
+            resonance_check(ONSAGER3, delta=delta)
+
 
 class TestCompetitorGap:
     def test_gap_vanishes_as_epsilon_to_zero(self):
@@ -624,6 +626,22 @@ class TestFindTransition:
         assert report.type == "none"
         assert report.gamma_c_bracket is None
 
+    def test_competitor_witness(self):
+        # with one Picard step no seed settles, so only the cubic competitor can win
+        config = SolverConfig(K=16, M=28, max_iters=1)
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), config.K)
+        report = find_transition(kernel, config=config)
+        assert report.type == "continuous-candidate"
+        assert report.gamma_c_bracket == (10.17053242039821, 10.175660399559241)
+        witness, hi = report.witness, report.gamma_c_bracket[1]
+        assert witness["kind"] == "competitor" and witness["gap"] < -solver._GAP_TOL
+        reso = resonance_check(kernel, delta=0.0)
+        rule = gauss_jacobi_rule(3, config.M)
+        values, u3 = harmonic_combination(3, reso.witness_modes, reso.witness_coeffs, rule)
+        assert (witness["u3"], witness["epsilon"]) == (u3, min(0.5, abs(u3) / 4.0))
+        gap = competitor_energy_gap(kernel, values, u3, witness["epsilon"], hi, rule, config.K)
+        assert witness["gap"] == pytest.approx(gap, rel=1e-12)
+
     def test_onsager_discontinuous(self):
         report = find_transition(ONSAGER3, config=FAST)
         assert report.type == "discontinuous"
@@ -666,7 +684,8 @@ class TestFindTransition:
                 return result
 
             def free_energy_gap(kernel, basis, gamma, values):
-                scored.append(gamma)
+                if values.ndim == 2:  # the seeds' call; the competitor's takes one density
+                    scored.append(gamma)
                 return gap(kernel, basis, gamma, values)
 
             with monkeypatch.context() as patch:
@@ -733,7 +752,7 @@ class TestFindTransition:
         wins = {points[3], *points[6:]}
 
         def free_energy_gap(kernel, basis, gamma, values):
-            return np.where(gamma in wins, -1.0, 1.0) * np.ones(values.shape[1])
+            return np.where(gamma in wins, -1.0, 1.0) * np.ones(values.shape[1:])
 
         monkeypatch.setattr(solver, "free_energy_gap", free_energy_gap)
         report = find_transition(ONSAGER3, gamma_grid=[points[0], points[-1]], config=FAST)
@@ -747,7 +766,8 @@ class TestFindTransition:
 
         def free_energy_gap(kernel, basis, gamma, values):
             gaps = gap(kernel, basis, gamma, values)
-            events.append(float(np.min(gaps)))
+            if values.ndim == 2:  # the seeds' call; the competitor's takes one density
+                events.append(float(np.min(gaps)))
             return gaps
 
         def make_density(*args):
