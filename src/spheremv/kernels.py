@@ -167,21 +167,36 @@ _DERIV_CLIP = 1e-9
 
 
 def profile_derivative(spec: KernelSpec, t) -> np.ndarray:
-    """Evaluate W'(t), clamping t away from +-1 when the derivative is singular."""
+    """Evaluate W'(t), clamping t away from +-1 when the derivative is singular.
+
+    The result is a fresh array of t's shape (0-d for a scalar); t is never
+    written.  The closed forms fill one output buffer in place (Onsager adds
+    one scratch buffer), since the particle drift calls this once per tile.
+    """
     t = np.asarray(t, dtype=float)
-    if spec.family == "transformer":
-        return -np.exp(spec.beta * t)
-    if spec.family == "onsager":
-        tc = np.clip(t, -1.0 + _DERIV_CLIP, 1.0 - _DERIV_CLIP)
-        return -tc / np.sqrt(1.0 - tc * tc)
-    if spec.family == "opinion":
-        tc = np.clip(t, -1.0 + _DERIV_CLIP, None) if spec.p < 1.0 else t
-        return -spec.p * (1.0 + tc) ** (spec.p - 1.0)
     if spec.family == "heat":
         return _heat_series(spec, t, 1)
-    if spec.profile_derivative is not None:
-        return np.asarray(spec.profile_derivative(t), dtype=float)
-    raise ValueError("custom kernel has no derivative; supply profile_derivative")
+    if spec.family == "custom":
+        if spec.profile_derivative is None:
+            raise ValueError("custom kernel has no derivative; supply profile_derivative")
+        out = np.asarray(spec.profile_derivative(t), dtype=float)
+        return out.copy() if np.may_share_memory(out, t) else out
+    out = np.empty_like(t)  # an array even for 0-d t, so out= works on every shape
+    if spec.family == "transformer":
+        np.multiply(t, spec.beta, out=out)
+        np.exp(out, out=out)
+        return np.negative(out, out=out)
+    if spec.family == "onsager":
+        np.clip(t, -1.0 + _DERIV_CLIP, 1.0 - _DERIV_CLIP, out=out)
+        root = np.square(out, out=np.empty_like(out))
+        np.subtract(1.0, root, out=root)
+        np.sqrt(root, out=root)
+        np.divide(out, root, out=out)
+        return np.negative(out, out=out)
+    # opinion: 1 + t is kept >= 1e-9 when p < 1, where W' is singular at t = -1
+    np.add(np.maximum(t, -1.0 + _DERIV_CLIP) if spec.p < 1.0 else t, 1.0, out=out)
+    out **= spec.p - 1.0  # in place, with the fast paths of ** (square, sqrt, ...)
+    return np.multiply(out, -spec.p, out=out)
 
 
 def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
@@ -196,9 +211,10 @@ def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
     for d in range(n, n + 2 * order, 2):
         k = np.arange(1.0, series.size)
         series = series[1:] * np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
+    shape = np.shape(t)  # zonal_table lifts a 0-d t to shape (1,)
     if series.size == 0:
-        return np.zeros_like(np.atleast_1d(np.asarray(t, dtype=float)))
-    return np.tensordot(series, zonal_table(series.size - 1, n + 2 * order, t), axes=1)
+        return np.zeros(shape)
+    return np.tensordot(series, zonal_table(series.size - 1, n + 2 * order, t), axes=1).reshape(shape)
 
 
 def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:

@@ -103,27 +103,30 @@ def _pairwise_drift(spec: KernelSpec, positions: np.ndarray) -> np.ndarray:
     """Drift -(1/N) sum_{j != i} W'(<x_i,x_j>)(x_j - <x_i,x_j> x_i) for every particle i.
 
     W'(<x_i,x_j>) is symmetric in (i, j), so it is evaluated once per pair, on
-    _TILE x _TILE tiles (I, J) with I <= J; a tile feeds the sums of both its
-    row block and its column block, and its temporaries stay in cache.
+    _TILE x _TILE tiles (I, J) with I <= J; a tile feeds the pulls
+    p_i = sum_{j != i} W'(t_ij) x_j of both its row block and its column
+    block, and its temporaries stay in cache.  The radial term comes from the
+    pull: sum_j W'(t_ij) t_ij = <x_i, p_i>, so the drift is -(p_i - <x_i, p_i> x_i)/N.
     """
     count = positions.shape[0]
-    pull = np.zeros_like(positions)  # sum_j dw_ij x_j
-    radial = np.zeros(count)  # sum_j dw_ij t_ij
+    pull = np.zeros_like(positions)
     for i in range(0, count, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, count, _TILE):
             cols = slice(j, j + _TILE)
-            inner = positions[rows] @ positions[cols].T
-            dw = profile_derivative(spec, inner)
+            dw = profile_derivative(spec, positions[rows] @ positions[cols].T)
             if i == j:
                 np.fill_diagonal(dw, 0.0)  # no self force
-            weighted = dw * inner
             pull[rows] += dw @ positions[cols]
-            radial[rows] += weighted.sum(axis=1)
             if i != j:
                 pull[cols] += dw.T @ positions[rows]
-                radial[cols] += weighted.sum(axis=0)
-    return -(pull - radial[:, None] * positions) / count
+    return -_tangent_part(pull, positions) / count
+
+
+def _tangent_part(pull: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """pull - <x, pull> x row by row, in place: <x, pull> is the radial sum."""
+    pull -= np.einsum("...i,...i->...", x, pull)[..., None] * x
+    return pull
 
 
 def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) -> np.ndarray:
@@ -131,10 +134,8 @@ def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) ->
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > _NORM_TOL:
         raise ValueError("x must be a unit vector")
-    inner = ensemble.positions @ x
-    dw = profile_derivative(spec, inner)
-    force = -(dw @ ensemble.positions - np.dot(dw, inner) * x) / ensemble.size
-    return force - np.dot(force, x) * x  # re-project: kills residual round-off
+    dw = profile_derivative(spec, ensemble.positions @ x)
+    return -_tangent_part(dw @ ensemble.positions, x) / ensemble.size
 
 
 def step(ensemble: ParticleEnsemble, spec: KernelSpec, config: SimConfig) -> ParticleEnsemble:

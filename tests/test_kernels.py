@@ -266,10 +266,57 @@ class TestConvexityThreshold:
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+# One kernel per family for the shape and argument checks; the custom W' returns
+# its argument, so only a copy keeps the result apart from it.
+PROFILE_SPECS = [
+    _spec(4, "transformer", beta=1.5),
+    _spec(3, "onsager"),
+    _spec(3, "opinion", p=5.0),
+    _spec(3, "opinion", p=0.5),
+    _spec(3, "heat", epsilon=0.3),
+    _spec(5, "custom", profile=lambda t: 0.5 * t * t, profile_derivative=lambda t: t),
+]
+
+
 class TestProfiles:
     def test_onsager_derivative_clamped_at_poles(self):
         vals = profile_derivative(_spec(3, "onsager"), np.array([-1.0, 1.0]))
         assert np.all(np.isfinite(vals))
+
+    def test_onsager_derivative_closed_form(self):
+        spec = _spec(3, "onsager")
+        t = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 41)
+        assert np.allclose(profile_derivative(spec, t), -t / np.sqrt(1.0 - t * t), rtol=1e-14, atol=0.0)
+        edge = 1.0 - 1e-9  # the clamp
+        at_poles = profile_derivative(spec, np.array([-1.0, -1.5, 1.0, 1.5]))
+        assert np.allclose(at_poles, np.array([1, 1, -1, -1]) * edge / np.sqrt(1.0 - edge * edge), rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [5.0, 0.5])
+    def test_opinion_derivative_closed_form(self, p):
+        spec = _spec(3, "opinion", p=p)
+        t = np.linspace(-1.0 + 1e-6, 1.0, 41)
+        assert np.allclose(profile_derivative(spec, t), -p * (1.0 + t) ** (p - 1.0), rtol=1e-14, atol=0.0)
+        pole = profile_derivative(spec, np.array([-1.0]))[0]
+        if p < 1.0:  # W' = -p (1+t)^(p-1) is singular at t = -1: the clamp (1+t) >= 1e-9
+            assert math.isclose(pole, -p * 1e-9 ** (p - 1.0), rel_tol=1e-6)
+        else:
+            assert pole == 0.0
+
+    @pytest.mark.parametrize("spec", PROFILE_SPECS, ids=lambda s: f"{s.family}-{s.p}")
+    @pytest.mark.parametrize("shape", ["scalar", (), (7,), (3, 5)], ids=str)
+    def test_derivative_shape_and_argument_safety(self, spec, shape):
+        grid = np.random.default_rng(4).uniform(-0.95, 0.95, size=15)
+        if shape == "scalar":
+            t, flat = float(grid[0]), grid[:1]
+        else:
+            flat = grid[: int(np.prod(shape))]
+            t = flat.reshape(shape).copy()
+        before = np.array(t, copy=True)
+        got = profile_derivative(spec, t)
+        assert np.shape(got) == np.shape(t)
+        assert np.array_equal(t, before)  # the argument is never written
+        assert not np.shares_memory(got, t)
+        assert np.array_equal(np.ravel(got), profile_derivative(spec, flat))
 
     def test_transformer_profile_and_derivative(self):
         spec = _spec(3, "transformer", beta=2.0)

@@ -107,11 +107,21 @@ class TestKernelForce:
             kernel_force(TRANSFORMER3, np.array([2.0, 0.0, 0.0]), ens)
 
 
+def _drift_input(n, count):
+    """count uniform particles; "collisions" is 300 of them with a copy of particle 0
+    at 130 and its antipode at 260, across a tile boundary (t = +-1 hits W''s clamp)."""
+    if count == "collisions":
+        x = uniform_ensemble(n, 300, seed=300).positions
+        x[130], x[260] = x[0], -x[0]
+        return x
+    return uniform_ensemble(n, count, seed=count).positions
+
+
 class TestPairwiseDrift:
     @pytest.mark.parametrize("spec", DRIFT_SPECS, ids=lambda s: s.family)
-    @pytest.mark.parametrize("count", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("count", [1, 2, 127, 128, 129, 300, "collisions"])
     def test_matches_dense_oracle(self, spec, count):
-        x = uniform_ensemble(spec.n, count, seed=count).positions
+        x = _drift_input(spec.n, count)
         expected = dense_drift(spec, x)
         got = _pairwise_drift(spec, x)
         assert got.shape == x.shape
