@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import hyp0f1, poch
 
-from .harmonics import ZonalCoefficients, ZonalProfile, decompose, reconstruct
+from .harmonics import ZonalCoefficients, ZonalProfile, decompose
 from .specfun import gauss_jacobi_rule, zonal_table
 
 __all__ = [
@@ -76,6 +76,8 @@ class KernelSpec:
             raise ValueError(f"{self.family} kernel requires {name} > 0")
         if self.family == "custom" and self.profile is None:
             raise ValueError("custom kernel requires a profile")
+        if self.derivative_bound is not None and self.derivative_bound < 0:
+            raise ValueError(f"derivative_bound must be >= 0, got {self.derivative_bound}")
 
 
 def _finite_real(value) -> bool:
@@ -156,8 +158,7 @@ def profile_values(spec: KernelSpec, t) -> np.ndarray:
     if spec.family == "opinion":
         return -((1.0 + t) ** spec.p)
     if spec.family == "heat":
-        coeffs = _heat_series_coeffs(spec.n, spec.epsilon)
-        return reconstruct(ZonalCoefficients(n=spec.n, coeffs=coeffs), t)
+        return _heat_series(spec, t, 0)
     return np.asarray(spec.profile(t), dtype=float)
 
 
@@ -200,7 +201,7 @@ def profile_derivative(spec: KernelSpec, t) -> np.ndarray:
 
 
 def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
-    """The order-th derivative of the heat-kernel series, differentiated term by term.
+    """The heat-kernel series (order 0) or its order-th derivative, taken term by term.
 
     d/dt Y_k^(n) = sqrt(n k (k+n-2) / (n-1)) Y_{k-1}^(n+2), so each derivative
     is a series in the zonal harmonics of the sphere two dimensions up.

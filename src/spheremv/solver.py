@@ -4,11 +4,11 @@ The iteration is damped Picard: rho <- (1 - tau) rho + tau G(rho) with
 G(rho) = exp(-gamma W*rho) / Z.  G is evaluated through one precomputed
 convolution matrix per (kernel, rule) pair, so a single solve is a loop of
 small dense mat-vecs.  A block of densities, one gamma per column, takes
-one mat-mat per step in `_damped_picard`, and each column leaves the block
-at the step it would stop alone in `_picard_alone`, the engine of a lone
-solve: a transition scan solves the seeds of up to 16 gammas of its grid as
-one block, and then each round of bisection midpoints; it scores each gamma
-once its seeds have all left and ends the block at the first winner.
+one mat-mat per step in `_damped_picard`, a generator that yields as columns
+leave the block, each at the step it would stop alone in `_picard_alone`,
+the engine of a lone solve: a transition scan steps the seeds of up to 16
+gammas of its grid as one block, and then each round of bisection midpoints;
+it scores each gamma once its seeds have all left and stops at the first winner.
 Below gamma_# a density also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
@@ -25,7 +25,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -272,31 +272,24 @@ def _picard_alone(
     return values, res, step
 
 
-def _damped_picard(
-    op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig,
-    _until: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], bool]] = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Picard steps column-wise on a block of densities (M, S).
+def _damped_picard(op: GibbsOperator, gamma, values: np.ndarray, config: SolverConfig):
+    """Damped Picard steps column-wise on a block of densities (M, S), as a generator.
 
-    Returns (last iterates, residual norms (S,), steps).  gamma is a float or
-    one value per column, and each column leaves the block at the step where
-    it would stop alone (`_picard_alone`): its residual is at most tol or
-    non-finite, its moments lie in the ball ||P_S rho|| <= r(gamma) of
-    `GibbsOperator.basin_radius`, which proves that it relaxes to uniform, or
-    it has taken max_iters steps; the block's count is that of its slowest
-    column.  A column still above tol but inside the ball is replaced, as it
-    leaves, by its limit, the uniform density 1, with the residual
-    ||1 - G(1)||.  After each step at which columns leave a block,
-    `_until(iterates, residuals, stopped)` sees the final iterates and
-    residuals of the columns that `stopped` (S,) marks; when it returns true
-    the block ends there, and each column still in it comes back as its
-    current iterate and residual, which is its lone solve with max_iters set
-    to the block's steps; `_until` runs under the caller's floating-point
-    error state.  The residual rho - G(rho) that a step measures also drives
-    the next step, rho <- rho - tau (rho - G(rho)), so i steps evaluate G at
-    i + 1 iterates.
+    gamma is a float or one value per column, and each column leaves the block
+    at the step where it would stop alone (`_picard_alone`): its residual is
+    at most tol or non-finite, its moments lie in the ball ||P_S rho|| <= r(gamma)
+    of `GibbsOperator.basin_radius`, which proves that it relaxes to uniform,
+    or it has taken max_iters steps.  A column still above tol but inside the
+    ball is replaced, as it leaves, by its limit, the uniform density 1, with
+    the residual ||1 - G(1)||.  After each step at which columns leave, it
+    yields (iterates (M, S), residuals (S,), stopped (S,), steps): the
+    columns that `stopped` marks hold their final iterate and residual, and
+    later steps write only the others.  The last yield has every column
+    stopped, at the step count of the slowest.  The residual rho - G(rho)
+    that a step measures also drives the next step,
+    rho <- rho - tau (rho - G(rho)), so i steps evaluate G at i + 1 iterates.
     """
-    tau, tol, caller = config.tau, config.tol, np.geterr()
+    tau, tol = config.tau, config.tol
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), values.shape[1:])
     distinct, which = np.unique(gammas, return_inverse=True)
     bounds = np.array([op.basin_bound(g, tau) for g in distinct])[which]
@@ -304,38 +297,36 @@ def _damped_picard(
     uniform = functools.cache(op.uniform_residual)  # once per gamma that certifies a column
     out, last = np.empty_like(values), np.empty(len(gammas))
     stopped = np.zeros(len(gammas), dtype=bool)
-    live, step = np.arange(len(gammas)), 0
-    # an overflow shows up as a non-finite residual, which stops the column
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = values - op.gibbs(gammas, values)
-        res = op.norm(delta)
-        while True:
-            stepping = (res > tol) & (res < math.inf)
-            if check:  # inside: above tol, finite and in the ball, so certified
-                inside = stepping & (op.moments_sq(values) <= bounds)
-                stepping &= ~inside
-            if step == config.max_iters:
-                stepping[:] = False
-            if not stepping.all():  # the stopped columns leave the block
-                stop = live[~stepping]
-                out[:, stop], last[stop], stopped[stop] = values[:, ~stepping], res[~stepping], True
-                if check and inside.any():  # the proven limit replaces the iterate
-                    out[:, live[inside]] = 1.0
-                    last[live[inside]] = [uniform(float(g)) for g in gammas[inside]]
-                    op.certified += int(np.count_nonzero(inside))
-                # `_until` also sees the step where the last columns leave
-                with np.errstate(**caller):
-                    ended = _until is not None and _until(out, last, stopped)
-                if ended or not stepping.any():
-                    out[:, live[stepping]], last[live[stepping]] = values[:, stepping], res[stepping]
+    live, step, delta = np.arange(len(gammas)), 0, np.zeros_like(values)
+    while True:
+        # an overflow shows up as a non-finite residual, which stops the column;
+        # the caller's error state is back at each yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                values = values - tau * delta  # the first delta is 0: G at the start
+                delta = values - op.gibbs(gammas, values)
+                res = op.norm(delta)
+                stepping = (res > tol) & (res < math.inf)
+                if check:  # inside: above tol, finite and in the ball, so certified
+                    inside = stepping & (op.moments_sq(values) <= bounds)
+                    stepping &= ~inside
+                if step == config.max_iters:
+                    stepping[:] = False
+                if not stepping.all():
                     break
-                live, values, delta = live[stepping], values[:, stepping], delta[:, stepping]
-                gammas, bounds = gammas[stepping], bounds[stepping]
-            step += 1
-            values = values - tau * delta
-            delta = values - op.gibbs(gammas, values)
-            res = op.norm(delta)
-    return out, last, step
+                step += 1
+            stop = live[~stepping]  # the stopped columns leave the block
+            out[:, stop], last[stop], stopped[stop] = values[:, ~stepping], res[~stepping], True
+            if check and inside.any():  # the proven limit replaces the iterate
+                out[:, live[inside]] = 1.0
+                last[live[inside]] = [uniform(float(g)) for g in gammas[inside]]
+                op.certified += int(np.count_nonzero(inside))
+        yield out, last, stopped, step
+        if not stepping.any():
+            return
+        live, values, delta = live[stepping], values[:, stepping], delta[:, stepping]
+        gammas, bounds = gammas[stepping], bounds[stepping]
+        step += 1
 
 
 # A lone solve that no basin ball can certify hands its Picard iterate to
@@ -655,7 +646,7 @@ def find_transition(
     seeds of up to 16 gammas are solved as one Picard block, each seed
     leaving it at the step it would stop alone.  In grid order, each gamma is
     scored by its moments in one `free_energy_gap` call at the step where its
-    last seed leaves, and the block ends at the first gamma where a candidate
+    last seed leaves, and stepping stops at the first gamma where a candidate
     beats uniform; the seeds of the gammas above it are dropped unscored.
     Bisection then narrows the bracket in rounds: the midpoints of four
     levels of halving (lo, hi), where a piece is still wider than the
@@ -721,7 +712,7 @@ def find_transition(
         tally["columns"] += res.size
         tally["within_tol"] += settled.size
         block = values[:, settled]
-        # `_damped_picard` returns a certified column as exactly 1
+        # `_damped_picard` yields a certified column as exactly 1
         tally["certified"] += int(np.count_nonzero(np.all(block == 1.0, axis=0)))
         gaps = np.empty(0)
         if settled.size:
@@ -744,24 +735,19 @@ def find_transition(
         in order: (index, witness) of the first where a candidate beats uniform."""
         width = seeds.shape[1]
         for start in range(0, len(gammas), _GROUP_WIDTH):
-            chunk, scored, won = gammas[start : start + _GROUP_WIDTH], 0, None
-
-            def until_won(values: np.ndarray, res: np.ndarray, stopped: np.ndarray) -> bool:
+            chunk, scored = gammas[start : start + _GROUP_WIDTH], 0
+            block = _damped_picard(op, np.repeat(chunk, width), np.tile(seeds, len(chunk)), config)
+            for values, res, stopped, _ in block:
                 # score each gamma once all its seeds have stopped; the block ends at a winner
-                nonlocal scored, won
-                while won is None and scored < len(chunk):
+                while scored < len(chunk):
                     columns = slice(scored * width, (scored + 1) * width)
                     if not stopped[columns].all():
                         break
                     gap, witness = score(chunk[scored], values[:, columns], res[columns])
-                    won = (start + scored, witness) if gap < -_GAP_TOL else None
                     scored += 1
-                return won is not None
-
-            _damped_picard(op, np.repeat(chunk, width), np.tile(seeds, len(chunk)), config, until_won)
-            if won is not None:
-                tally["unscored"] += (len(chunk) - scored) * width
-                return won
+                    if gap < -_GAP_TOL:
+                        tally["unscored"] += (len(chunk) - scored) * width
+                        return start + scored - 1, witness
         return None
 
     def report(**fields) -> TransitionReport:

@@ -99,14 +99,12 @@ def gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
-    if order > 1:
+    if order > 1:  # eigh_tridiagonal returns the eigenvalues, the nodes, in ascending order
         nodes, vecs = eigh_tridiagonal(np.zeros(order), _recurrence_coefficients(n, order - 1))
         weights = vecs[0] ** 2
         weights /= math.fsum(weights)  # the eigenvectors have unit norm only up to round-off
     else:
         nodes, weights = np.zeros(1), np.ones(1)
-    order_idx = np.argsort(nodes)
-    nodes, weights = nodes[order_idx], weights[order_idx]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(n=n, order=order, nodes=nodes, weights=weights)

@@ -436,6 +436,14 @@ class TestErrors:
         error = json.loads(err)
         assert error["error"] == "config" and "spans" in error["message"]
 
+    def test_negative_derivative_bound_is_config_error(self, capsys):
+        kernel = json.dumps(
+            {"n": 3, "family": "custom", "profile": [[-1, 1], [0, 0], [1, 1]], "derivative_bound": -2.0}
+        )
+        code, out, err = _run(capsys, ["decompose", "--kernel", kernel, "--K", "3"])
+        assert code == EXIT_CONFIG and out == ""
+        assert "derivative_bound" in json.loads(err)["message"]
+
     def test_malformed_inline_kernel_reports_the_json_error(self, capsys):
         code, _, err = _run(capsys, ["decompose", "--kernel", '{"n": 3,', "--K", "4"])
         message = json.loads(err)["message"]

@@ -40,6 +40,8 @@ class TestKernelSpec:
             _spec(2, "onsager")
         with pytest.raises(ValueError):
             _spec(3, "nonsense")
+        with pytest.raises(ValueError, match="derivative_bound must be >= 0"):
+            _spec(3, "custom", profile=lambda t: t**2, derivative_bound=-2.0)
 
     def test_json_parsing(self):
         spec = kernel_spec_from_json('{"n": 4, "family": "transformer", "beta": 2.0}')
@@ -312,11 +314,12 @@ class TestProfiles:
             flat = grid[: int(np.prod(shape))]
             t = flat.reshape(shape).copy()
         before = np.array(t, copy=True)
-        got = profile_derivative(spec, t)
-        assert np.shape(got) == np.shape(t)
-        assert np.array_equal(t, before)  # the argument is never written
-        assert not np.shares_memory(got, t)
-        assert np.array_equal(np.ravel(got), profile_derivative(spec, flat))
+        for evaluate in (profile_values, profile_derivative):
+            got = evaluate(spec, t)
+            assert np.shape(got) == np.shape(t)
+            assert np.array_equal(t, before)  # the argument is never written
+            assert not np.shares_memory(got, t)
+            assert np.array_equal(np.ravel(got), evaluate(spec, flat))
 
     def test_transformer_profile_and_derivative(self):
         spec = _spec(3, "transformer", beta=2.0)

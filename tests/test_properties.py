@@ -31,7 +31,7 @@ from spheremv.solver import (
 from spheremv import solver
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import DRIFT_SPECS, assert_columns_solve_alone, outer_rule
+from helpers import DRIFT_SPECS, assert_columns_solve_alone, block_solve, outer_rule
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -170,7 +170,7 @@ def test_block_solve_equals_its_columns(dims, gamma, tau, max_iters, S, seed):
     # to uniform, and the block stops with its slowest column.
     config = SolverConfig(tau=tau, tol=1e-300, max_iters=max_iters, K=K, M=M)
     block = np.column_stack([d.values for d in seeds])
-    result = _damped_picard(op, gamma, block, config)
+    result = block_solve(op, gamma, block, config)
     alone = assert_columns_solve_alone(op, kernel, gamma, block, config, result)
     assert result[2] == max(steps for _, _, steps in alone) <= max_iters
     assert all(steps == max_iters or np.all(lone == 1.0) for lone, _, steps in alone)
@@ -194,7 +194,7 @@ def test_each_column_of_a_block_stops_as_if_alone(dims, gamma, tau, max_iters, t
     op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
     config = SolverConfig(tau=tau, tol=tol, max_iters=max_iters, K=K, M=M)
     block = np.column_stack([_random_setup(n, K, M, seed + j + 1)[1].values for j in range(S)])
-    result = _damped_picard(op, gamma, block, config)
+    result = block_solve(op, gamma, block, config)
     alone = assert_columns_solve_alone(op, kernel, gamma, block, config, result)
     assert result[2] == max(steps for _, _, steps in alone) <= max_iters
 
@@ -223,7 +223,7 @@ def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
         [_random_setup(n, K, M, seed + j + 1)[1].values for j in range(len(gammas))]
     )
     block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
-    result = _damped_picard(op, gammas, block, config)
+    result = block_solve(op, gammas, block, config)
     alone = assert_columns_solve_alone(op, kernel, gammas, block, config, result)
     assert result[2] == max(steps for _, _, steps in alone) <= max_iters
 
@@ -235,17 +235,13 @@ def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
     st.floats(0.1, 0.5),
     st.integers(1, 30),
     st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
-    st.sampled_from(["column", "count", "never"]),
     st.data(),
     st.integers(0, 2**32 - 1),
 )
-def test_a_block_ends_at_the_first_step_its_predicate_holds(
-    dims, runs, tau, max_iters, tol, predicate, data, seed
-):
-    # The predicate "column j has stopped" or "at least k columns have stopped" sees
-    # the stopped columns after each step at which some leave, as they will be
-    # returned; the block ends at the first step where it holds, and each column is
-    # its lone solve capped at that step.  One that never holds changes nothing.
+def test_each_yield_holds_the_columns_stopped_by_then(dims, runs, tau, max_iters, tol, data, seed):
+    # The block yields after each step at which columns leave it: the marked columns
+    # are their lone solves, the marks grow in the order of the lone stops, and the
+    # last yield has every column stopped, at the slowest column's step count.
     n, K, M = dims
     kernel, _ = _random_setup(n, K, M, seed)
     op = GibbsOperator(kernel, gauss_jacobi_rule(n, M), K)
@@ -256,35 +252,16 @@ def test_a_block_ends_at_the_first_step_its_predicate_holds(
     )
     if data.draw(st.booleans()):
         block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
-    target = data.draw(st.integers(0, len(gammas) - 1))
-    holds = {
-        "column": lambda stopped: bool(stopped[target]),
-        "count": lambda stopped: np.count_nonzero(stopped) > target,
-        "never": lambda stopped: False,
-    }[predicate]
-    seen = []
-
-    def until(values, res, stopped):
-        seen.append((stopped.copy(), values[:, stopped].copy(), res[stopped].copy()))
-        return holds(stopped)
-
-    result = _damped_picard(op, gammas, block, config, until)
-    # each column's own stop, from its lone solve, orders the calls
-    full = [_picard_alone(op, g, column, config) for g, column in zip(gammas, block.T)]
-    stops = np.array([steps for _, _, steps in full])
-    leaves = np.unique(stops)  # the steps at which columns leave an unended block
-    calls = [stops <= step for step in leaves]
-    ends = next((i for i, stopped in enumerate(calls) if holds(stopped)), len(calls) - 1)
-    assert result[2] == leaves[ends]
-    assert [stopped.tolist() for stopped, _, _ in seen] == [c.tolist() for c in calls[: ends + 1]]
-    for (stopped, values, res), step in zip(seen, leaves):
-        seen_result = (values, res, step)
-        assert_columns_solve_alone(op, kernel, gammas[stopped], block[:, stopped], config, seen_result)
-    assert_columns_solve_alone(op, kernel, gammas, block, config, result, cap=result[2])
-    if predicate == "never":
-        plain = _damped_picard(op, gammas, block, config)
-        assert result[2] == plain[2]
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(result[:2], plain[:2]))
+    seen = [
+        (stopped.copy(), values[:, stopped].copy(), res[stopped].copy(), steps)
+        for values, res, stopped, steps in _damped_picard(op, gammas, block, config)
+    ]
+    stops = np.array([_picard_alone(op, g, column, config)[2] for g, column in zip(gammas, block.T)])
+    assert [steps for *_, steps in seen] == np.unique(stops).tolist()
+    for stopped, values, res, steps in seen:
+        assert stopped.tolist() == (stops <= steps).tolist()
+        assert_columns_solve_alone(op, kernel, gammas[stopped], block[:, stopped], config, (values, res, steps))
+    assert seen[-1][0].all() and seen[-1][3] == stops.max() <= max_iters
 
 
 @settings(max_examples=40, deadline=None)

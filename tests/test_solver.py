@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import warnings
@@ -33,7 +34,7 @@ from spheremv.solver import (
 )
 from spheremv.specfun import gauss_jacobi_rule
 
-from helpers import assert_columns_solve_alone, outer_rule
+from helpers import assert_columns_solve_alone, block_solve, outer_rule
 
 FAST = SolverConfig(K=32, M=48, max_iters=5000)
 RULE3 = gauss_jacobi_rule(3, FAST.M)
@@ -144,18 +145,31 @@ class TestGibbsFixedPoint:
         single = gibbs_fixed_point(ONSAGER3, gamma, good, FAST)
         block = np.column_stack((good.values, np.full(RULE3.order, np.nan)))
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        values, res, iters = _damped_picard(op, gamma, block, FAST)
+        values, res, iters = block_solve(op, gamma, block, FAST)
         assert single.converged and iters == single.iterations < FAST.max_iters
         assert res[0] <= FAST.tol and math.isnan(res[1])
         assert np.allclose(values[:, 0], single.density.values, rtol=1e-9)
 
-    def test_predicate_keeps_the_callers_warnings(self):
-        # the block ignores its own overflow, not one raised by the predicate it calls
+    def test_yields_keep_the_callers_warnings(self):
+        # the block ignores its own overflow, not one in the caller's loop body, and
+        # the caller's error state holds at each yield and once the block is abandoned
         good = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
         block = np.column_stack((good.values, np.full(RULE3.order, np.nan)))
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        gamma = 1.2 * GAMMA_SHARP_ONSAGER
         with pytest.warns(RuntimeWarning, match="overflow"):
-            _damped_picard(op, 1.2 * GAMMA_SHARP_ONSAGER, block, FAST, lambda *_: bool(np.exp(1e3)))
+            for _ in _damped_picard(op, gamma, block, FAST):
+                np.exp(1e3)
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            count = sum(1 for _ in _damped_picard(op, gamma, block, FAST))
+            assert count == 2  # the NaN column leaves at step 0, the other one later
+            for k in range(1, count + 1):
+                solve = _damped_picard(op, gamma, block, FAST)
+                for _ in itertools.islice(solve, k):
+                    assert np.geterr() == caller
+                solve.close()
+                assert np.geterr() == caller
 
     def test_fixed_point_lowers_free_energy(self):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
@@ -397,7 +411,7 @@ class TestBasinCertificate:
         assert op.basin_radius(gamma, config.tau) > 0.0
         good = _kicked_uniform(3, rule, 2, 0.3, K).values
         block = np.column_stack((good, np.full(rule.order, np.nan)))
-        values, res, _ = _damped_picard(op, gamma, block, config)
+        values, res, _ = block_solve(op, gamma, block, config)
         assert np.all(values[:, 0] == 1.0) and res[0] <= config.tol
         assert math.isnan(res[1]) and np.all(np.isnan(values[:, 1]))
         assert op.certified == 1
@@ -677,15 +691,16 @@ class TestFindTransition:
                 shapes.append(values.shape)
                 return evaluate(op, gamma, values)
 
-            def damped_picard(op, gamma, values, config, until=None):
-                before = len(scored)
-                result = solve(op, gamma, values, config, until)
-                blocks.append((gamma, values, result, scored[before:]))
-                return result
+            def damped_picard(op, gamma, values, config):
+                blocks.append({"gammas": gamma, "seeds": values, "scored": []})
+                for state in solve(op, gamma, values, config):
+                    blocks[-1]["last"] = state  # the last yield the scan reads
+                    yield state
 
             def free_energy_gap(kernel, basis, gamma, values):
                 if values.ndim == 2:  # the seeds' call; the competitor's takes one density
                     scored.append(gamma)
+                    blocks[-1]["scored"].append(gamma)
                 return gap(kernel, basis, gamma, values)
 
             with monkeypatch.context() as patch:
@@ -706,7 +721,7 @@ class TestFindTransition:
 
         assert {shape[0] for shape in shapes} == {FAST.M}
         assert shapes[0][1] == 16 * min(16, len(grid))  # the first block holds the grid
-        rounds = [list(dict.fromkeys(gamma.tolist())) for gamma, _, _, _ in blocks]
+        rounds = [list(dict.fromkeys(block["gammas"].tolist())) for block in blocks]
         assert rounds.pop(0) == list(grid)
         # the first round's bracket is the grid interval around its midpoints; each
         # round scores its midpoints in order up to the first winner, the new hi
@@ -730,14 +745,17 @@ class TestFindTransition:
             assert midpoints[: len(walked)] == walked
             del midpoints[: len(walked)]
         assert not midpoints
-        # every column of a block is its lone solve, stopped at its own step or at the
-        # block's end; a block ends once its gammas up to the first winner (all of them
-        # when none wins) have stopped and are scored
+        # every column that has left a block is its lone solve; the scan leaves a block
+        # once its gammas up to the first winner (all of them when none wins) have
+        # stopped and are scored
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        for gammas, seeds, result, block_scored in blocks:
-            alone = assert_columns_solve_alone(op, ONSAGER3, gammas, seeds, FAST, result, cap=result[2])
-            last = max(block_scored)
-            assert result[2] == max(steps for g, (_, _, steps) in zip(gammas, alone) if g <= last)
+        for block in blocks:
+            values, res, stopped, steps = block["last"]
+            gammas, seeds, last = block["gammas"], block["seeds"], max(block["scored"])
+            left = (values[:, stopped], res[stopped], steps)
+            alone = assert_columns_solve_alone(op, ONSAGER3, gammas[stopped], seeds[:, stopped], FAST, left)
+            assert stopped[gammas <= last].all()
+            assert steps == max(n for g, (_, _, n) in zip(gammas[stopped], alone) if g <= last)
 
     def test_round_ends_at_its_lowest_winner(self, monkeypatch):
         # The gap need not change sign once along a round: among the midpoints
@@ -823,9 +841,9 @@ class TestFindTransition:
             evaluated.append(values.shape[1])
             return evaluate(op, gamma, values)
 
-        def damped_picard(op, gamma, values, config, until=None):
+        def damped_picard(op, gamma, values, config):
             entering.append(values.shape[1])
-            return solve(op, gamma, values, config, until)
+            return solve(op, gamma, values, config)
 
         monkeypatch.setattr(GibbsOperator, "gibbs", gibbs)
         monkeypatch.setattr(solver, "_damped_picard", damped_picard)
