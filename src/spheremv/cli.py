@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache  # built at the first `main` call, then reused; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spheremv",

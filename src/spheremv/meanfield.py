@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-10
+# |u_hat_l| at or below this is round-off of the uniform state: 100x below the 10 * tol
+# at which trace_branch calls a state non-uniform
+_UNIFORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,18 @@ class ZonalDensity:
         return u_hat
 
     def dominant_mode(self) -> tuple[int, float]:
-        """(degree, amplitude) of the largest |u_hat_l| among l >= 1; (0, 0.0) when K = 0."""
-        u_hat = self.perturbation_coefficients()
-        if u_hat.size == 1:
+        """(degree, amplitude) of the largest |u_hat_l| among l >= 1.
+
+        (0, 0.0) when K = 0 or every |u_hat_l| is at most _UNIFORM_FLOOR, so the uniform
+        state names no mode picked from its round-off.  At large n the Golub-Welsch
+        weights can lift a uniform state's round-off above the floor; it then reports a
+        mode as any other state does.
+        """
+        u_hat = self.perturbation_coefficients()[1:]
+        if not u_hat.size or np.abs(u_hat).max() <= _UNIFORM_FLOOR:
             return 0, 0.0
-        l = int(np.argmax(np.abs(u_hat[1:]))) + 1
-        return l, float(u_hat[l])
+        l = int(np.argmax(np.abs(u_hat)))
+        return l + 1, float(u_hat[l])
 
 
 def make_density(n: int, rule: QuadratureRule, values: np.ndarray, K: int) -> ZonalDensity:

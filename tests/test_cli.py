@@ -12,7 +12,8 @@ from scipy.special import iv
 import spheremv
 from spheremv import cli, solver
 from spheremv.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from spheremv.meanfield import free_energy
+from spheremv.kernels import KernelSpec, coefficients
+from spheremv.meanfield import free_energy, gamma_sharp
 
 ONSAGER = '{"n": 3, "family": "onsager"}'
 TRANSFORMER = '{"n": 4, "family": "transformer", "beta": 1.0}'
@@ -20,6 +21,13 @@ TRANSFORMER = '{"n": 4, "family": "transformer", "beta": 1.0}'
 CONSTANT = '{"n": 3, "family": "custom", "profile": [[-1, -1], [0, -1], [1, -1]]}'
 # W(t) = -0.5 - 1.5 t: W_hat_1 = -1/2 alone is negative, and equals W_hat_0
 LINEAR = '{"n": 3, "family": "custom", "profile": [[-1, 1.0], [0, -0.5], [1, -2.0]]}'
+# the canonical kernels of the benchmark's CLI rounds
+CANONICAL = {
+    "onsager": {"n": 3, "family": "onsager"},
+    "transformer": {"n": 4, "family": "transformer", "beta": 1.0},
+    "opinion": {"n": 3, "family": "opinion", "p": 5.0},
+    "heat": {"n": 3, "family": "heat", "epsilon": 0.3},
+}
 STABLE = json.dumps(
     {
         "n": 3,
@@ -189,6 +197,26 @@ class TestSolve:
         row = json.loads(out)["rows"][0]
         assert (row["mode"], row["amplitude"]) == (0, 0.0)
 
+    @pytest.mark.parametrize("seed_mode", ["0", "2"])
+    @pytest.mark.parametrize("spec", sorted(CANONICAL))
+    def test_uniform_state_reports_mode_zero(self, capsys, spec, seed_mode):
+        # below the fold both seeds settle on the uniform state, whose |u_hat_l| are round-off
+        gamma = 0.5 * gamma_sharp(coefficients(KernelSpec(**CANONICAL[spec]), 48)).gamma
+        argv = ["solve", "--kernel", json.dumps(CANONICAL[spec]), "--gamma", repr(gamma),
+                "--mode", seed_mode, "--format", "json"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["mode"], row["amplitude"]) == (0, 0.0)
+
+    def test_nonuniform_state_keeps_its_mode(self, capsys):
+        code, out, _ = _run(capsys, ["solve", "--kernel", ONSAGER, "--gamma", "12", "--mode", "2"])
+        assert code == 0
+        _, columns, rows = _csv_table(out)
+        row = dict(zip(columns, rows[0]))
+        assert row["mode"] == 2
+        assert row["amplitude"] == pytest.approx(1.9131924762936925, rel=1e-9)
+
 
 class TestBranch:
     def test_one_free_energy_per_point(self, capsys, monkeypatch):
@@ -274,6 +302,41 @@ class TestSimulate:
         code, out, err = _run(capsys, argv)
         assert code == 0 and err == ""
         assert out.strip().splitlines()[1] == "step,moment_1,moment_2"
+
+
+class TestCachedParser:
+    """`main` reuses one parser per process; no call may see another call's flags."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_solve_mode_falls_back_to_its_default(self, capsys):
+        argv = ["solve", "--kernel", ONSAGER, "--K", "8", "--gamma", "5"]
+        assert _run(capsys, argv + ["--mode", "2"])[0] == 0
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert _csv_table(out)[0]["mode"] == 0
+
+    def test_simulate_steps_fall_back_to_their_default(self, capsys):
+        argv = ["simulate", "--kernel", ONSAGER, "--particles", "4", "--gamma", "2.0"]
+        assert _run(capsys, argv + ["--steps", "7"])[0] == 0
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert _csv_table(out)[0]["steps"] == 1000
+
+    def test_unknown_flag_leaves_the_next_call_intact(self, capsys):
+        argv = ["decompose", "--kernel", ONSAGER, "--K", "6"]
+        first = _run(capsys, argv)
+        assert first[0] == 0
+        code, out, err = _run(capsys, argv + ["--no-such-flag"])
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("usage: spheremv")
+        assert _run(capsys, argv) == first
+
+    def test_help_twice(self, capsys):
+        code, out, _ = _run(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: spheremv")
+        assert _run(capsys, ["--help"]) == (0, out, "")
 
 
 class TestErrors:

@@ -1,5 +1,5 @@
-"""The package's import surface: every module's star import, the package itself, and
-which scipy modules an import loads."""
+"""The package's import surface: every module's star import, the package itself,
+which scipy modules an import loads, and the CLI run as a fresh process."""
 
 import importlib
 import json
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spheremv
+import spheremv.cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(spheremv.__path__))
 
@@ -40,24 +41,41 @@ SRC = Path(spheremv.__file__).resolve().parent.parent
 DEFERRED = ("scipy.interpolate", "scipy.optimize")
 
 
-def _deferred_modules_after(code):
-    """The DEFERRED modules loaded after running code in a fresh interpreter (this
-    process may hold them already)."""
-    loaded = f"[m for m in sys.modules if m.startswith({DEFERRED})]"
-    script = "\n".join(["import json, sys", code, f"print(json.dumps({loaded}))"])
+def _fresh_python(*args):
+    """Run a fresh interpreter on src/ with args; its completed process, exit code 0."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    return json.loads(proc.stdout)
+
+
+def _deferred_modules_after(code):
+    """The DEFERRED modules loaded after running code in a fresh interpreter (this
+    process may hold them already)."""
+    loaded = f"[m for m in sys.modules if m.startswith({DEFERRED})]"
+    script = "\n".join(["import json, sys", code, f"print(json.dumps({loaded}))"])
+    return json.loads(_fresh_python("-c", script).stdout)
 
 
 def test_import_loads_no_interpolator():
     assert _deferred_modules_after("import spheremv, spheremv.cli") == []
+
+
+def test_import_builds_no_parser():
+    # the parser is built at the first `main` call, so an import pays nothing for it
+    script = "import spheremv.cli; print(spheremv.cli._build_parser.cache_info().misses)"
+    assert _fresh_python("-c", script).stdout == "0\n"
+
+
+def test_fresh_process_prints_what_main_prints(capsys):
+    argv = ["decompose", "--kernel", '{"n": 3, "family": "onsager"}', "--K", "8"]
+    assert spheremv.cli.main(argv) == 0
+    in_process = capsys.readouterr().out
+    assert _fresh_python("-m", "spheremv.cli", *argv).stdout == in_process
 
 
 def test_reading_a_table_loads_the_interpolator():
