@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .harmonics import y_l0
 from .kernels import KernelSpec, profile_derivative
+from .specfun import zonal_table
 
 __all__ = [
     "MomentSummary",
@@ -180,14 +180,17 @@ def empirical_moments(
     axis = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > _NORM_TOL:
         raise ValueError("axis must be a unit vector")
+    degrees = tuple(int(l) for l in degrees)
+    if min(degrees, default=0) < 0:
+        raise ValueError(f"degrees must be >= 0, got {degrees}")
     t = np.clip(ensemble.positions @ axis, -1.0, 1.0)
+    table = zonal_table(max(degrees, default=0), ensemble.n, t)  # row l is y_l0(l, n, t)
     means, errs = [], []
     for l in degrees:
-        vals = y_l0(l, ensemble.n, t)
-        means.append(float(np.mean(vals)))
-        errs.append(float(np.std(vals, ddof=1) / math.sqrt(ensemble.size)))
+        means.append(float(np.mean(table[l])))
+        errs.append(float(np.std(table[l], ddof=1) / math.sqrt(ensemble.size)))
     return MomentSummary(
-        degrees=tuple(int(l) for l in degrees),
+        degrees=degrees,
         means=np.array(means),
         standard_errors=np.array(errs),
     )

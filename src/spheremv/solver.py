@@ -13,7 +13,9 @@ Below gamma_# a density also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
-moments a = P_S rho (`_newton`).
+moments a = P_S rho (`_newton`); there a branch walk predicts each later point
+along the tangent da/dgamma (`GibbsOperator.moment_tangent`) and corrects it
+with `_newton` alone.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -138,10 +140,25 @@ class GibbsOperator:
 
     def moment_jacobian(self, gamma: float, image: np.ndarray) -> np.ndarray:
         """dF/da = I + gamma Cov_p(Y_S) diag(W_hat_S) of F(a) = a - P_S G(a), at p = G(a) = image."""
+        _, cov_w = self._covariance(image)
+        return np.eye(len(cov_w)) + gamma * cov_w
+
+    def moment_tangent(self, gamma: float, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, da/dgamma) along the fixed points F(a, gamma) = 0 at p = image, a fixed point.
+
+        With a = P_S p = E_p Y_S and C = Cov_p(Y_S), da/dgamma = -(dF/da)^(-1) dF/dgamma
+        with dF/da = I + gamma C diag(W_hat_S) and dF/dgamma = C (W_hat_S a), both from
+        the one covariance.  Raises np.linalg.LinAlgError when dF/da is singular.
+        """
+        mean, cov_w = self._covariance(image)
+        jac = np.eye(len(mean)) + gamma * cov_w
+        return mean, -np.linalg.solve(jac, cov_w @ mean)
+
+    def _covariance(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E_p Y_S and Cov_p(Y_S) diag(W_hat_S) at the density p = image."""
         proj, scaled = self._basin[:2]
-        mean = proj @ image  # E_p Y_S
-        cov_w = (proj * image) @ scaled.T - np.outer(mean, self._w_support * mean)
-        return np.eye(len(mean)) + gamma * cov_w
+        mean = proj @ image
+        return mean, (proj * image) @ scaled.T - np.outer(mean, self._w_support * mean)
 
     def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
@@ -482,6 +499,23 @@ def _seeded_density(
     return make_density(n, rule, values, K)
 
 
+def _predicted_root(
+    op: GibbsOperator, previous: BranchPoint, gamma: float, config: SolverConfig
+) -> tuple[Optional[tuple[np.ndarray, float]], int]:
+    """`_newton` at gamma from G(a + (gamma - gamma_0) da/dgamma), where (a, da/dgamma) is
+    `GibbsOperator.moment_tangent` at the previous point's state; (None, 0) when the
+    tangent solve is singular or the prediction is not finite."""
+    try:
+        a, tangent = op.moment_tangent(previous.gamma, previous.density.values)
+    except np.linalg.LinAlgError:
+        return None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = op.moment_image(gamma, a + (gamma - previous.gamma) * tangent)
+    if not np.all(np.isfinite(start)):
+        return None, 0
+    return _newton(op, gamma, start, config)
+
+
 def trace_branch(
     kernel: ZonalCoefficients,
     mode: int,
@@ -492,9 +526,15 @@ def trace_branch(
 
     The first point is seeded from the uniform state kicked by the mode's
     eigenvector (both signs are tried; the smaller-amplitude non-uniform
-    state is kept as the branch).  Every later point starts from the
-    previous point's state.  Returns the traced points and a diagnostic
-    string ('' when the whole grid was covered).
+    state is kept as the branch).  Where a lone solve would hand off to
+    Newton (no basin ball at gamma and _HANDOFF above tol), every later point
+    is predicted along the moment-space tangent at the previous state and
+    corrected by `_newton`, with no Picard step, so its `iterations` is 0.
+    When the tangent is singular, the prediction is not finite, the guard
+    rejects the root or the root is uniform, and everywhere else, the point
+    is the `gibbs_fixed_point` solve started from the previous state.
+    Returns the traced points and a diagnostic string ('' when the whole
+    grid was covered).
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
@@ -503,15 +543,31 @@ def trace_branch(
     op = GibbsOperator(kernel, rule, config.K)
     seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
-    diagnostic, picard, newton = "", 0, 0
-    for gamma in gamma_grid:
+    diagnostic, picard, newton, accepted, rejected = "", 0, 0, 0, 0
+
+    def non_uniform(results: list[SolveResult]) -> list[tuple[float, int, float, SolveResult]]:
         found = []
-        for seed in seeds:
-            result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
-            picard, newton = picard + result.iterations, newton + result.newton_steps
+        for result in results:
             l, amp = result.density.dominant_mode()
             if result.converged and abs(amp) > 10 * config.tol:
                 found.append((abs(amp), l, amp, result))
+        return found
+
+    for gamma in gamma_grid:
+        found = []
+        if branch and op.basin_bound(gamma, config.tau) <= 0.0 and _HANDOFF > config.tol:
+            root, steps = _predicted_root(op, branch[-1], gamma, config)
+            newton += steps
+            if root is not None:
+                density = make_density(kernel.n, rule, root[0], config.K)
+                found = non_uniform([SolveResult(density=density, residual=root[1], iterations=0,
+                                                 converged=True, newton_steps=steps)])
+            accepted, rejected = accepted + bool(found), rejected + (not found)
+        if not found:
+            results = [gibbs_fixed_point(kernel, gamma, seed, config, op=op) for seed in seeds]
+            picard += sum(result.iterations for result in results)
+            newton += sum(result.newton_steps for result in results)
+            found = non_uniform(results)
         if not found:
             diagnostic = (f"branch lost at gamma={gamma} (fell back to uniform)" if branch
                           else f"branch not found at gamma={gamma}")
@@ -523,8 +579,9 @@ def trace_branch(
         )
         seeds = [result.density]
     _log.debug(
-        "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected",
-        len(branch), picard, newton, op.rejected, op.handoffs,
+        "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected, "
+        "%d predicted points accepted, %d rejected",
+        len(branch), picard, newton, op.rejected, op.handoffs, accepted, rejected,
     )
     return branch, diagnostic
 

@@ -216,6 +216,23 @@ class TestOrderAxisAndMoments:
             assert m == pytest.approx(float(y_l0(l, 3, 1.0)), rel=1e-12)
         assert np.max(summary.standard_errors) < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_moments_equal_the_per_degree_harmonics(self, n):
+        # one table of degree max(degrees) gives each degree's row bit for bit
+        ens = uniform_ensemble(n, 2000, seed=5)
+        axis = order_axis(ens)
+        degrees = (3, 0, 1, 5, 2, 3)
+        summary = empirical_moments(ens, axis, degrees)
+        t = np.clip(ens.positions @ axis, -1.0, 1.0)
+        means = [float(np.mean(y_l0(l, n, t))) for l in degrees]
+        errs = [float(np.std(y_l0(l, n, t), ddof=1) / math.sqrt(ens.size)) for l in degrees]
+        assert summary.degrees == degrees
+        assert np.array_equal(summary.means, np.array(means))
+        assert np.array_equal(summary.standard_errors, np.array(errs))
+        assert empirical_moments(ens, axis, ()).means.shape == (0,)
+        with pytest.raises(ValueError):
+            empirical_moments(ens, axis, (2, -1))
+
     def test_uniform_sample_moments_near_zero(self):
         ens = uniform_ensemble(3, 100_000, seed=13)
         axis = np.array([0.0, 0.0, 1.0])

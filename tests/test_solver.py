@@ -510,28 +510,68 @@ class TestTraceBranch:
 
     def test_walk_logs_one_debug_line(self, caplog, monkeypatch):
         results, solve = [], solver.gibbs_fixed_point
+        newton_calls, newton = [], solver._newton
 
         def spied(*args, **kwargs):
             results.append(solve(*args, **kwargs))
             return results[-1]
 
+        def spied_newton(*args):
+            newton_calls.append(newton(*args))
+            return newton_calls[-1]
+
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        monkeypatch.setattr(solver, "_newton", spied_newton)
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        points, picard, newton, rejected, handoffs = counts
-        assert points == len(branch) and len(results) == len(grid) + 1  # two seeds at the first
+        points, picard, steps, rejected, handoffs, predicted, refused = counts
+        assert points == len(branch)
+        assert predicted + refused == len(grid) - 1 and predicted >= 1
+        assert len(results) == 2 + refused  # two seeds at the first, one solve per refused
+        assert [p.iterations == 0 for p in branch[1:]].count(True) >= predicted
         assert picard == sum(r.iterations for r in results)
-        assert newton == sum(r.newton_steps for r in results)
+        assert steps == sum(taken for _, taken in newton_calls)
         assert handoffs == len(results) and 0 <= rejected < handoffs
-        assert newton >= handoffs - rejected  # an accepted root took at least one step
+        assert len(newton_calls) == handoffs + predicted + refused
+        assert [root is None for root, _ in newton_calls].count(True) == rejected + refused
+        assert steps >= handoffs - rejected + predicted  # an accepted root took at least one step
 
-    def test_later_points_start_from_the_previous_state(self, monkeypatch):
-        inits = []
-        solve = solver.gibbs_fixed_point
+    def test_later_points_start_from_the_predicted_state(self, monkeypatch):
+        starts, solved, newton, solve = [], [], solver._newton, solver.gibbs_fixed_point
+
+        def spied(op, gamma, values, config):
+            starts.append((gamma, values.copy()))
+            return newton(op, gamma, values, config)
+
+        def spied_solve(kernel, gamma, *args, **kwargs):
+            solved.append(gamma)
+            return solve(kernel, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", spied)
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied_solve)
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == "" and len(branch) == len(grid)
+        assert solved == [grid[0], grid[0]]  # no Picard solve after the first point
+        later = [(gamma, values) for gamma, values in starts if gamma != grid[0]]
+        assert [gamma for gamma, _ in later] == list(grid[1:])
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        for (gamma, values), previous, point in zip(later, branch, branch[1:]):
+            a, tangent = op.moment_tangent(previous.gamma, previous.density.values)
+            predicted = op.moment_image(gamma, a + (gamma - previous.gamma) * tangent)
+            assert np.array_equal(values, predicted)
+            assert not np.allclose(values, previous.density.values, rtol=1e-3, atol=0.0)
+            assert point.iterations == 0 and point.residual <= FAST.tol
+
+    def test_rejected_predictions_keep_the_warm_started_walk(self, monkeypatch):
+        # with every Newton root rejected, each later point is the Picard solve from the
+        # previous state: the walk of two mirror seeds and warm starts, bit for bit
+        monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (None, 0))
+        inits, solve = [], solver.gibbs_fixed_point
 
         def spied(kernel, gamma, init, *args, **kwargs):
             inits.append((gamma, init.values.copy()))
@@ -545,6 +585,75 @@ class TestTraceBranch:
         assert [gamma for gamma, _ in later] == list(grid[1:])
         for (_, values), previous in zip(later, branch):
             assert np.array_equal(values, previous.density.values)
+
+        seeds, expected = [_mirror_seed(ONSAGER3, 2, sign) for sign in (+1.0, -1.0)], []
+        for gamma in grid:
+            results = [gibbs_fixed_point(ONSAGER3, gamma, seed, FAST) for seed in seeds]
+            found = [r for r in results
+                     if r.converged and abs(r.density.dominant_mode()[1]) > 10 * FAST.tol]
+            expected.append(min(found, key=lambda r: abs(r.density.dominant_mode()[1])))
+            seeds = [expected[-1].density]
+        for point, result in zip(branch, expected):
+            assert np.array_equal(point.density.values, result.density.values)
+            assert (point.residual, point.iterations) == (result.residual, result.iterations)
+            assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
+
+    def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
+        # the odd mode's mirror states differ by round-off, so the seeds decide the side
+        kernel = coefficients(CLI_SPECS["transformer"], FAST.K)
+        inits, solve = [], solver.gibbs_fixed_point
+
+        def spied(kernel, gamma, init, *args, **kwargs):
+            inits.append((gamma, init.values.copy()))
+            return solve(kernel, gamma, init, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        g = gamma_sharp(kernel).gamma
+        grid = [1.01 * g, 1.1 * g, 1.2 * g]
+        branch, diag = trace_branch(kernel, 1, grid, FAST)
+        assert diag == "" and len(branch) == len(grid)
+        first = [values for gamma, values in inits if gamma == grid[0]]
+        assert len(first) == 2
+        for values, sign in zip(first, (+1.0, -1.0)):
+            assert np.array_equal(values, _mirror_seed(kernel, 1, sign).values)
+
+
+def _mirror_seed(kernel, mode, sign):
+    """The uniform state kicked by sign * 0.01 Y_mode, the seeds of a walk's first point."""
+    rule = gauss_jacobi_rule(kernel.n, FAST.M)
+    base = 1.0 / rule.integrate(np.ones(rule.order))
+    values = np.clip(base + sign * 0.01 * y_l0(mode, kernel.n, rule.nodes), 1e-14, None)
+    return make_density(kernel.n, rule, values, FAST.K)
+
+
+class TestMomentTangent:
+    @pytest.mark.parametrize("name, mode", [("onsager", 2), ("transformer", 1)])
+    def test_tangent_matches_central_differences(self, name, mode):
+        # da/dgamma at a fixed point against the moments of the solves at gamma -+ h
+        kernel = coefficients(CLI_SPECS[name], FAST.K)
+        n = kernel.n
+        rule = gauss_jacobi_rule(n, FAST.M)
+        gamma = 1.2 * gamma_sharp(kernel).gamma
+        seed = make_density(n, rule, np.clip(1.0 + 0.3 * y_l0(mode, n, rule.nodes), 1e-14, None),
+                            FAST.K)
+        state = gibbs_fixed_point(kernel, gamma, seed, FAST)
+        assert state.converged and state.density.dominant_mode()[0] == mode
+        support = [k for k in range(1, FAST.K + 1) if kernel.coeffs[k] != 0.0]
+
+        def moments(density):
+            return np.array([rule.integrate(y_l0(k, n, rule.nodes) * density.values)
+                             for k in support])
+
+        op = GibbsOperator(kernel, rule, FAST.K)
+        a, tangent = op.moment_tangent(gamma, state.density.values)
+        assert np.allclose(a, moments(state.density), rtol=0.0, atol=1e-13)
+        h = 1e-4 * gamma
+        up, down = (gibbs_fixed_point(kernel, gamma + s * h, state.density, FAST) for s in (1, -1))
+        assert up.converged and down.converged
+        differences = (moments(up.density) - moments(down.density)) / (2.0 * h)
+        # the central difference is good to O(h^2), about 1e-7 of the tangent here
+        assert np.max(np.abs(tangent - differences)) <= 1e-6 * np.max(np.abs(tangent))
+        assert np.max(np.abs(tangent)) > 0.1
 
 
 class TestResonance:
