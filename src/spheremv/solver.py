@@ -13,9 +13,11 @@ Below gamma_# a density also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
-moments a = P_S rho (`_newton`); there a branch walk predicts each later point
-along the tangent da/dgamma (`GibbsOperator.moment_tangent`) and corrects it
-with `_newton` alone.
+moments a = P_S rho (`_newton`).  There a branch walk reaches its first point
+by continuation in a_k from the bifurcation point (a = 0, gamma_k), along
++e_k and -e_k (`_continued_root`), predicts each later point along the
+tangent da/dgamma (`GibbsOperator.moment_tangent`), and corrects both with
+`_newton` alone.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -362,8 +364,9 @@ def _newton(
     dF/da d = -F at a = P_S rho and takes rho <- G(a + d), so it evaluates
     G twice: through `GibbsOperator.moment_image`, and through `gibbs` for the
     residual ||rho - G(rho)|| and the next F; so n steps make n + 1 `gibbs`
-    calls.  The root is accepted only when its residual is at most tol, the
-    residual fell at every step (at most _NEWTON_STEPS), rho > 0 on every
+    calls.  It takes at least one step, so that a start already within tol
+    is polished.  The root is accepted only when its residual is at most tol,
+    the residual fell at every step (at most _NEWTON_STEPS), rho > 0 on every
     node, and it is the Picard limit of `values`: every eigenvalue lambda of
     dF/da at the root a_N has |1 - tau lambda| < 1, and
     ||F(a_h) - dF/da(a_N) (a_h - a_N)|| <= ||F(a_h)|| / 4 at a_h = P_S values.
@@ -378,7 +381,7 @@ def _newton(
         f_start = f = a - proj @ image
         steps = 0
         try:
-            while res > config.tol:
+            while res > config.tol or not steps:  # a start within tol is polished too
                 if steps == _NEWTON_STEPS:
                     return None, steps
                 step = np.linalg.solve(op.moment_jacobian(gamma, image), f)
@@ -465,9 +468,15 @@ class BifurcationSet:
 
 def bifurcation_points(kernel: ZonalCoefficients) -> BifurcationSet:
     """All (k, gamma_k = -1/W_hat_k) with W_hat_k < 0 unique among the W_hat_j, j >= 1."""
-    unstable = stability_check(kernel).unstable_modes
-    if not unstable:
+    found = _simple_modes(kernel)
+    if not (found.points or found.ties):
         raise ValueError("stable kernel: no bifurcation points")
+    return found
+
+
+def _simple_modes(kernel: ZonalCoefficients) -> BifurcationSet:
+    """`bifurcation_points` without the error: empty on a stable kernel."""
+    unstable = stability_check(kernel).unstable_modes
     coeffs = kernel.coeffs
     # the count includes W_hat_k itself, so > 1 means another j >= 1 ties with it
     ties = tuple(k for k in unstable if np.sum(np.abs(coeffs[1:] - coeffs[k]) <= _COEFF_TOL) > 1)
@@ -516,6 +525,99 @@ def _predicted_root(
     return _newton(op, gamma, start, config)
 
 
+# The continuation out of (k, gamma_k) steps in the mode's own moment a_k:
+_ARC_STEP = 3e-2  # first step: on every CLI kernel the branch is still near its tangent e_k
+_ARC_FLOOR = 1e-6  # a corrector that fails at smaller steps meets a turn in a_k, not curvature
+_ARC_POINTS = 100  # points to reach gamma_0; the CLI kernels need at most a dozen per side
+_ARC_NEWTON = 6  # corrector steps per point; a point that needs more is retried at half the step
+_ARC_FAST = 2  # a point corrected in at most this many steps doubles the next step
+# The points only guide the predictor, and `_newton` finishes at gamma_0, so they stop
+# short of round-off.
+_ARC_TOL = 1e-8
+
+
+def _arc_system(op: GibbsOperator, x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(a, gamma) = a - P_S G(a, gamma) at x = (a, gamma), and its Jacobian in the unknowns
+    (a without a_j, gamma): dF/da = I + gamma C diag(W_hat_S) with column j replaced by
+    dF/dgamma = C (W_hat_S a), C = Cov_p(Y_S) at p = G(a, gamma).  a is the iterate, not
+    P_S p: the two differ away from a fixed point."""
+    a, gamma = x[:-1], x[-1]
+    mean, cov_w = op._covariance(op.moment_image(gamma, a))
+    jac = np.eye(len(a)) + gamma * cov_w
+    jac[:, j] = cov_w @ a
+    return a - mean, jac
+
+
+def _arc_corrector(op: GibbsOperator, x: np.ndarray, j: int) -> Optional[tuple[np.ndarray, int]]:
+    """Newton from x = (a, gamma) with a_j fixed: (point, steps) once ||F|| <= _ARC_TOL, or
+    None after _ARC_NEWTON steps.  Raises FloatingPointError on a non-finite iterate and
+    np.linalg.LinAlgError on a singular Jacobian."""
+    x = x.copy()
+    for steps in itertools.count():
+        f, jac = _arc_system(op, x, j)
+        if not (np.isfinite(f).all() and np.isfinite(jac).all()):
+            raise FloatingPointError("non-finite continuation iterate")
+        if np.linalg.norm(f) <= _ARC_TOL:
+            return x, steps
+        if steps == _ARC_NEWTON:
+            return None
+        d = np.linalg.solve(jac, -f)
+        x[-1] += d[j]
+        d[j] = 0.0
+        x[:-1] += d
+
+
+def _continued_root(
+    op: GibbsOperator, mode: int, sign: float, gamma_0: float, config: SolverConfig
+) -> tuple[Optional[tuple[np.ndarray, float]], int, int]:
+    """`_newton` at gamma_0 on the branch continued from (a = 0, gamma_k) along sign * e_k.
+
+    The parameter is the mode's own moment a_k = eps; the unknowns are the other
+    moments and gamma (`_arc_system`, `_arc_corrector`).  Each point starts from the
+    secant through the last two, the first from (sign * h e_k, gamma_k).  The step h
+    doubles after a point corrected in at most _ARC_FAST steps and halves when the
+    corrector fails.  A step whose prediction passes gamma_0 is cut to end there, and
+    a point past gamma_0 from an uncut step is taken again along the chord to it, so
+    the points that bracket gamma_0 lie close to it.  At the first upward crossing,
+    `_newton` runs from `moment_image(gamma_0, a)`, a interpolated linearly in gamma
+    between the two points.  Returns ((root, residual) or None, Newton steps at gamma_0,
+    continuation points); None when a Jacobian is singular, an iterate is not finite,
+    h falls below _ARC_FLOOR, _ARC_POINTS points do not reach gamma_0 or the guard
+    rejects the root.
+    """
+    j = int(np.searchsorted(op._support, mode))
+    x = np.zeros(len(op._support) + 1)
+    x[-1] = -1.0 / op._w_support[j]  # gamma_k
+    tangent = np.zeros_like(x)
+    tangent[j] = 1.0
+    step, points = sign * _ARC_STEP, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while points < _ARC_POINTS and abs(step) >= _ARC_FLOOR:
+                aimed = x[-1] + step * tangent[-1] > gamma_0  # cut to end at gamma_0
+                if aimed:
+                    step = (gamma_0 - x[-1]) / tangent[-1]
+                corrected = _arc_corrector(op, x + step * tangent, j)
+                if corrected is None:
+                    step *= 0.5
+                    continue
+                new, steps = corrected
+                points += 1
+                chord = (new - x) / (new[j] - x[j])
+                if new[-1] < gamma_0:
+                    tangent, x = chord, new
+                    step *= 2.0 if steps <= _ARC_FAST else 1.0
+                elif aimed:  # the first upward crossing, from a prediction at gamma_0
+                    t = (gamma_0 - x[-1]) / (new[-1] - x[-1])
+                    start = op.moment_image(gamma_0, x[:-1] + t * (new[:-1] - x[:-1]))
+                    return (*_newton(op, gamma_0, start, config), points)
+                else:  # it passed gamma_0 unaimed: aim along the chord from x
+                    tangent = chord
+        except (np.linalg.LinAlgError, FloatingPointError):
+            pass
+    return None, 0, points
+
+
 def trace_branch(
     kernel: ZonalCoefficients,
     mode: int,
@@ -524,17 +626,23 @@ def trace_branch(
 ) -> tuple[list[BranchPoint], str]:
     """Continue the non-uniform branch of the given mode along an ascending grid.
 
-    The first point is seeded from the uniform state kicked by the mode's
-    eigenvector (both signs are tried; the smaller-amplitude non-uniform
-    state is kept as the branch).  Where a lone solve would hand off to
-    Newton (no basin ball at gamma and _HANDOFF above tol), every later point
-    is predicted along the moment-space tangent at the previous state and
-    corrected by `_newton`, with no Picard step, so its `iterations` is 0.
-    When the tangent is singular, the prediction is not finite, the guard
-    rejects the root or the root is uniform, and everywhere else, the point
-    is the `gibbs_fixed_point` solve started from the previous state.
-    Returns the traced points and a diagnostic string ('' when the whole
-    grid was covered).
+    The first point has two sides, one per sign of the mode's eigenvector,
+    and the smaller-amplitude non-uniform state of the two is kept as the
+    branch.  Where a lone solve would hand off to Newton (no basin ball at
+    gamma and _HANDOFF above tol) and the mode is a simple unstable mode
+    (the rule of `bifurcation_points`) with gamma_k below the first gamma,
+    each side is continued from the bifurcation point (a = 0, gamma_k) along
+    +e_k or -e_k to the first gamma (`_continued_root`), with no Picard step,
+    so its `iterations` is 0.  Elsewhere, or when that continuation fails or
+    ends at a uniform root, the side is the `gibbs_fixed_point` solve from
+    the uniform state kicked by +-0.01 Y_mode.  Where a lone solve would hand
+    off to Newton, every later point is predicted along the moment-space
+    tangent at the previous state and corrected by `_newton`, again with no
+    Picard step.  When the tangent is singular, the prediction is not
+    finite, the guard rejects the root or the root is uniform, and
+    everywhere else, the point is the `gibbs_fixed_point` solve started from
+    the previous state.  Returns the traced points and a diagnostic string
+    ('' when the whole grid was covered).
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
@@ -542,8 +650,10 @@ def trace_branch(
     rule = gauss_jacobi_rule(kernel.n, config.M)
     op = GibbsOperator(kernel, rule, config.K)
     seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
+    gamma_k = dict(_simple_modes(kernel).points).get(mode) if mode <= config.K else None
     branch: list[BranchPoint] = []
     diagnostic, picard, newton, accepted, rejected = "", 0, 0, 0, 0
+    continued, fell_back, arc_points = 0, 0, 0
 
     def non_uniform(results: list[SolveResult]) -> list[tuple[float, int, float, SolveResult]]:
         found = []
@@ -553,21 +663,34 @@ def trace_branch(
                 found.append((abs(amp), l, amp, result))
         return found
 
+    def newton_state(root: Optional[tuple[np.ndarray, float]], steps: int) -> list:
+        if root is None:
+            return []
+        density = make_density(kernel.n, rule, root[0], config.K)
+        return non_uniform([SolveResult(density=density, residual=root[1], iterations=0,
+                                        converged=True, newton_steps=steps)])
+
     for gamma in gamma_grid:
         found = []
-        if branch and op.basin_bound(gamma, config.tau) <= 0.0 and _HANDOFF > config.tol:
+        by_newton = op.basin_bound(gamma, config.tau) <= 0.0 and _HANDOFF > config.tol
+        if branch and by_newton:
             root, steps = _predicted_root(op, branch[-1], gamma, config)
             newton += steps
-            if root is not None:
-                density = make_density(kernel.n, rule, root[0], config.K)
-                found = non_uniform([SolveResult(density=density, residual=root[1], iterations=0,
-                                                 converged=True, newton_steps=steps)])
+            found = newton_state(root, steps)
             accepted, rejected = accepted + bool(found), rejected + (not found)
-        if not found:
-            results = [gibbs_fixed_point(kernel, gamma, seed, config, op=op) for seed in seeds]
-            picard += sum(result.iterations for result in results)
-            newton += sum(result.newton_steps for result in results)
-            found = non_uniform(results)
+        arc = by_newton and not branch and gamma_k is not None and gamma_k < gamma
+        for sign, seed in zip((+1.0, -1.0), [] if found else seeds):
+            side = []
+            if arc:
+                root, steps, count = _continued_root(op, mode, sign, gamma, config)
+                newton, arc_points = newton + steps, arc_points + count
+                side = newton_state(root, steps)
+                continued, fell_back = continued + bool(side), fell_back + (not side)
+            if not side:
+                result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
+                picard, newton = picard + result.iterations, newton + result.newton_steps
+                side = non_uniform([result])
+            found += side
         if not found:
             diagnostic = (f"branch lost at gamma={gamma} (fell back to uniform)" if branch
                           else f"branch not found at gamma={gamma}")
@@ -580,8 +703,10 @@ def trace_branch(
         seeds = [result.density]
     _log.debug(
         "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected, "
-        "%d predicted points accepted, %d rejected",
+        "%d predicted points accepted, %d rejected, %d first-point sides continued from "
+        "gamma_k, %d fell back to their seeds, %d continuation points",
         len(branch), picard, newton, op.rejected, op.handoffs, accepted, rejected,
+        continued, fell_back, arc_points,
     )
     return branch, diagnostic
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from spheremv.harmonics import ZonalCoefficients, omega_n, y_l0
+from spheremv.harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
 from spheremv.kernels import KernelSpec, coefficients
 from spheremv.meanfield import (
     free_energy,
+    free_energy_gap,
     gamma_sharp,
     linear_spectrum,
     make_density,
@@ -297,6 +298,26 @@ class TestNewtonHandoff:
         assert (result.residual, result.iterations, result.converged, result.message) == (
             plain.residual, plain.iterations, plain.converged, plain.message)
 
+    def test_start_within_tol_is_polished(self, monkeypatch):
+        # a start that already meets tol still takes a step, so that the root is Newton's:
+        # near gamma_2 the weak contraction leaves a plain Picard solve's error far above it
+        gamma = 1.003 * GAMMA_SHARP_ONSAGER
+        init = _kicked_uniform(3, RULE3, 2, -0.01, FAST.K)
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        picard = gibbs_fixed_point(ONSAGER3, gamma, init, replace(FAST, max_iters=20000))
+        assert picard.converged and picard.residual <= FAST.tol
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        root, steps = solver._newton(op, gamma, picard.density.values, FAST)
+        assert root is not None and steps >= 1 and root[1] < 1e-3 * picard.residual
+        # the polished root is the fixed point Picard approaches as tol goes to 0
+        tight = gibbs_fixed_point(ONSAGER3, gamma, picard.density,
+                                  replace(FAST, tol=1e-15, max_iters=20000))
+        assert tight.converged
+        _, amp = make_density(3, RULE3, root[0], FAST.K).dominant_mode()
+        _, tight_amp = tight.density.dominant_mode()
+        _, picard_amp = picard.density.dominant_mode()
+        assert abs(amp - tight_amp) < 1e-3 * abs(picard_amp - tight_amp)
+
     def test_no_handoff_where_a_basin_ball_exists(self):
         # below gamma_# the certificate ends the solve, as before
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
@@ -511,6 +532,7 @@ class TestTraceBranch:
     def test_walk_logs_one_debug_line(self, caplog, monkeypatch):
         results, solve = [], solver.gibbs_fixed_point
         newton_calls, newton = [], solver._newton
+        corrected, corrector = [], solver._arc_corrector
 
         def spied(*args, **kwargs):
             results.append(solve(*args, **kwargs))
@@ -520,25 +542,38 @@ class TestTraceBranch:
             newton_calls.append(newton(*args))
             return newton_calls[-1]
 
+        def spied_corrector(*args):
+            corrected.append(corrector(*args))
+            return corrected[-1]
+
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
         monkeypatch.setattr(solver, "_newton", spied_newton)
+        monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        points, picard, steps, rejected, handoffs, predicted, refused = counts
+        (points, picard, steps, rejected, handoffs, predicted, refused,
+         continued, fell_back, arc_points) = counts
         assert points == len(branch)
         assert predicted + refused == len(grid) - 1 and predicted >= 1
-        assert len(results) == 2 + refused  # two seeds at the first, one solve per refused
+        # both sides of the first point are continued from gamma_2 and every prediction holds,
+        # so the walk makes no seeded or warm-started solve and no Picard step
+        assert (continued, fell_back) == (2, 0) and branch[0].iterations == 0
+        assert (refused, handoffs, picard) == (0, 0, 0)
+        assert arc_points == len([c for c in corrected if c is not None]) >= 2
+        assert len(results) == fell_back + refused  # one seeded solve per side, one per refused
         assert [p.iterations == 0 for p in branch[1:]].count(True) >= predicted
         assert picard == sum(r.iterations for r in results)
         assert steps == sum(taken for _, taken in newton_calls)
-        assert handoffs == len(results) and 0 <= rejected < handoffs
-        assert len(newton_calls) == handoffs + predicted + refused
+        assert handoffs == len(results) and 0 <= rejected <= handoffs
+        # one _newton call per handoff, per prediction and per continued side
+        assert len(newton_calls) == handoffs + predicted + refused + continued
         assert [root is None for root, _ in newton_calls].count(True) == rejected + refused
-        assert steps >= handoffs - rejected + predicted  # an accepted root took at least one step
+        # an accepted root took at least one step
+        assert steps >= handoffs - rejected + predicted + continued
 
     def test_later_points_start_from_the_predicted_state(self, monkeypatch):
         starts, solved, newton, solve = [], [], solver._newton, solver.gibbs_fixed_point
@@ -556,7 +591,8 @@ class TestTraceBranch:
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
-        assert solved == [grid[0], grid[0]]  # no Picard solve after the first point
+        # no Picard solve: the first point is continued from gamma_2, the later ones predicted
+        assert solved == [] and branch[0].iterations == 0
         later = [(gamma, values) for gamma, values in starts if gamma != grid[0]]
         assert [gamma for gamma, _ in later] == list(grid[1:])
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
@@ -599,8 +635,36 @@ class TestTraceBranch:
             assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
 
     def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
-        # the odd mode's mirror states differ by round-off, so the seeds decide the side
+        # each side starts at the bifurcation point (0, gamma_1), along +e_1 or -e_1
         kernel = coefficients(CLI_SPECS["transformer"], FAST.K)
+        sides, continued_root, corrector = [], solver._continued_root, solver._arc_corrector
+
+        def spied_root(op, mode, sign, gamma_0, config):
+            sides.append((mode, sign, gamma_0, []))
+            return continued_root(op, mode, sign, gamma_0, config)
+
+        def spied_corrector(op, x, j):
+            sides[-1][3].append((x.copy(), j))
+            return corrector(op, x, j)
+
+        monkeypatch.setattr(solver, "_continued_root", spied_root)
+        monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
+        g = gamma_sharp(kernel).gamma
+        grid = [1.01 * g, 1.1 * g, 1.2 * g]
+        branch, diag = trace_branch(kernel, 1, grid, FAST)
+        assert diag == "" and len(branch) == len(grid) and branch[0].iterations == 0
+        assert [side[:3] for side in sides] == [(1, +1.0, grid[0]), (1, -1.0, grid[0])]
+        gamma_1 = dict(bifurcation_points(kernel).points)[1]
+        support = list(np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1)
+        for _, sign, _, guesses in sides:
+            first, j = guesses[0]
+            along = np.zeros(len(support))
+            along[support.index(1)] = sign * solver._ARC_STEP
+            assert j == support.index(1)
+            assert np.array_equal(first[:-1], along) and first[-1] == gamma_1
+
+        # when the continuation fails, the two seeded solves get the +-0.01 Y_1 seeds
+        monkeypatch.setattr(solver, "_continued_root", lambda *args: (None, 0, 0))
         inits, solve = [], solver.gibbs_fixed_point
 
         def spied(kernel, gamma, init, *args, **kwargs):
@@ -608,15 +672,72 @@ class TestTraceBranch:
             return solve(kernel, gamma, init, *args, **kwargs)
 
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
-        g = gamma_sharp(kernel).gamma
-        grid = [1.01 * g, 1.1 * g, 1.2 * g]
         branch, diag = trace_branch(kernel, 1, grid, FAST)
-        assert diag == "" and len(branch) == len(grid)
+        assert diag == "" and len(branch) == len(grid) and branch[0].iterations > 0
         first = [values for gamma, values in inits if gamma == grid[0]]
         assert len(first) == 2
         for values, sign in zip(first, (+1.0, -1.0)):
             assert np.array_equal(values, _mirror_seed(kernel, 1, sign).values)
 
+    @pytest.mark.parametrize("name", sorted(CLI_SPECS))
+    def test_continued_first_point_equals_the_seeded_solve(self, monkeypatch, name):
+        # the same state, mirror side included, as the two seeded solves it replaces
+        config = SolverConfig(K=48, M=72)
+        kernel, mode, grid = _cli_walk(name, config.K)
+        [point], diag = trace_branch(kernel, mode, grid[:1], config)
+        monkeypatch.setattr(solver, "_continued_root", lambda *args: (None, 0, 0))
+        [seeded], seeded_diag = trace_branch(kernel, mode, grid[:1], config)
+        assert diag == seeded_diag == ""
+        assert point.iterations == 0 < seeded.iterations and point.residual <= config.tol
+        assert point.dominant_mode == seeded.dominant_mode  # opinion's is 2, past its fold
+        assert np.sign(point.amplitude) == np.sign(seeded.amplitude)
+        assert point.amplitude == pytest.approx(seeded.amplitude, rel=1e-9, abs=0.0)
+        assert np.allclose(point.density.values, seeded.density.values, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("failure", ["floor", "singular", "non-finite", "budget", "guard"])
+    def test_failed_continuation_keeps_the_seeded_walk(self, caplog, monkeypatch, failure):
+        # each way the continuation can fail leaves the walk of the two seeded solves,
+        # bit for bit: the walk with the continuation switched off, written out at its first
+        # point as the smaller-amplitude state of the two seeds
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        system, newton = solver._arc_system, solver._newton
+        if failure == "floor":
+            monkeypatch.setattr(solver, "_arc_corrector", lambda op, x, j: None)
+        elif failure == "singular":
+            monkeypatch.setattr(solver, "_arc_system",
+                                lambda op, x, j: (system(op, x, j)[0], np.zeros((len(x) - 1,) * 2)))
+        elif failure == "non-finite":
+            monkeypatch.setattr(solver, "_arc_system",
+                                lambda op, x, j: tuple(v * np.nan for v in system(op, x, j)))
+        elif failure == "budget":
+            monkeypatch.setattr(solver, "_ARC_POINTS", 1)
+        else:  # every root at the first gamma is rejected, the seeded solves' too
+            monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
+                (None, 0) if gamma == grid[0] else newton(op, gamma, values, config)))
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        message = caplog.records[-1].getMessage().replace(",", "")
+        counts = [int(word) for word in message.split() if word.isdigit()]
+        continued, fell_back, arc_points = counts[-3:]
+        assert (continued, fell_back) == (0, 2)
+        # one point per side within a budget of one; none where the first corrector fails;
+        # the guard sees the root only after both sides have crossed gamma_0
+        if failure == "guard":
+            assert arc_points >= 2
+        else:
+            assert arc_points == (2 if failure == "budget" else 0)
+        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
+        seeded, seeded_diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == seeded_diag == "" and len(branch) == len(seeded) == len(grid)
+        for p, q in zip(branch, seeded):
+            assert np.array_equal(p.density.values, q.density.values)
+            assert (p.residual, p.iterations, p.dominant_mode, p.amplitude) == (
+                q.residual, q.iterations, q.dominant_mode, q.amplitude)
+        results = [gibbs_fixed_point(ONSAGER3, grid[0], _mirror_seed(ONSAGER3, 2, sign), FAST)
+                   for sign in (+1.0, -1.0)]
+        first = min(results, key=lambda r: abs(r.density.dominant_mode()[1]))
+        assert np.array_equal(branch[0].density.values, first.density.values)
+        assert branch[0].iterations == first.iterations > 0
 
 def _mirror_seed(kernel, mode, sign):
     """The uniform state kicked by sign * 0.01 Y_mode, the seeds of a walk's first point."""
@@ -654,6 +775,85 @@ class TestMomentTangent:
         # the central difference is good to O(h^2), about 1e-7 of the tangent here
         assert np.max(np.abs(tangent - differences)) <= 1e-6 * np.max(np.abs(tangent))
         assert np.max(np.abs(tangent)) > 0.1
+
+
+def _moment_map(kernel, rule, support, a, gamma):
+    """F(a, gamma) = a - P_S G(a, gamma), G and the moments by `y_l0` quadrature, and G itself."""
+    table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+    u = -gamma * (kernel.coeffs[support] * a) @ table
+    p = np.exp(u - u.max())
+    p /= rule.integrate(p)
+    return a - table @ (rule.weights * p), p
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("name, mode", [("onsager", 2), ("transformer", 1)])
+    def test_jacobian_matches_central_differences(self, name, mode):
+        # at a moment vector that is no fixed point, so that a and P_S G(a) differ
+        kernel = coefficients(CLI_SPECS[name], FAST.K)
+        rule = gauss_jacobi_rule(kernel.n, FAST.M)
+        op = GibbsOperator(kernel, rule, FAST.K)
+        support = np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1
+        j = list(support).index(mode)
+        rng = np.random.default_rng(3)
+        a = 0.05 * rng.standard_normal(len(support)) / np.arange(1, len(support) + 1)
+        a[j] = 0.3
+        gamma = 1.2 * gamma_sharp(kernel).gamma
+        f, jac = solver._arc_system(op, np.append(a, gamma), j)
+        f_oracle, p = _moment_map(kernel, rule, support, a, gamma)
+        assert np.allclose(f, f_oracle, rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(f)) > 0.01  # far from a fixed point
+        h, differences = 1e-6, np.empty_like(jac)
+        for col in range(len(support)):
+            up, down = np.append(a, gamma), np.append(a, gamma)
+            unknown = -1 if col == j else col  # column j is the derivative in gamma
+            up[unknown] += h
+            down[unknown] -= h
+            differences[:, col] = (_moment_map(kernel, rule, support, up[:-1], up[-1])[0]
+                                   - _moment_map(kernel, rule, support, down[:-1], down[-1])[0]) / (2 * h)
+        # central differences are good to O(h^2) and round-off eps / h, about 1e-10 here
+        assert np.max(np.abs(jac - differences)) <= 1e-8
+        assert np.max(np.abs(jac[:, j])) > 1e-3
+
+    @pytest.mark.parametrize("name", ["onsager", "opinion"])
+    def test_closed_form_gap_at_every_continued_point(self, monkeypatch, name):
+        # F(rho) - F(1) = -1/2 sum W_hat_k a_k^2 - (1/gamma) log <exp(-gamma sum W_hat_k a_k Y_k)>
+        # at a fixed point rho with moments a; both walks pass a fold on the way to gamma_0
+        kernel = coefficients(CLI_SPECS[name], FAST.K)
+        gs = gamma_sharp(kernel)
+        mode, gamma_0 = gs.modes[0], 1.01 * gs.gamma
+        rule = gauss_jacobi_rule(kernel.n, FAST.M)
+        support = np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1
+        points, roots, corrector, newton = [], [], solver._arc_corrector, solver._newton
+
+        def spied_corrector(*args):
+            out = corrector(*args)
+            points.extend([] if out is None else [out[0]])
+            return out
+
+        def spied_newton(*args):
+            out = newton(*args)
+            roots.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
+        monkeypatch.setattr(solver, "_newton", spied_newton)
+        [point], diag = trace_branch(kernel, mode, [gamma_0], FAST)
+        assert diag == "" and point.iterations == 0 and len(roots) == 2 and None not in roots
+        assert min(x[-1] for x in points) < -1.0 / kernel.coeffs[mode]  # below gamma_k: a fold
+        table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+        states = [(x[:-1], x[-1]) for x in points]
+        states += [(table @ (rule.weights * values), gamma_0) for values, _ in roots]
+        basis = spectral_basis(kernel.n, FAST.K, FAST.M)
+        for a, gamma in states:
+            f, p = _moment_map(kernel, rule, support, a, gamma)
+            assert np.linalg.norm(f) <= solver._ARC_TOL
+            w_a = kernel.coeffs[support] * a
+            u = -gamma * w_a @ table
+            closed = -0.5 * w_a @ a - (u.max() + math.log(rule.integrate(np.exp(u - u.max())))) / gamma
+            gap = free_energy_gap(kernel, basis, gamma, p)
+            assert gap == pytest.approx(closed, rel=1e-10, abs=1e-13)
+        assert min(free_energy_gap(kernel, basis, gamma_0, values) for values, _ in roots) < 0.0
 
 
 class TestResonance:
