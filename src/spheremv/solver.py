@@ -13,7 +13,8 @@ Below gamma_# a density also stops once its moments lie in a ball that
 provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
-moments a = P_S rho (`_newton`).  There a branch walk reaches its first point
+moments a = P_S rho (`_newton`), S cut to the modes that G can resolve at gamma
+(`GibbsOperator.resolved_support`).  There a branch walk reaches its first point
 by continuation in a_k from the bifurcation point (a = 0, gamma_k), along
 +e_k and -e_k (`_continued_root`), predicts each later point along the
 tangent da/dgamma (`GibbsOperator.moment_tangent`), and corrects both with
@@ -86,6 +87,11 @@ class SolverConfig:
             raise ValueError(f"quadrature order {self.M} must be >= K+2 = {self.K + 2}")
 
 
+# The unit round-off of a double: a field below it on every node leaves exp unchanged to
+# one rounding.
+_ROUND_OFF = 2.0**-53
+
+
 class GibbsOperator:
     """Gibbs map G and residual norm on a fixed quadrature grid, matrices precomputed.
 
@@ -131,36 +137,61 @@ class GibbsOperator:
         sup_bound = np.max(np.linalg.norm(scaled, axis=0))
         return rows[1:] * weights, scaled, bool(orthonormal), float(sup_bound)
 
+    @functools.cached_property
+    def _tail_sums(self) -> np.ndarray:
+        """sum_{j in S, j >= k} |W_hat_j| h_j^2 for each k in S, h_j = max_i |Y_j(t_i)|; a term
+        that overflows is inf, so the modes up to it are all kept."""
+        sup = np.max(np.abs(self._table[self._support]), axis=1)
+        with np.errstate(over="ignore"):
+            return np.cumsum((np.abs(self._w_support) * sup * sup)[::-1])[::-1]
+
+    def resolved_support(self, gamma: float) -> np.ndarray:
+        """S_gamma, the leading part of S that is left when the tail T = {k >= k_T} is dropped,
+        k_T the least k in S with gamma sum_{j in T} |W_hat_j| h_j^2 <= 2^-53.
+
+        Every density the moment system evaluates is G of something, a probability
+        density on the nodes, so |a_j| <= h_j, the dropped field gamma sum_{j in T}
+        W_hat_j a_j Y_j is at most 2^-53 on every node, and G moves by a relative
+        e^(2^-53) - 1, one rounding of `exp`.  Newton, the tangent and the continuation
+        solve on S_gamma; Picard, the residual and `basin_radius` keep all of S.
+        """
+        # the tail sums fall with k; the bound is read as a quotient, which cannot overflow
+        return self._support[: int(np.count_nonzero(self._tail_sums > _ROUND_OFF / float(gamma)))]
+
     def moments_sq(self, values: np.ndarray):
         """||P_S rho||^2 of one density, or per column of a block."""
         a = self._basin[0] @ values
         return np.dot(a, a) if a.ndim == 1 else np.einsum("ij,ij->j", a, a)
 
     def moment_image(self, gamma: float, a: np.ndarray) -> np.ndarray:
-        """G at the moments a = P_S rho, from the field Y_S^T (W_hat_S a), which `_basin` holds."""
-        return self._boltzmann(gamma, self._basin[1].T @ a)
+        """G at the moments a on the leading len(a) modes of S, from the field
+        Y_S^T (W_hat_S a), whose rows `_basin` holds."""
+        return self._boltzmann(gamma, self._basin[1][: len(a)].T @ a)
 
     def moment_jacobian(self, gamma: float, image: np.ndarray) -> np.ndarray:
-        """dF/da = I + gamma Cov_p(Y_S) diag(W_hat_S) of F(a) = a - P_S G(a), at p = G(a) = image."""
-        _, cov_w = self._covariance(image)
+        """dF/da = I + gamma Cov_p(Y_S) diag(W_hat_S) of F(a) = a - P_S G(a), at p = G(a) = image,
+        on S = S_gamma (`resolved_support`)."""
+        _, cov_w = self._covariance(image, len(self.resolved_support(gamma)))
         return np.eye(len(cov_w)) + gamma * cov_w
 
     def moment_tangent(self, gamma: float, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a, da/dgamma) along the fixed points F(a, gamma) = 0 at p = image, a fixed point.
 
-        With a = P_S p = E_p Y_S and C = Cov_p(Y_S), da/dgamma = -(dF/da)^(-1) dF/dgamma
-        with dF/da = I + gamma C diag(W_hat_S) and dF/dgamma = C (W_hat_S a), both from
-        the one covariance.  Raises np.linalg.LinAlgError when dF/da is singular.
+        With a = P_S p = E_p Y_S and C = Cov_p(Y_S) on S = S_gamma (`resolved_support`),
+        da/dgamma = -(dF/da)^(-1) dF/dgamma with dF/da = I + gamma C diag(W_hat_S) and
+        dF/dgamma = C (W_hat_S a), both from the one covariance.  Raises
+        np.linalg.LinAlgError when dF/da is singular.
         """
-        mean, cov_w = self._covariance(image)
+        mean, cov_w = self._covariance(image, len(self.resolved_support(gamma)))
         jac = np.eye(len(mean)) + gamma * cov_w
         return mean, -np.linalg.solve(jac, cov_w @ mean)
 
-    def _covariance(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E_p Y_S and Cov_p(Y_S) diag(W_hat_S) at the density p = image."""
-        proj, scaled = self._basin[:2]
+    def _covariance(self, image: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """E_p Y_S and Cov_p(Y_S) diag(W_hat_S) at the density p = image, S the leading
+        `size` modes of the support."""
+        proj, scaled = self._basin[0][:size], self._basin[1][:size]
         mean = proj @ image
-        return mean, (proj * image) @ scaled.T - np.outer(mean, self._w_support * mean)
+        return mean, (proj * image) @ scaled.T - np.outer(mean, self._w_support[:size] * mean)
 
     def gibbs(self, gamma, values: np.ndarray) -> np.ndarray:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
@@ -358,7 +389,8 @@ _NEWTON_STEPS = 8
 def _newton(
     op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
 ) -> tuple[Optional[tuple[np.ndarray, float]], int]:
-    """Newton on F(a) = a - P_S G(a), a = P_S rho, from the Picard iterate `values`.
+    """Newton on F(a) = a - P_S G(a), a = P_S rho, S = S_gamma (`GibbsOperator.resolved_support`),
+    from the Picard iterate `values`.
 
     Returns ((root, residual) or None, steps).  Each step solves
     dF/da d = -F at a = P_S rho and takes rho <- G(a + d), so it evaluates
@@ -372,7 +404,7 @@ def _newton(
     ||F(a_h) - dF/da(a_N) (a_h - a_N)|| <= ||F(a_h)|| / 4 at a_h = P_S values.
     A singular dF/da rejects the root too.
     """
-    proj = op._basin[0]
+    proj = op._basin[0][: len(op.resolved_support(gamma))]
     # an overflow shows up as a non-finite residual, which rejects the root
     with np.errstate(over="ignore", invalid="ignore"):
         image = op.gibbs(gamma, values)
@@ -451,6 +483,11 @@ def gibbs_fixed_point(
         msg = f"no convergence after {iters} iterations"
     else:
         msg = f"non-finite residual at iteration {iters}"
+    _log.debug(
+        "gibbs_fixed_point: gamma %.6g, %d Picard steps, %d Newton steps (%d of %d support modes "
+        "resolved), residual %.3g", gamma, iters, newton_steps, len(op.resolved_support(gamma)),
+        len(op._support), res,
+    )
     density = make_density(init.n, init.rule, values, op.K)
     return SolveResult(
         density=density, residual=res, iterations=iters, converged=converged, message=msg,
@@ -537,12 +574,13 @@ _ARC_TOL = 1e-8
 
 
 def _arc_system(op: GibbsOperator, x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(a, gamma) = a - P_S G(a, gamma) at x = (a, gamma), and its Jacobian in the unknowns
-    (a without a_j, gamma): dF/da = I + gamma C diag(W_hat_S) with column j replaced by
-    dF/dgamma = C (W_hat_S a), C = Cov_p(Y_S) at p = G(a, gamma).  a is the iterate, not
-    P_S p: the two differ away from a fixed point."""
+    """F(a, gamma) = a - P_S G(a, gamma) at x = (a, gamma), S the leading len(a) modes of the
+    support, and its Jacobian in the unknowns (a without a_j, gamma): dF/da =
+    I + gamma C diag(W_hat_S) with column j replaced by dF/dgamma = C (W_hat_S a),
+    C = Cov_p(Y_S) at p = G(a, gamma).  a is the iterate, not P_S p: the two differ away
+    from a fixed point."""
     a, gamma = x[:-1], x[-1]
-    mean, cov_w = op._covariance(op.moment_image(gamma, a))
+    mean, cov_w = op._covariance(op.moment_image(gamma, a), len(a))
     jac = np.eye(len(a)) + gamma * cov_w
     jac[:, j] = cov_w @ a
     return a - mean, jac
@@ -573,7 +611,9 @@ def _continued_root(
     """`_newton` at gamma_0 on the branch continued from (a = 0, gamma_k) along sign * e_k.
 
     The parameter is the mode's own moment a_k = eps; the unknowns are the other
-    moments and gamma (`_arc_system`, `_arc_corrector`).  Each point starts from the
+    moments on S_gamma_0 (`GibbsOperator.resolved_support`) and gamma (`_arc_system`,
+    `_arc_corrector`); at an arc point at gamma the modes dropped at gamma_0 make a field
+    of at most 2^-53 gamma / gamma_0, far below _ARC_TOL.  Each point starts from the
     secant through the last two, the first from (sign * h e_k, gamma_k).  The step h
     doubles after a point corrected in at most _ARC_FAST steps and halves when the
     corrector fails.  A step whose prediction passes gamma_0 is cut to end there, and
@@ -585,8 +625,9 @@ def _continued_root(
     h falls below _ARC_FLOOR, _ARC_POINTS points do not reach gamma_0 or the guard
     rejects the root.
     """
-    j = int(np.searchsorted(op._support, mode))
-    x = np.zeros(len(op._support) + 1)
+    support = op.resolved_support(gamma_0)  # it holds the mode: gamma_0 |W_hat_k| > 1, h_k >= 1
+    j = int(np.searchsorted(support, mode))
+    x = np.zeros(len(support) + 1)
     x[-1] = -1.0 / op._w_support[j]  # gamma_k
     tangent = np.zeros_like(x)
     tangent[j] = 1.0
@@ -704,9 +745,11 @@ def trace_branch(
     _log.debug(
         "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected, "
         "%d predicted points accepted, %d rejected, %d first-point sides continued from "
-        "gamma_k, %d fell back to their seeds, %d continuation points",
+        "gamma_k, %d fell back to their seeds, %d continuation points; %d to %d of %d support "
+        "modes resolved",
         len(branch), picard, newton, op.rejected, op.handoffs, accepted, rejected,
-        continued, fell_back, arc_points,
+        continued, fell_back, arc_points, len(op.resolved_support(gamma_grid[0])),
+        len(op.resolved_support(gamma_grid[-1])), len(op._support),
     )
     return branch, diagnostic
 

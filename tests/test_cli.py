@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -249,6 +250,82 @@ class TestBranch:
         monkeypatch.setattr(np.linalg, "solve", singular)
         assert _run(capsys, argv) == expected
         assert expected[0] == 0
+
+
+def _benchmark_round(capsys, monkeypatch, name):
+    """The benchmark's CLI calls on one canonical kernel (K = 48): {command: (CSV artifact,
+    densities of its solved states)}."""
+    spec = CANONICAL[name]
+    g = gamma_sharp(coefficients(KernelSpec(**spec), 48)).gamma
+    mode = "2" if name == "onsager" else "1"
+    argvs = {
+        "decompose": [],
+        "bifurcations": [],
+        "spectrum": ["--gamma", repr(1.2 * g)],
+        "solve": ["--gamma", repr(1.3 * g), "--mode", mode],
+        "branch": ["--mode", mode, "--gamma-min", repr(1.01 * g), "--gamma-max", repr(1.5 * g),
+                   "--gamma-steps", "10"],
+        "simulate": ["--gamma", repr(1.3 * g), "--particles", "200", "--steps", "50",
+                     "--dt", "0.002", "--seed", "1"],
+    }
+    if name == "heat":
+        del argvs["simulate"]
+    states, solve, walk = [], cli.gibbs_fixed_point, cli.trace_branch
+
+    def spied_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        states.append(result.density.values)
+        return result
+
+    def spied_walk(*args, **kwargs):
+        branch, diagnostic = walk(*args, **kwargs)
+        states.extend(point.density.values for point in branch)
+        return branch, diagnostic
+
+    monkeypatch.setattr(cli, "gibbs_fixed_point", spied_solve)
+    monkeypatch.setattr(cli, "trace_branch", spied_walk)
+    outputs = {}
+    for command, extra in argvs.items():
+        states.clear()
+        code, out, _ = _run(capsys, [command, "--kernel", json.dumps(spec), *extra])
+        assert code == 0
+        outputs[command] = (out, [values.copy() for values in states])
+    return outputs
+
+
+def _digest(out, states):
+    """SHA-256 of a CSV artifact and the bytes of its states' densities."""
+    return hashlib.sha256(out.encode() + b"".join(v.tobytes() for v in states)).hexdigest()
+
+
+class TestResolvedSupport:
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_benchmark_round_matches_the_full_support(self, capsys, monkeypatch, name):
+        # Onsager and opinion resolve to all of S, so their outputs are those of the moment
+        # system on all of S bit for bit; heat and transformer drop a tail that moves G by
+        # less than a rounding, and their states move only by round-off
+        resolved = _benchmark_round(capsys, monkeypatch, name)
+        monkeypatch.setattr(solver, "_ROUND_OFF", 0.0)  # every tail is kept
+        full = _benchmark_round(capsys, monkeypatch, name)
+        assert resolved.keys() == full.keys()
+        for command, (out, states) in resolved.items():
+            full_out, full_states = full[command]
+            assert len(states) == len(full_states)
+            assert bool(states) == (command in ("solve", "branch"))
+            if name in ("onsager", "opinion") or command not in ("solve", "branch"):
+                assert _digest(out, states) == _digest(full_out, full_states)
+                continue
+            for values, full_values in zip(states, full_states):
+                assert np.max(np.abs(values - full_values)) <= 1e-13 * np.max(np.abs(full_values))
+            _, columns, rows = _csv_table(out)
+            _, _, full_rows = _csv_table(full_out)
+            assert len(rows) == len(full_rows) == (10 if command == "branch" else 1)
+            for row, full_row in zip(rows, full_rows):
+                for column, value, full_value in zip(columns, row, full_row):
+                    if column in ("mode", "iterations"):  # the same mirror side and Picard steps
+                        assert value == full_value
+                    elif column != "residual":  # round-off, below 1e-11
+                        assert value == pytest.approx(full_value, rel=1e-13, abs=0.0)
 
 
 class TestTransition:

@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from spheremv.harmonics import ZonalCoefficients, omega_n, spectral_basis, y_l0
-from spheremv.kernels import KernelSpec, coefficients
+from spheremv.kernels import KernelSpec, coefficients, kernel_spec_from_json
 from spheremv.meanfield import (
     free_energy,
     free_energy_gap,
@@ -197,8 +199,9 @@ def _cli_walk(name, K):
 
 
 def _plain_newton(op, gamma, values, config, steps=30):
-    """Newton on the moments with no guard: (iterate, residual) once the residual is <= tol."""
-    proj = op._basin[0]
+    """Newton on the resolved moments with no guard: (iterate, residual) once the residual
+    is <= tol."""
+    proj = op._basin[0][: len(op.resolved_support(gamma))]
     for _ in range(steps):
         image = op.gibbs(gamma, values)
         res = op.norm(values - image)
@@ -556,8 +559,12 @@ class TestTraceBranch:
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
         (points, picard, steps, rejected, handoffs, predicted, refused,
-         continued, fell_back, arc_points) = counts
+         continued, fell_back, arc_points, first_resolved, last_resolved, support) = counts
         assert points == len(branch)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        assert (first_resolved, last_resolved, support) == (
+            len(op.resolved_support(grid[0])), len(op.resolved_support(grid[-1])),
+            np.count_nonzero(ONSAGER3.coeffs[1:]))
         assert predicted + refused == len(grid) - 1 and predicted >= 1
         # both sides of the first point are continued from gamma_2 and every prediction holds,
         # so the walk makes no seeded or warm-started solve and no Picard step
@@ -655,7 +662,9 @@ class TestTraceBranch:
         assert diag == "" and len(branch) == len(grid) and branch[0].iterations == 0
         assert [side[:3] for side in sides] == [(1, +1.0, grid[0]), (1, -1.0, grid[0])]
         gamma_1 = dict(bifurcation_points(kernel).points)[1]
-        support = list(np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1)
+        op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, FAST.M), FAST.K)
+        support = list(op.resolved_support(grid[0]))
+        assert len(support) < np.count_nonzero(kernel.coeffs[1:])  # the tail is dropped
         for _, sign, _, guesses in sides:
             first, j = guesses[0]
             along = np.zeros(len(support))
@@ -718,7 +727,7 @@ class TestTraceBranch:
             branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         message = caplog.records[-1].getMessage().replace(",", "")
         counts = [int(word) for word in message.split() if word.isdigit()]
-        continued, fell_back, arc_points = counts[-3:]
+        continued, fell_back, arc_points = counts[-6:-3]
         assert (continued, fell_back) == (0, 2)
         # one point per side within a budget of one; none where the first corrector fails;
         # the guard sees the root only after both sides have crossed gamma_0
@@ -759,13 +768,13 @@ class TestMomentTangent:
                             FAST.K)
         state = gibbs_fixed_point(kernel, gamma, seed, FAST)
         assert state.converged and state.density.dominant_mode()[0] == mode
-        support = [k for k in range(1, FAST.K + 1) if kernel.coeffs[k] != 0.0]
+        op = GibbsOperator(kernel, rule, FAST.K)
+        support = op.resolved_support(gamma)
 
         def moments(density):
             return np.array([rule.integrate(y_l0(k, n, rule.nodes) * density.values)
                              for k in support])
 
-        op = GibbsOperator(kernel, rule, FAST.K)
         a, tangent = op.moment_tangent(gamma, state.density.values)
         assert np.allclose(a, moments(state.density), rtol=0.0, atol=1e-13)
         h = 1e-4 * gamma
@@ -793,12 +802,12 @@ class TestContinuation:
         kernel = coefficients(CLI_SPECS[name], FAST.K)
         rule = gauss_jacobi_rule(kernel.n, FAST.M)
         op = GibbsOperator(kernel, rule, FAST.K)
-        support = np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1
+        gamma = 1.2 * gamma_sharp(kernel).gamma
+        support = op.resolved_support(gamma)
         j = list(support).index(mode)
         rng = np.random.default_rng(3)
         a = 0.05 * rng.standard_normal(len(support)) / np.arange(1, len(support) + 1)
         a[j] = 0.3
-        gamma = 1.2 * gamma_sharp(kernel).gamma
         f, jac = solver._arc_system(op, np.append(a, gamma), j)
         f_oracle, p = _moment_map(kernel, rule, support, a, gamma)
         assert np.allclose(f, f_oracle, rtol=0.0, atol=1e-13)
@@ -823,7 +832,7 @@ class TestContinuation:
         gs = gamma_sharp(kernel)
         mode, gamma_0 = gs.modes[0], 1.01 * gs.gamma
         rule = gauss_jacobi_rule(kernel.n, FAST.M)
-        support = np.flatnonzero(kernel.coeffs[1 : FAST.K + 1]) + 1
+        support = GibbsOperator(kernel, rule, FAST.K).resolved_support(gamma_0)
         points, roots, corrector, newton = [], [], solver._arc_corrector, solver._newton
 
         def spied_corrector(*args):
@@ -854,6 +863,127 @@ class TestContinuation:
             gap = free_energy_gap(kernel, basis, gamma, p)
             assert gap == pytest.approx(closed, rel=1e-10, abs=1e-13)
         assert min(free_energy_gap(kernel, basis, gamma_0, values) for values, _ in roots) < 0.0
+
+
+def _tail_bounds(kernel, rule, support, gamma):
+    """gamma sum_{j in S, j >= k} |W_hat_j| h_j^2 for each k in S, with h_j = max_i |Y_j(t_i)|
+    from `y_l0` on the rule's nodes."""
+    sup = np.array([np.max(np.abs(y_l0(k, kernel.n, rule.nodes))) for k in support])
+    terms = gamma * np.abs(kernel.coeffs[support]) * sup * sup
+    return np.array([terms[i:].sum() for i in range(len(support))])
+
+
+def _polished(moment_map, jacobian, a, steps=4):
+    """Newton a <- a - J(p)^-1 F(a) from a: (||F||, p = G(a)) at its best iterate."""
+    best = None
+    for _ in range(steps):
+        f, p = moment_map(a)
+        if best is None or np.linalg.norm(f) < best[0]:
+            best = (np.linalg.norm(f), p)
+        a = a - np.linalg.solve(jacobian(p), f)
+    return best
+
+
+@st.composite
+def _tailed_kernels(draw):
+    """(heat or transformer kernel spec, gamma / gamma_#): kernels whose W_hat_k decay
+    super-exponentially, so that the resolved support drops a tail."""
+    if draw(st.booleans()):
+        spec = KernelSpec(n=draw(st.sampled_from((3, 4, 5))), family="heat",
+                          epsilon=draw(st.floats(0.1, 1.0)))
+    else:
+        spec = KernelSpec(n=draw(st.sampled_from((3, 4, 8, 16))), family="transformer",
+                          beta=draw(st.floats(0.5, 4.0)))
+    return spec, draw(st.floats(1.01, 3.0))
+
+
+class TestResolvedSupport:
+    @settings(max_examples=30, deadline=None)
+    @given(_tailed_kernels())
+    def test_resolved_root_is_the_full_root(self, case):
+        # the tail that Newton leaves out moves G by less than one rounding of exp, so the
+        # root of the resolved system is the root of the system on all of S
+        spec, scale = case
+        config = SolverConfig(K=48, M=72)
+        kernel = coefficients(spec, config.K)
+        gs = gamma_sharp(kernel)
+        gamma = scale * gs.gamma
+        rule = gauss_jacobi_rule(kernel.n, config.M)
+        op = GibbsOperator(kernel, rule, config.K)
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        resolved = op.resolved_support(gamma)
+        # S_gamma is the shortest prefix of S whose dropped tail is bounded by 2^-53
+        bounds = np.append(_tail_bounds(kernel, rule, support, gamma), 0.0)
+        size = len(resolved)
+        assert np.array_equal(resolved, support[:size]) and size < len(support)
+        assert bounds[size] <= 2.0**-53 < bounds[size - 1]
+
+        # every root that the guarded Newton accepts in a one-point walk: from the
+        # continued sides, or from a seeded solve's handoff where they fall back
+        roots, newton = [], solver._newton
+
+        def spied(*args):
+            out = newton(*args)
+            roots.extend([] if out[0] is None else [out[0][0]])
+            return out
+
+        solver._newton = spied
+        try:
+            trace_branch(kernel, gs.modes[0], [gamma], config)
+        finally:
+            solver._newton = newton
+        # at n >= 8 and large beta the states collapse onto the nodes (dominant mode near
+        # K), where the guard may reject every root
+        assume(roots or spec.n < 8)
+        assert roots
+        table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+        for root in roots:
+            # the dropped field at the root is within the bound: |a_k| <= h_k
+            a = table @ (rule.weights * root)
+            tail = gamma * (kernel.coeffs[support[size:]] * a[size:]) @ table[size:]
+            assert np.max(np.abs(tail), initial=0.0) <= bounds[size]
+
+            proj = op._basin[0][:size]
+            res_r, p_r = _polished(lambda b: (b - proj @ op.moment_image(gamma, b),
+                                              op.moment_image(gamma, b)),
+                                   lambda p: op.moment_jacobian(gamma, p), proj @ root)
+
+            def full_jacobian(p):
+                mean = table @ (rule.weights * p)
+                cov = (table * (rule.weights * p)) @ table.T - np.outer(mean, mean)
+                return np.eye(len(support)) + gamma * cov * kernel.coeffs[support]
+
+            res_f, p_f = _polished(lambda b: _moment_map(kernel, rule, support, b, gamma),
+                                   full_jacobian, a)
+            assert max(res_r, res_f) <= 1e-13 * np.max(np.abs(p_f))
+            assert np.max(np.abs(p_r - p_f)) <= 1e-12 * np.max(np.abs(p_f))
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(n=3, family="onsager"), KernelSpec(n=3, family="opinion", p=5.0),
+        KernelSpec(n=4, family="transformer", beta=1.0),
+        KernelSpec(n=3, family="heat", epsilon=0.3),
+        kernel_spec_from_json(
+            '{"n": 3, "family": "custom", "profile": [[-1, 1.0], [0, -0.5], [1, -2.0]]}'),
+    ], ids=lambda spec: spec.family)
+    def test_basin_radius_keeps_the_whole_support(self, spec):
+        # the basin proof runs over every mode of S, so a dropped tail must not enter it
+        kernel = coefficients(spec, FAST.K)
+        rule = gauss_jacobi_rule(kernel.n, FAST.M)
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        w = kernel.coeffs[support]
+        table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+        sup_bound = np.max(np.sqrt(((w[:, None] * table) ** 2).sum(axis=0)))
+        op = GibbsOperator(kernel, rule, FAST.K)
+        gs = gamma_sharp(kernel).gamma
+        for gamma, tau in itertools.product((0.3 * gs, 0.9 * gs), (0.5, 1.0)):
+            q = np.max(np.abs(1.0 - tau * (1.0 + gamma * w)))
+            gb = gamma * sup_bound
+            radius = min(1.0, (1.0 - q) / (3.0 * math.e * tau * gb)) / gb
+            assert op.basin_radius(gamma, tau) == pytest.approx(radius, rel=1e-12)
+        if spec.family in ("heat", "transformer"):
+            assert len(op.resolved_support(gs)) < len(support)
+        else:
+            assert np.array_equal(op.resolved_support(1.5 * gs), support)
 
 
 class TestResonance:
