@@ -14,11 +14,10 @@ provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
 moments a = P_S rho (`_newton`), S cut to the modes that G can resolve at gamma
-(`GibbsOperator.resolved_support`).  There a branch walk reaches its first point
-by continuation in a_k from the bifurcation point (a = 0, gamma_k), along
-+e_k and -e_k (`_continued_root`), predicts each later point along the
-tangent da/dgamma (`GibbsOperator.moment_tangent`), and corrects both with
-`_newton` alone.
+(`GibbsOperator.resolved_support`).  There a branch walk follows one
+pseudo-arclength arc per side from the bifurcation point (a = 0, gamma_k),
+along +e_k and -e_k (`_arc`), and takes each point by `_newton` alone from
+the arc's prediction at its gamma.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -152,8 +151,8 @@ class GibbsOperator:
         Every density the moment system evaluates is G of something, a probability
         density on the nodes, so |a_j| <= h_j, the dropped field gamma sum_{j in T}
         W_hat_j a_j Y_j is at most 2^-53 on every node, and G moves by a relative
-        e^(2^-53) - 1, one rounding of `exp`.  Newton, the tangent and the continuation
-        solve on S_gamma; Picard, the residual and `basin_radius` keep all of S.
+        e^(2^-53) - 1, one rounding of `exp`.  Newton and the branch walk's arc solve
+        on S_gamma; Picard, the residual and `basin_radius` keep all of S.
         """
         # the tail sums fall with k; the bound is read as a quotient, which cannot overflow
         return self._support[: int(np.count_nonzero(self._tail_sums > _ROUND_OFF / float(gamma)))]
@@ -173,18 +172,6 @@ class GibbsOperator:
         on S = S_gamma (`resolved_support`)."""
         _, cov_w = self._covariance(image, len(self.resolved_support(gamma)))
         return np.eye(len(cov_w)) + gamma * cov_w
-
-    def moment_tangent(self, gamma: float, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, da/dgamma) along the fixed points F(a, gamma) = 0 at p = image, a fixed point.
-
-        With a = P_S p = E_p Y_S and C = Cov_p(Y_S) on S = S_gamma (`resolved_support`),
-        da/dgamma = -(dF/da)^(-1) dF/dgamma with dF/da = I + gamma C diag(W_hat_S) and
-        dF/dgamma = C (W_hat_S a), both from the one covariance.  Raises
-        np.linalg.LinAlgError when dF/da is singular.
-        """
-        mean, cov_w = self._covariance(image, len(self.resolved_support(gamma)))
-        jac = np.eye(len(mean)) + gamma * cov_w
-        return mean, -np.linalg.solve(jac, cov_w @ mean)
 
     def _covariance(self, image: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
         """E_p Y_S and Cov_p(Y_S) diag(W_hat_S) at the density p = image, S the leading
@@ -483,11 +470,12 @@ def gibbs_fixed_point(
         msg = f"no convergence after {iters} iterations"
     else:
         msg = f"non-finite residual at iteration {iters}"
-    _log.debug(
-        "gibbs_fixed_point: gamma %.6g, %d Picard steps, %d Newton steps (%d of %d support modes "
-        "resolved), residual %.3g", gamma, iters, newton_steps, len(op.resolved_support(gamma)),
-        len(op._support), res,
-    )
+    if _log.isEnabledFor(logging.DEBUG):  # resolved_support builds the tail sums
+        _log.debug(
+            "gibbs_fixed_point: gamma %.6g, %d Picard steps, %d Newton steps (%d of %d support "
+            "modes resolved), residual %.3g", gamma, iters, newton_steps,
+            len(op.resolved_support(gamma)), len(op._support), res,
+        )
     density = make_density(init.n, init.rule, values, op.K)
     return SolveResult(
         density=density, residual=res, iterations=iters, converged=converged, message=msg,
@@ -545,118 +533,120 @@ def _seeded_density(
     return make_density(n, rule, values, K)
 
 
-def _predicted_root(
-    op: GibbsOperator, previous: BranchPoint, gamma: float, config: SolverConfig
-) -> tuple[Optional[tuple[np.ndarray, float]], int]:
-    """`_newton` at gamma from G(a + (gamma - gamma_0) da/dgamma), where (a, da/dgamma) is
-    `GibbsOperator.moment_tangent` at the previous point's state; (None, 0) when the
-    tangent solve is singular or the prediction is not finite."""
-    try:
-        a, tangent = op.moment_tangent(previous.gamma, previous.density.values)
-    except np.linalg.LinAlgError:
-        return None, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = op.moment_image(gamma, a + (gamma - previous.gamma) * tangent)
-    if not np.all(np.isfinite(start)):
-        return None, 0
-    return _newton(op, gamma, start, config)
-
-
-# The continuation out of (k, gamma_k) steps in the mode's own moment a_k:
+# The arc out of (a = 0, gamma_k) steps in arclength in z = (a, gamma / gamma_k):
 _ARC_STEP = 3e-2  # first step: on every CLI kernel the branch is still near its tangent e_k
-_ARC_FLOOR = 1e-6  # a corrector that fails at smaller steps meets a turn in a_k, not curvature
-_ARC_POINTS = 100  # points to reach gamma_0; the CLI kernels need at most a dozen per side
+_ARC_FLOOR = 1e-6  # a step that keeps failing below this ends the arc
+_ARC_POINTS = 100  # points to reach the next grid gamma; the CLI walks need at most a dozen
 _ARC_NEWTON = 6  # corrector steps per point; a point that needs more is retried at half the step
 _ARC_FAST = 2  # a point corrected in at most this many steps doubles the next step
-# The points only guide the predictor, and `_newton` finishes at gamma_0, so they stop
-# short of round-off.
+# The points only guide the prediction, and `_newton` finishes at each grid gamma, so they
+# stop short of round-off.
 _ARC_TOL = 1e-8
 
 
-def _arc_system(op: GibbsOperator, x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(a, gamma) = a - P_S G(a, gamma) at x = (a, gamma), S the leading len(a) modes of the
-    support, and its Jacobian in the unknowns (a without a_j, gamma): dF/da =
-    I + gamma C diag(W_hat_S) with column j replaced by dF/dgamma = C (W_hat_S a),
-    C = Cov_p(Y_S) at p = G(a, gamma).  a is the iterate, not P_S p: the two differ away
-    from a fixed point."""
-    a, gamma = x[:-1], x[-1]
+def _arc_system(
+    op: GibbsOperator, z: np.ndarray, gamma_k: float, border: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """F(a, gamma) = a - P_S G(a, gamma) at z = (a, gamma / gamma_k), S the leading len(a) modes
+    of the support, and the bordered Jacobian [dF/dz; border] (|S| + 1, |S| + 1), with
+    dF/dz = [dF/da, gamma_k dF/dgamma], dF/da = I + gamma C diag(W_hat_S) and
+    dF/dgamma = C (W_hat_S a), C = Cov_p(Y_S) at p = G(a, gamma).  a is the iterate, not
+    P_S p: the two differ away from a fixed point."""
+    a, gamma = z[:-1], gamma_k * z[-1]
     mean, cov_w = op._covariance(op.moment_image(gamma, a), len(a))
-    jac = np.eye(len(a)) + gamma * cov_w
-    jac[:, j] = cov_w @ a
+    jac = np.empty((len(z), len(z)))
+    jac[:-1, :-1] = np.eye(len(a)) + gamma * cov_w
+    jac[:-1, -1] = gamma_k * (cov_w @ a)
+    jac[-1] = border
     return a - mean, jac
 
 
-def _arc_corrector(op: GibbsOperator, x: np.ndarray, j: int) -> Optional[tuple[np.ndarray, int]]:
-    """Newton from x = (a, gamma) with a_j fixed: (point, steps) once ||F|| <= _ARC_TOL, or
-    None after _ARC_NEWTON steps.  Raises FloatingPointError on a non-finite iterate and
-    np.linalg.LinAlgError on a singular Jacobian."""
-    x = x.copy()
+def _arc_corrector(
+    op: GibbsOperator, z: np.ndarray, tangent: np.ndarray, gamma_k: float
+) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """Newton on F = 0 from the prediction z, within the plane through z normal to the tangent:
+    each step solves [dF/dz; tangent] d = -(F, 0).  Returns (point, [dF/dz; tangent] there,
+    steps) once ||F|| <= _ARC_TOL, or None after _ARC_NEWTON steps.  Raises
+    FloatingPointError on a non-finite iterate and np.linalg.LinAlgError on a singular
+    bordered Jacobian."""
+    z = z.copy()
     for steps in itertools.count():
-        f, jac = _arc_system(op, x, j)
+        f, jac = _arc_system(op, z, gamma_k, tangent)
         if not (np.isfinite(f).all() and np.isfinite(jac).all()):
             raise FloatingPointError("non-finite continuation iterate")
         if np.linalg.norm(f) <= _ARC_TOL:
-            return x, steps
+            return z, jac, steps
         if steps == _ARC_NEWTON:
             return None
-        d = np.linalg.solve(jac, -f)
-        x[-1] += d[j]
-        d[j] = 0.0
-        x[:-1] += d
+        z -= np.linalg.solve(jac, np.append(f, 0.0))
 
 
-def _continued_root(
-    op: GibbsOperator, mode: int, sign: float, gamma_0: float, config: SolverConfig
-) -> tuple[Optional[tuple[np.ndarray, float]], int, int]:
-    """`_newton` at gamma_0 on the branch continued from (a = 0, gamma_k) along sign * e_k.
+def _arc_tangent(bordered: np.ndarray) -> np.ndarray:
+    """The unit null vector t of dF/dz with previous . t > 0, from the bordered Jacobian
+    [dF/dz; previous]: t solves it against e_last.  Raises np.linalg.LinAlgError when it is
+    singular."""
+    last = np.zeros(len(bordered))
+    last[-1] = 1.0
+    t = np.linalg.solve(bordered, last)
+    return t / np.linalg.norm(t)
 
-    The parameter is the mode's own moment a_k = eps; the unknowns are the other
-    moments on S_gamma_0 (`GibbsOperator.resolved_support`) and gamma (`_arc_system`,
-    `_arc_corrector`); at an arc point at gamma the modes dropped at gamma_0 make a field
-    of at most 2^-53 gamma / gamma_0, far below _ARC_TOL.  Each point starts from the
-    secant through the last two, the first from (sign * h e_k, gamma_k).  The step h
-    doubles after a point corrected in at most _ARC_FAST steps and halves when the
-    corrector fails.  A step whose prediction passes gamma_0 is cut to end there, and
-    a point past gamma_0 from an uncut step is taken again along the chord to it, so
-    the points that bracket gamma_0 lie close to it.  At the first upward crossing,
-    `_newton` runs from `moment_image(gamma_0, a)`, a interpolated linearly in gamma
-    between the two points.  Returns ((root, residual) or None, Newton steps at gamma_0,
-    continuation points); None when a Jacobian is singular, an iterate is not finite,
-    h falls below _ARC_FLOOR, _ARC_POINTS points do not reach gamma_0 or the guard
-    rejects the root.
+
+def _arc(
+    op: GibbsOperator, mode: int, sign: float, grid: Sequence[float], config: SolverConfig,
+    tally: dict,
+):
+    """The guarded-Newton root (values, residual) at each gamma of the ascending grid in turn,
+    on the branch continued by pseudo-arclength from (a = 0, gamma_k) along sign * e_k.
+
+    The arc runs on S_gamma of the last gamma (`GibbsOperator.resolved_support`) in
+    z = (a, gamma / gamma_k), so that one step rule serves every gamma_k.  Each point is
+    predicted along the unit tangent t as z + h t and corrected in the plane normal to t
+    (`_arc_corrector`), and its tangent is the next t (`_arc_tangent`).  The step h starts at
+    _ARC_STEP, doubles after a point corrected in at most _ARC_FAST steps and halves when the
+    corrector fails or its point passes the next gamma.  A prediction that would pass the
+    next gamma is cut to land on it, and `_newton` runs there from `moment_image(gamma, a)`
+    at the prediction: a root that the guard accepts is yielded and the arc restarts from
+    it, and a rejected root halves the step.  The arc returns when a Jacobian is singular,
+    an iterate is not finite, h falls below _ARC_FLOOR or _ARC_POINTS points do not reach
+    the next gamma.  tally["newton"] adds up the Newton steps at the grid gammas and
+    tally["points"] the arc points.
     """
-    support = op.resolved_support(gamma_0)  # it holds the mode: gamma_0 |W_hat_k| > 1, h_k >= 1
+    support = op.resolved_support(grid[-1])  # it holds the mode: gamma |W_hat_k| > 1, h_k >= 1
     j = int(np.searchsorted(support, mode))
-    x = np.zeros(len(support) + 1)
-    x[-1] = -1.0 / op._w_support[j]  # gamma_k
-    tangent = np.zeros_like(x)
-    tangent[j] = 1.0
-    step, points = sign * _ARC_STEP, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            while points < _ARC_POINTS and abs(step) >= _ARC_FLOOR:
-                aimed = x[-1] + step * tangent[-1] > gamma_0  # cut to end at gamma_0
-                if aimed:
-                    step = (gamma_0 - x[-1]) / tangent[-1]
-                corrected = _arc_corrector(op, x + step * tangent, j)
-                if corrected is None:
-                    step *= 0.5
-                    continue
-                new, steps = corrected
-                points += 1
-                chord = (new - x) / (new[j] - x[j])
-                if new[-1] < gamma_0:
-                    tangent, x = chord, new
-                    step *= 2.0 if steps <= _ARC_FAST else 1.0
-                elif aimed:  # the first upward crossing, from a prediction at gamma_0
-                    t = (gamma_0 - x[-1]) / (new[-1] - x[-1])
-                    start = op.moment_image(gamma_0, x[:-1] + t * (new[:-1] - x[:-1]))
-                    return (*_newton(op, gamma_0, start, config), points)
-                else:  # it passed gamma_0 unaimed: aim along the chord from x
-                    tangent = chord
-        except (np.linalg.LinAlgError, FloatingPointError):
-            pass
-    return None, 0, points
+    gamma_k = -1.0 / op._w_support[j]
+    z, t, h = np.zeros(len(support) + 1), np.zeros(len(support) + 1), _ARC_STEP
+    z[-1], t[j] = 1.0, sign
+    for gamma in grid:
+        end, points, root = gamma / gamma_k, 0, None
+        # an overflow shows up as a non-finite iterate, which ends the arc; the caller's
+        # error state is back at each yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                while root is None:
+                    if h < _ARC_FLOOR or points == _ARC_POINTS:
+                        return
+                    if t[-1] > 0.0 and z[-1] + h * t[-1] >= end:  # cut to land on gamma
+                        cut = (end - z[-1]) / t[-1]
+                        start = op.moment_image(gamma, z[:-1] + cut * t[:-1])
+                        root, steps = _newton(op, gamma, start, config)
+                        tally["newton"] += steps
+                        if root is None:
+                            h = 0.5 * cut
+                        continue
+                    corrected = _arc_corrector(op, z + h * t, t, gamma_k)
+                    if corrected is None or corrected[0][-1] >= end:
+                        h *= 0.5
+                        continue
+                    z, jac, steps = corrected
+                    t = _arc_tangent(jac)
+                    points += 1
+                    tally["points"] += 1
+                    h *= 2.0 if steps <= _ARC_FAST else 1.0
+                z = np.append(op._basin[0][: len(support)] @ root[0], end)
+                t = _arc_tangent(_arc_system(op, z, gamma_k, t)[1])
+            except (np.linalg.LinAlgError, FloatingPointError):
+                return
+        yield root
 
 
 def trace_branch(
@@ -669,21 +659,20 @@ def trace_branch(
 
     The first point has two sides, one per sign of the mode's eigenvector,
     and the smaller-amplitude non-uniform state of the two is kept as the
-    branch.  Where a lone solve would hand off to Newton (no basin ball at
-    gamma and _HANDOFF above tol) and the mode is a simple unstable mode
-    (the rule of `bifurcation_points`) with gamma_k below the first gamma,
-    each side is continued from the bifurcation point (a = 0, gamma_k) along
-    +e_k or -e_k to the first gamma (`_continued_root`), with no Picard step,
-    so its `iterations` is 0.  Elsewhere, or when that continuation fails or
-    ends at a uniform root, the side is the `gibbs_fixed_point` solve from
-    the uniform state kicked by +-0.01 Y_mode.  Where a lone solve would hand
-    off to Newton, every later point is predicted along the moment-space
-    tangent at the previous state and corrected by `_newton`, again with no
-    Picard step.  When the tangent is singular, the prediction is not
-    finite, the guard rejects the root or the root is uniform, and
-    everywhere else, the point is the `gibbs_fixed_point` solve started from
-    the previous state.  Returns the traced points and a diagnostic string
-    ('' when the whole grid was covered).
+    branch.  Where a lone solve at the first gamma would hand off to Newton
+    (no basin ball there and _HANDOFF above tol) and the mode is a simple
+    unstable mode (the rule of `bifurcation_points`) with gamma_k below the
+    first gamma, each side is an arc continued from the bifurcation point
+    (a = 0, gamma_k) along +e_k or -e_k by pseudo-arclength (`_arc`), and its
+    guarded-Newton root at the first gamma is the side's state, with no Picard
+    step, so its `iterations` is 0.  The kept side's arc then gives every
+    later point in the same way.  A side with no arc, or whose arc ends or
+    reaches a uniform root at the first gamma, is the `gibbs_fixed_point`
+    solve from the uniform state kicked by +-0.01 Y_mode; a later point with
+    no arc, or where it ends or reaches a uniform root, is the
+    `gibbs_fixed_point` solve started from the previous state, and so is every
+    point after it.  Returns the traced points and a diagnostic string ('' when
+    the whole grid was covered).
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
@@ -692,65 +681,55 @@ def trace_branch(
     op = GibbsOperator(kernel, rule, config.K)
     seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
     gamma_k = dict(_simple_modes(kernel).points).get(mode) if mode <= config.K else None
+    by_newton = op.basin_bound(gamma_grid[0], config.tau) <= 0.0 and _HANDOFF > config.tol
+    tally = {"newton": 0, "points": 0}
+    arcs = [None, None]
+    if by_newton and gamma_k is not None and gamma_k < gamma_grid[0]:
+        arcs = [_arc(op, mode, sign, gamma_grid, config, tally) for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
-    diagnostic, picard, newton, accepted, rejected = "", 0, 0, 0, 0
-    continued, fell_back, arc_points = 0, 0, 0
+    diagnostic, picard, continued, fell_back = "", 0, 0, 0
 
-    def non_uniform(results: list[SolveResult]) -> list[tuple[float, int, float, SolveResult]]:
-        found = []
-        for result in results:
-            l, amp = result.density.dominant_mode()
-            if result.converged and abs(amp) > 10 * config.tol:
-                found.append((abs(amp), l, amp, result))
-        return found
-
-    def newton_state(root: Optional[tuple[np.ndarray, float]], steps: int) -> list:
-        if root is None:
-            return []
-        density = make_density(kernel.n, rule, root[0], config.K)
-        return non_uniform([SolveResult(density=density, residual=root[1], iterations=0,
-                                        converged=True, newton_steps=steps)])
+    def non_uniform(result: SolveResult) -> Optional[tuple[float, int, float, SolveResult]]:
+        l, amp = result.density.dominant_mode()
+        if result.converged and abs(amp) > 10 * config.tol:
+            return abs(amp), l, amp, result
+        return None
 
     for gamma in gamma_grid:
         found = []
-        by_newton = op.basin_bound(gamma, config.tau) <= 0.0 and _HANDOFF > config.tol
-        if branch and by_newton:
-            root, steps = _predicted_root(op, branch[-1], gamma, config)
-            newton += steps
-            found = newton_state(root, steps)
-            accepted, rejected = accepted + bool(found), rejected + (not found)
-        arc = by_newton and not branch and gamma_k is not None and gamma_k < gamma
-        for sign, seed in zip((+1.0, -1.0), [] if found else seeds):
-            side = []
-            if arc:
-                root, steps, count = _continued_root(op, mode, sign, gamma, config)
-                newton, arc_points = newton + steps, arc_points + count
-                side = newton_state(root, steps)
-                continued, fell_back = continued + bool(side), fell_back + (not side)
-            if not side:
-                result = gibbs_fixed_point(kernel, gamma, seed, config, op=op)
-                picard, newton = picard + result.iterations, newton + result.newton_steps
-                side = non_uniform([result])
-            found += side
+        for arc, seed in zip(arcs, seeds):
+            root = None if arc is None else next(arc, None)
+            side = None if root is None else non_uniform(SolveResult(
+                density=make_density(kernel.n, rule, root[0], config.K), residual=root[1],
+                iterations=0, converged=True))
+            if arc is not None and not branch:
+                continued, fell_back = continued + (side is not None), fell_back + (side is None)
+            if side is None:
+                arc, result = None, gibbs_fixed_point(kernel, gamma, seed, config, op=op)
+                picard += result.iterations
+                tally["newton"] += result.newton_steps
+                side = non_uniform(result)
+            if side is not None:
+                found.append((*side, arc))
         if not found:
             diagnostic = (f"branch lost at gamma={gamma} (fell back to uniform)" if branch
                           else f"branch not found at gamma={gamma}")
             break
-        _, l, amp, result = min(found, key=lambda c: c[0])
+        _, l, amp, result, arc = min(found, key=lambda c: c[0])
         branch.append(
             BranchPoint(gamma, result.density, l, amp, free_energy(kernel, result.density, gamma),
                         result.residual, result.iterations)
         )
-        seeds = [result.density]
-    _log.debug(
-        "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs rejected, "
-        "%d predicted points accepted, %d rejected, %d first-point sides continued from "
-        "gamma_k, %d fell back to their seeds, %d continuation points; %d to %d of %d support "
-        "modes resolved",
-        len(branch), picard, newton, op.rejected, op.handoffs, accepted, rejected,
-        continued, fell_back, arc_points, len(op.resolved_support(gamma_grid[0])),
-        len(op.resolved_support(gamma_grid[-1])), len(op._support),
-    )
+        arcs, seeds = [arc], [result.density]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs "
+            "rejected, %d first-point sides continued from gamma_k, %d fell back to their seeds, "
+            "%d arc points; %d to %d of %d support modes resolved",
+            len(branch), picard, tally["newton"], op.rejected, op.handoffs, continued, fell_back,
+            tally["points"], len(op.resolved_support(gamma_grid[0])),
+            len(op.resolved_support(gamma_grid[-1])), len(op._support),
+        )
     return branch, diagnostic
 
 

@@ -558,122 +558,176 @@ class TestTraceBranch:
         assert diag == "" and len(branch) == len(grid)
         [record] = caplog.records
         counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        (points, picard, steps, rejected, handoffs, predicted, refused,
-         continued, fell_back, arc_points, first_resolved, last_resolved, support) = counts
+        (points, picard, steps, rejected, handoffs, continued, fell_back, arc_points,
+         first_resolved, last_resolved, support) = counts
         assert points == len(branch)
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
         assert (first_resolved, last_resolved, support) == (
             len(op.resolved_support(grid[0])), len(op.resolved_support(grid[-1])),
             np.count_nonzero(ONSAGER3.coeffs[1:]))
-        assert predicted + refused == len(grid) - 1 and predicted >= 1
-        # both sides of the first point are continued from gamma_2 and every prediction holds,
-        # so the walk makes no seeded or warm-started solve and no Picard step
-        assert (continued, fell_back) == (2, 0) and branch[0].iterations == 0
-        assert (refused, handoffs, picard) == (0, 0, 0)
+        # both sides of the first point and every later point come from the arc, so the walk
+        # makes no seeded or warm-started solve and no Picard step
+        assert (continued, fell_back) == (2, 0) and results == []
+        assert (picard, handoffs, rejected) == (0, 0, 0)
+        assert [p.iterations for p in branch] == [0] * len(grid)
         assert arc_points == len([c for c in corrected if c is not None]) >= 2
-        assert len(results) == fell_back + refused  # one seeded solve per side, one per refused
-        assert [p.iterations == 0 for p in branch[1:]].count(True) >= predicted
-        assert picard == sum(r.iterations for r in results)
         assert steps == sum(taken for _, taken in newton_calls)
-        assert handoffs == len(results) and 0 <= rejected <= handoffs
-        # one _newton call per handoff, per prediction and per continued side
-        assert len(newton_calls) == handoffs + predicted + refused + continued
-        assert [root is None for root, _ in newton_calls].count(True) == rejected + refused
-        # an accepted root took at least one step
-        assert steps >= handoffs - rejected + predicted + continued
+        # one accepted _newton root per side at the first gamma and one per later gamma,
+        # each after at least one step
+        accepted = [taken for root, taken in newton_calls if root is not None]
+        assert len(accepted) == len(grid) + 1 and min(accepted) >= 1
 
-    def test_later_points_start_from_the_predicted_state(self, monkeypatch):
-        starts, solved, newton, solve = [], [], solver._newton, solver.gibbs_fixed_point
+    @pytest.mark.parametrize("first_step", [solver._ARC_STEP, 0.5])
+    def test_later_points_start_from_the_predicted_state(self, monkeypatch, first_step):
+        # each grid gamma is `_newton` from G at the arc's prediction cut to land on it, z + h t
+        # with z the last arc point or accepted root below that gamma and t its unit tangent;
+        # the walk's points are the roots of one side's arc.  A first step of 0.5 in a_2
+        # corrects to points past the first gamma, which the arc must refuse.
+        events = []
+        newton, corrector, tangent = solver._newton, solver._arc_corrector, solver._arc_tangent
 
-        def spied(op, gamma, values, config):
-            starts.append((gamma, values.copy()))
-            return newton(op, gamma, values, config)
+        def spied_newton(op, gamma, values, config):
+            out = newton(op, gamma, values, config)
+            events.append(("newton", gamma, values.copy(), out[0]))
+            return out
 
-        def spied_solve(kernel, gamma, *args, **kwargs):
-            solved.append(gamma)
-            return solve(kernel, gamma, *args, **kwargs)
+        def spied_corrector(*args):
+            out = corrector(*args)
+            events.append(("point", None if out is None else out[0].copy()))
+            return out
 
-        monkeypatch.setattr(solver, "_newton", spied)
-        monkeypatch.setattr(solver, "gibbs_fixed_point", spied_solve)
+        def spied_tangent(bordered):
+            events.append(("tangent", tangent(bordered)))
+            return events[-1][1]
+
+        monkeypatch.setattr(solver, "_ARC_STEP", first_step)
+        monkeypatch.setattr(solver, "_newton", spied_newton)
+        monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
+        monkeypatch.setattr(solver, "_arc_tangent", spied_tangent)
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        support = op.resolved_support(grid[-1])
+        j, gamma_k = list(support).index(2), -1.0 / ONSAGER3.coeffs[2]
+        roots, refused = {}, 0
+        for sign in (+1.0, -1.0):
+            events.clear()
+            roots[sign] = list(solver._arc(op, 2, sign, grid, FAST, {"newton": 0, "points": 0}))
+            z, t = np.zeros(len(support) + 1), np.zeros(len(support) + 1)
+            z[-1], t[j] = 1.0, sign
+            landed, previous = [], None
+            for event in events:
+                if event[0] == "tangent":
+                    if previous[0] == "point":  # an accepted point: its tangent comes next
+                        z = previous[1]
+                    t = event[1]
+                elif event[0] == "point":
+                    refused += previous is not None and previous[0] == "point" and (
+                        previous[1] is not None)
+                elif event[0] == "newton":
+                    _, gamma, values, root = event
+                    cut = (gamma / gamma_k - z[-1]) / t[-1]
+                    # t is the unit null vector of dF/dz at z, the point or root it leaves
+                    _, bordered = solver._arc_system(op, z, gamma_k, t)
+                    assert np.max(np.abs(bordered[:-1] @ t)) <= 1e-12
+                    # equal up to the round-off of BLAS on differently aligned vectors
+                    expected = op.moment_image(gamma, z[:-1] + cut * t[:-1])
+                    assert 0.0 < cut and np.allclose(values, expected, rtol=1e-13, atol=0.0)
+                    if root is not None:
+                        landed.append(gamma)
+                        z = np.append(op._basin[0][: len(support)] @ root[0], gamma / gamma_k)
+                previous = event
+            assert landed == list(grid) and len(roots[sign]) == len(grid)
+        assert refused > 0 if first_step == 0.5 else True
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
-        # no Picard solve: the first point is continued from gamma_2, the later ones predicted
-        assert solved == [] and branch[0].iterations == 0
-        later = [(gamma, values) for gamma, values in starts if gamma != grid[0]]
-        assert [gamma for gamma, _ in later] == list(grid[1:])
-        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        for (gamma, values), previous, point in zip(later, branch, branch[1:]):
-            a, tangent = op.moment_tangent(previous.gamma, previous.density.values)
-            predicted = op.moment_image(gamma, a + (gamma - previous.gamma) * tangent)
-            assert np.array_equal(values, predicted)
-            assert not np.allclose(values, previous.density.values, rtol=1e-3, atol=0.0)
+        [kept] = [sign for sign in roots if np.allclose(
+            roots[sign][0][0], branch[0].density.values, rtol=1e-12, atol=0.0)]
+        for (values, _), previous, point in zip(roots[kept], [None, *branch], branch):
+            assert np.allclose(point.density.values, values, rtol=1e-12, atol=0.0)
             assert point.iterations == 0 and point.residual <= FAST.tol
+            if previous is not None:  # the arc moved: not the previous state again
+                assert not np.allclose(values, previous.density.values, rtol=1e-3, atol=0.0)
 
     def test_rejected_predictions_keep_the_warm_started_walk(self, monkeypatch):
-        # with every Newton root rejected, each later point is the Picard solve from the
-        # previous state: the walk of two mirror seeds and warm starts, bit for bit
-        monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (None, 0))
-        inits, solve = [], solver.gibbs_fixed_point
+        # once the guard rejects every root at a grid gamma, the arc halves its step down to
+        # the floor and ends, and the rest of the walk is the Picard solve from each previous
+        # state, bit for bit
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        newton, solve, inits = solver._newton, solver.gibbs_fixed_point, []
+        monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
+            (None, 0) if gamma >= grid[2] else newton(op, gamma, values, config)))
 
         def spied(kernel, gamma, init, *args, **kwargs):
             inits.append((gamma, init.values.copy()))
             return solve(kernel, gamma, init, *args, **kwargs)
 
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
-        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
-        later = [(gamma, values) for gamma, values in inits if gamma != grid[0]]
-        assert [gamma for gamma, _ in later] == list(grid[1:])
-        for (_, values), previous in zip(later, branch):
+        assert [gamma for gamma, _ in inits] == list(grid[2:])
+        assert [p.iterations for p in branch[:2]] == [0, 0]
+        for (_, values), previous in zip(inits, branch[1:]):
             assert np.array_equal(values, previous.density.values)
 
-        seeds, expected = [_mirror_seed(ONSAGER3, 2, sign) for sign in (+1.0, -1.0)], []
-        for gamma in grid:
-            results = [gibbs_fixed_point(ONSAGER3, gamma, seed, FAST) for seed in seeds]
-            found = [r for r in results
-                     if r.converged and abs(r.density.dominant_mode()[1]) > 10 * FAST.tol]
-            expected.append(min(found, key=lambda r: abs(r.density.dominant_mode()[1])))
-            seeds = [expected[-1].density]
-        for point, result in zip(branch, expected):
+        state = branch[1].density
+        for gamma, point in zip(grid[2:], branch[2:]):
+            result = solve(ONSAGER3, gamma, state, FAST)
             assert np.array_equal(point.density.values, result.density.values)
             assert (point.residual, point.iterations) == (result.residual, result.iterations)
             assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
+            assert point.iterations > 0
+            state = result.density
+
+    def test_rejected_root_halves_the_step(self, monkeypatch):
+        # a root the guard rejects halves the step and the arc goes on: it comes back to that
+        # gamma from a nearer point, and the walk needs no Picard step
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        tried, newton = [], solver._newton
+
+        def rejected_once(op, gamma, values, config):
+            tried.append(gamma)
+            if gamma == grid[1] and tried.count(gamma) == 1:
+                return None, 0
+            return newton(op, gamma, values, config)
+
+        monkeypatch.setattr(solver, "_newton", rejected_once)
+        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == "" and [p.iterations for p in branch] == [0] * len(grid)
+        assert tried.count(grid[1]) >= 2
 
     def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
         # each side starts at the bifurcation point (0, gamma_1), along +e_1 or -e_1
         kernel = coefficients(CLI_SPECS["transformer"], FAST.K)
-        sides, continued_root, corrector = [], solver._continued_root, solver._arc_corrector
+        sides, arc, corrector = [], solver._arc, solver._arc_corrector
 
-        def spied_root(op, mode, sign, gamma_0, config):
-            sides.append((mode, sign, gamma_0, []))
-            return continued_root(op, mode, sign, gamma_0, config)
+        def spied_arc(op, mode, sign, grid, config, tally):
+            sides.append((mode, sign, list(grid), []))
+            yield from arc(op, mode, sign, grid, config, tally)
 
-        def spied_corrector(op, x, j):
-            sides[-1][3].append((x.copy(), j))
-            return corrector(op, x, j)
+        def spied_corrector(op, z, tangent, gamma_k):
+            sides[-1][3].append((z.copy(), tangent.copy(), gamma_k))
+            return corrector(op, z, tangent, gamma_k)
 
-        monkeypatch.setattr(solver, "_continued_root", spied_root)
+        monkeypatch.setattr(solver, "_arc", spied_arc)
         monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
         g = gamma_sharp(kernel).gamma
         grid = [1.01 * g, 1.1 * g, 1.2 * g]
         branch, diag = trace_branch(kernel, 1, grid, FAST)
         assert diag == "" and len(branch) == len(grid) and branch[0].iterations == 0
-        assert [side[:3] for side in sides] == [(1, +1.0, grid[0]), (1, -1.0, grid[0])]
+        assert [side[:3] for side in sides] == [(1, +1.0, grid), (1, -1.0, grid)]
         gamma_1 = dict(bifurcation_points(kernel).points)[1]
         op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, FAST.M), FAST.K)
-        support = list(op.resolved_support(grid[0]))
+        support = list(op.resolved_support(grid[-1]))
         assert len(support) < np.count_nonzero(kernel.coeffs[1:])  # the tail is dropped
         for _, sign, _, guesses in sides:
-            first, j = guesses[0]
-            along = np.zeros(len(support))
-            along[support.index(1)] = sign * solver._ARC_STEP
-            assert j == support.index(1)
-            assert np.array_equal(first[:-1], along) and first[-1] == gamma_1
+            first, tangent, gamma_k = guesses[0]
+            along = np.zeros(len(support) + 1)
+            along[support.index(1)] = sign
+            assert gamma_k == gamma_1 and np.array_equal(tangent, along)
+            assert np.array_equal(first[:-1], solver._ARC_STEP * along[:-1]) and first[-1] == 1.0
 
-        # when the continuation fails, the two seeded solves get the +-0.01 Y_1 seeds
-        monkeypatch.setattr(solver, "_continued_root", lambda *args: (None, 0, 0))
+        # with no arc, the two seeded solves get the +-0.01 Y_1 seeds
+        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
         inits, solve = [], solver.gibbs_fixed_point
 
         def spied(kernel, gamma, init, *args, **kwargs):
@@ -694,7 +748,7 @@ class TestTraceBranch:
         config = SolverConfig(K=48, M=72)
         kernel, mode, grid = _cli_walk(name, config.K)
         [point], diag = trace_branch(kernel, mode, grid[:1], config)
-        monkeypatch.setattr(solver, "_continued_root", lambda *args: (None, 0, 0))
+        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
         [seeded], seeded_diag = trace_branch(kernel, mode, grid[:1], config)
         assert diag == seeded_diag == ""
         assert point.iterations == 0 < seeded.iterations and point.residual <= config.tol
@@ -703,21 +757,49 @@ class TestTraceBranch:
         assert point.amplitude == pytest.approx(seeded.amplitude, rel=1e-9, abs=0.0)
         assert np.allclose(point.density.values, seeded.density.values, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("name", sorted(CLI_SPECS))
+    def test_cli_walks_take_no_picard_step(self, name):
+        # the arc gives every point of the benchmark's walks, so none takes a Picard step
+        config = SolverConfig(K=48, M=72)
+        kernel, mode, grid = _cli_walk(name, config.K)
+        branch, diag = trace_branch(kernel, mode, grid, config)
+        assert diag == "" and len(branch) == len(grid)
+        assert [p.iterations for p in branch] == [0] * len(grid)
+        assert all(p.residual <= config.tol for p in branch)
+
+    @pytest.mark.parametrize("spec, mode, K, M", [
+        (KernelSpec(n=5, family="onsager"), 2, 48, 72),
+        (KernelSpec(n=4, family="opinion", p=7.0), 1, 16, 40),
+    ], ids=["onsager-n5", "opinion-n4-p7"])
+    def test_both_sides_pass_a_turn_in_the_mode_moment(self, caplog, spec, mode, K, M):
+        # on these walks the branch turns in a_k on the way to the first gamma; the arc
+        # passes the turn on both sides, so neither falls back to its seeded solve
+        kernel = coefficients(spec, K)
+        gamma_k = dict(bifurcation_points(kernel).points)[mode]
+        grid = np.linspace(1.05 * gamma_k, 3.0 * gamma_k, 6)
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            branch, diag = trace_branch(kernel, mode, grid, SolverConfig(K=K, M=M))
+        assert diag == "" and len(branch) == len(grid)
+        assert [p.iterations for p in branch] == [0] * len(grid)
+        message = caplog.records[-1].getMessage().replace(",", "")
+        continued, fell_back, _ = [int(word) for word in message.split() if word.isdigit()][-6:-3]
+        assert (continued, fell_back) == (2, 0)
+
     @pytest.mark.parametrize("failure", ["floor", "singular", "non-finite", "budget", "guard"])
     def test_failed_continuation_keeps_the_seeded_walk(self, caplog, monkeypatch, failure):
-        # each way the continuation can fail leaves the walk of the two seeded solves,
-        # bit for bit: the walk with the continuation switched off, written out at its first
-        # point as the smaller-amplitude state of the two seeds
+        # each way the arc can fail leaves the walk of the two seeded solves, bit for bit:
+        # the walk with no arc, written out at its first point as the smaller-amplitude state
+        # of the two seeds
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         system, newton = solver._arc_system, solver._newton
         if failure == "floor":
-            monkeypatch.setattr(solver, "_arc_corrector", lambda op, x, j: None)
+            monkeypatch.setattr(solver, "_arc_corrector", lambda op, z, tangent, gamma_k: None)
         elif failure == "singular":
-            monkeypatch.setattr(solver, "_arc_system",
-                                lambda op, x, j: (system(op, x, j)[0], np.zeros((len(x) - 1,) * 2)))
+            monkeypatch.setattr(solver, "_arc_system", lambda op, z, gamma_k, border: (
+                system(op, z, gamma_k, border)[0], np.zeros((len(z), len(z)))))
         elif failure == "non-finite":
-            monkeypatch.setattr(solver, "_arc_system",
-                                lambda op, x, j: tuple(v * np.nan for v in system(op, x, j)))
+            monkeypatch.setattr(solver, "_arc_system", lambda op, z, gamma_k, border: tuple(
+                v * np.nan for v in system(op, z, gamma_k, border)))
         elif failure == "budget":
             monkeypatch.setattr(solver, "_ARC_POINTS", 1)
         else:  # every root at the first gamma is rejected, the seeded solves' too
@@ -730,7 +812,7 @@ class TestTraceBranch:
         continued, fell_back, arc_points = counts[-6:-3]
         assert (continued, fell_back) == (0, 2)
         # one point per side within a budget of one; none where the first corrector fails;
-        # the guard sees the root only after both sides have crossed gamma_0
+        # the guard sees a root only once a prediction reaches the first gamma
         if failure == "guard":
             assert arc_points >= 2
         else:
@@ -748,6 +830,7 @@ class TestTraceBranch:
         assert np.array_equal(branch[0].density.values, first.density.values)
         assert branch[0].iterations == first.iterations > 0
 
+
 def _mirror_seed(kernel, mode, sign):
     """The uniform state kicked by sign * 0.01 Y_mode, the seeds of a walk's first point."""
     rule = gauss_jacobi_rule(kernel.n, FAST.M)
@@ -759,7 +842,8 @@ def _mirror_seed(kernel, mode, sign):
 class TestMomentTangent:
     @pytest.mark.parametrize("name, mode", [("onsager", 2), ("transformer", 1)])
     def test_tangent_matches_central_differences(self, name, mode):
-        # da/dgamma at a fixed point against the moments of the solves at gamma -+ h
+        # the arc's unit tangent (v_a, v_s) at a fixed point, s = gamma / gamma_k, against the
+        # moments of the solves at gamma -+ h: v_a / (gamma_k v_s) is da/dgamma
         kernel = coefficients(CLI_SPECS[name], FAST.K)
         n = kernel.n
         rule = gauss_jacobi_rule(n, FAST.M)
@@ -775,8 +859,15 @@ class TestMomentTangent:
             return np.array([rule.integrate(y_l0(k, n, rule.nodes) * density.values)
                              for k in support])
 
-        a, tangent = op.moment_tangent(gamma, state.density.values)
-        assert np.allclose(a, moments(state.density), rtol=0.0, atol=1e-13)
+        gamma_k = -1.0 / kernel.coeffs[mode]
+        previous = np.zeros(len(support) + 1)
+        previous[-1] = 1.0  # oriented toward growing gamma
+        z = np.append(moments(state.density), gamma / gamma_k)
+        _, bordered = solver._arc_system(op, z, gamma_k, previous)
+        t = solver._arc_tangent(bordered)
+        assert np.linalg.norm(t) == pytest.approx(1.0, rel=1e-14) and t[-1] > 0.0
+        assert np.max(np.abs(bordered[:-1] @ t)) <= 1e-12  # a null vector of dF/dz
+        tangent = t[:-1] / (gamma_k * t[-1])
         h = 1e-4 * gamma
         up, down = (gibbs_fixed_point(kernel, gamma + s * h, state.density, FAST) for s in (1, -1))
         assert up.converged and down.converged
@@ -784,6 +875,9 @@ class TestMomentTangent:
         # the central difference is good to O(h^2), about 1e-7 of the tangent here
         assert np.max(np.abs(tangent - differences)) <= 1e-6 * np.max(np.abs(tangent))
         assert np.max(np.abs(tangent)) > 0.1
+        # the other orientation gives the opposite tangent
+        bordered[-1] = -previous
+        assert np.allclose(solver._arc_tangent(bordered), -t, rtol=0.0, atol=1e-14)
 
 
 def _moment_map(kernel, rule, support, a, gamma):
@@ -798,7 +892,8 @@ def _moment_map(kernel, rule, support, a, gamma):
 class TestContinuation:
     @pytest.mark.parametrize("name, mode", [("onsager", 2), ("transformer", 1)])
     def test_jacobian_matches_central_differences(self, name, mode):
-        # at a moment vector that is no fixed point, so that a and P_S G(a) differ
+        # the bordered Jacobian [dF/dz; border] in z = (a, gamma / gamma_k), at a moment vector
+        # that is no fixed point, so that a and P_S G(a) differ
         kernel = coefficients(CLI_SPECS[name], FAST.K)
         rule = gauss_jacobi_rule(kernel.n, FAST.M)
         op = GibbsOperator(kernel, rule, FAST.K)
@@ -808,21 +903,24 @@ class TestContinuation:
         rng = np.random.default_rng(3)
         a = 0.05 * rng.standard_normal(len(support)) / np.arange(1, len(support) + 1)
         a[j] = 0.3
-        f, jac = solver._arc_system(op, np.append(a, gamma), j)
+        gamma_k = -1.0 / kernel.coeffs[mode]
+        z, border = np.append(a, gamma / gamma_k), rng.standard_normal(len(support) + 1)
+        f, jac = solver._arc_system(op, z, gamma_k, border)
+        assert jac.shape == (len(z), len(z)) and np.array_equal(jac[-1], border)
         f_oracle, p = _moment_map(kernel, rule, support, a, gamma)
         assert np.allclose(f, f_oracle, rtol=0.0, atol=1e-13)
         assert np.max(np.abs(f)) > 0.01  # far from a fixed point
-        h, differences = 1e-6, np.empty_like(jac)
-        for col in range(len(support)):
-            up, down = np.append(a, gamma), np.append(a, gamma)
-            unknown = -1 if col == j else col  # column j is the derivative in gamma
-            up[unknown] += h
-            down[unknown] -= h
-            differences[:, col] = (_moment_map(kernel, rule, support, up[:-1], up[-1])[0]
-                                   - _moment_map(kernel, rule, support, down[:-1], down[-1])[0]) / (2 * h)
+        h, differences = 1e-6, np.empty((len(support), len(z)))
+        for col in range(len(z)):  # the last column is the derivative in gamma / gamma_k
+            up, down = z.copy(), z.copy()
+            up[col] += h
+            down[col] -= h
+            differences[:, col] = (
+                _moment_map(kernel, rule, support, up[:-1], gamma_k * up[-1])[0]
+                - _moment_map(kernel, rule, support, down[:-1], gamma_k * down[-1])[0]) / (2 * h)
         # central differences are good to O(h^2) and round-off eps / h, about 1e-10 here
-        assert np.max(np.abs(jac - differences)) <= 1e-8
-        assert np.max(np.abs(jac[:, j])) > 1e-3
+        assert np.max(np.abs(jac[:-1] - differences)) <= 1e-8
+        assert np.max(np.abs(jac[:-1, -1])) > 1e-3
 
     @pytest.mark.parametrize("name", ["onsager", "opinion"])
     def test_closed_form_gap_at_every_continued_point(self, monkeypatch, name):
@@ -831,6 +929,7 @@ class TestContinuation:
         kernel = coefficients(CLI_SPECS[name], FAST.K)
         gs = gamma_sharp(kernel)
         mode, gamma_0 = gs.modes[0], 1.01 * gs.gamma
+        gamma_k = -1.0 / kernel.coeffs[mode]
         rule = gauss_jacobi_rule(kernel.n, FAST.M)
         support = GibbsOperator(kernel, rule, FAST.K).resolved_support(gamma_0)
         points, roots, corrector, newton = [], [], solver._arc_corrector, solver._newton
@@ -849,9 +948,9 @@ class TestContinuation:
         monkeypatch.setattr(solver, "_newton", spied_newton)
         [point], diag = trace_branch(kernel, mode, [gamma_0], FAST)
         assert diag == "" and point.iterations == 0 and len(roots) == 2 and None not in roots
-        assert min(x[-1] for x in points) < -1.0 / kernel.coeffs[mode]  # below gamma_k: a fold
+        assert min(z[-1] for z in points) < 1.0  # below gamma_k: a fold
         table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
-        states = [(x[:-1], x[-1]) for x in points]
+        states = [(z[:-1], gamma_k * z[-1]) for z in points]
         states += [(table @ (rule.weights * values), gamma_0) for values, _ in roots]
         basis = spectral_basis(kernel.n, FAST.K, FAST.M)
         for a, gamma in states:
@@ -984,6 +1083,27 @@ class TestResolvedSupport:
             assert len(op.resolved_support(gs)) < len(support)
         else:
             assert np.array_equal(op.resolved_support(1.5 * gs), support)
+
+    def test_no_tail_sums_while_the_debug_line_is_off(self, caplog, monkeypatch):
+        # a solve at 0.5 gamma_# from uniform takes no Picard or Newton step, so only a debug
+        # line would read its resolved support; with the line off the tail sums are not built
+        config = SolverConfig(K=48, M=72)
+        kernel = coefficients(CLI_SPECS["heat"], config.K)
+        rule = gauss_jacobi_rule(kernel.n, config.M)
+        gamma = 0.5 * gamma_sharp(kernel).gamma
+        built, tail_sums = [], GibbsOperator._tail_sums.func
+        monkeypatch.setattr(GibbsOperator, "_tail_sums",
+                            property(lambda op: built.append(op) or tail_sums(op)))
+        caplog.set_level(logging.INFO, logger="spheremv")
+        op = GibbsOperator(kernel, rule, config.K)
+        uniform = uniform_density(kernel.n, rule, config.K)
+        result = gibbs_fixed_point(kernel, gamma, uniform, config, op=op)
+        assert result.converged and (result.iterations, result.newton_steps) == (0, 0)
+        assert trace_branch(kernel, 1, [gamma], config)[0] == []  # no arc below gamma_#
+        assert built == []
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            gibbs_fixed_point(kernel, gamma, uniform, config, op=op)
+        assert built == [op]
 
 
 class TestResonance:
