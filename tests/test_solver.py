@@ -577,12 +577,20 @@ class TestTraceBranch:
         accepted = [taken for root, taken in newton_calls if root is not None]
         assert len(accepted) == len(grid) + 1 and min(accepted) >= 1
 
-    @pytest.mark.parametrize("first_step", [solver._ARC_STEP, 0.5])
-    def test_later_points_start_from_the_predicted_state(self, monkeypatch, first_step):
+    def test_later_points_start_from_the_predicted_state(self, monkeypatch):
+        self._check_arc_predictions(monkeypatch, solver._ARC_STEP)
+
+    def test_long_first_step_refuses_points_past_the_first_gamma(self, monkeypatch):
+        # a first step of 0.5 in a_2 corrects to points past the first gamma, which the arc
+        # must refuse before it lands on every grid gamma from the predicted state
+        assert self._check_arc_predictions(monkeypatch, 0.5) > 0
+
+    @staticmethod
+    def _check_arc_predictions(monkeypatch, first_step):
         # each grid gamma is `_newton` from G at the arc's prediction cut to land on it, z + h t
         # with z the last arc point or accepted root below that gamma and t its unit tangent;
-        # the walk's points are the roots of one side's arc.  A first step of 0.5 in a_2
-        # corrects to points past the first gamma, which the arc must refuse.
+        # the walk's points are the roots of one side's arc.  Returns how many corrected arc
+        # points the walk refused.
         events = []
         newton, corrector, tangent = solver._newton, solver._arc_corrector, solver._arc_tangent
 
@@ -637,7 +645,7 @@ class TestTraceBranch:
                         z = np.append(op._basin[0][: len(support)] @ root[0], gamma / gamma_k)
                 previous = event
             assert landed == list(grid) and len(roots[sign]) == len(grid)
-        assert refused > 0 if first_step == 0.5 else True
+        return refused
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [kept] = [sign for sign in roots if np.allclose(
