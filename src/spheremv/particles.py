@@ -33,12 +33,25 @@ __all__ = [
 _NORM_TOL = 1e-12
 
 
+def _unit_norms(norms) -> bool:
+    """True when every norm is within _NORM_TOL of 1; NaN fails."""
+    return bool(np.all(np.abs(norms - 1.0) <= _NORM_TOL))
+
+
+def _unit_vector(v, name: str) -> np.ndarray:
+    """v as a float array; raises ValueError unless it is a finite unit vector."""
+    v = np.asarray(v, dtype=float)
+    if not _unit_norms(np.linalg.norm(v)):
+        raise ValueError(f"{name} must be a unit vector")
+    return v
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """N unit vectors in R^n plus the generator state that produced them."""
 
     n: int
-    positions: np.ndarray  # shape (N, n)
+    positions: np.ndarray  # shape (N, n); a noisy step leaves it column-major
     rng: np.random.Generator
 
     def __post_init__(self):
@@ -46,8 +59,7 @@ class ParticleEnsemble:
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 2 or pos.shape[1] != self.n or pos.shape[0] == 0:
             raise ValueError(f"positions must have shape (N, {self.n}) with N >= 1")
-        norms = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+        if not _unit_norms(np.sqrt(np.einsum("ij,ij->i", pos, pos))):
             raise ValueError("all particle positions must be unit vectors")
 
     @property
@@ -131,19 +143,28 @@ def _tangent_part(pull: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) -> np.ndarray:
     """Tangential interaction force at the unit vector x from the whole ensemble."""
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > _NORM_TOL:
-        raise ValueError("x must be a unit vector")
+    x = _unit_vector(x, "x")
     dw = profile_derivative(spec, ensemble.positions @ x)
     return -_tangent_part(dw @ ensemble.positions, x) / ensemble.size
 
 
 def step(ensemble: ParticleEnsemble, spec: KernelSpec, config: SimConfig) -> ParticleEnsemble:
-    """One projected Euler-Maruyama step; deterministic given the generator state."""
+    """One projected Euler-Maruyama step; deterministic given the generator state.
+
+    A noisy step returns positions in column-major memory, so the
+    per-particle dot products, norms and divides run along contiguous
+    length-N rows.  The normals are drawn as an (N, n) array, n per particle
+    in turn, and copied into that layout: the draw order, not the layout,
+    fixes which normals a particle gets for a seed.  The O(N^2) drift tiles
+    read rows of particles, so they get a C-ordered copy of the positions.
+    """
     pos = ensemble.positions
-    new = pos if _kernel_is_inert(spec) else pos + config.dt * _pairwise_drift(spec, pos)
+    if _kernel_is_inert(spec):
+        new = pos
+    else:
+        new = pos + config.dt * _pairwise_drift(spec, np.ascontiguousarray(pos))
     if math.isfinite(config.gamma):
-        xi = ensemble.rng.standard_normal(pos.shape)
+        xi = np.asfortranarray(ensemble.rng.standard_normal(pos.shape))
         xi -= np.einsum("ij,ij->i", xi, pos)[:, None] * pos
         xi *= math.sqrt(2.0 * config.dt / config.gamma)
         new = np.add(new, xi, out=xi)
@@ -177,9 +198,7 @@ class MomentSummary:
 def empirical_moments(
     ensemble: ParticleEnsemble, axis: np.ndarray, degrees: Sequence[int]
 ) -> MomentSummary:
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > _NORM_TOL:
-        raise ValueError("axis must be a unit vector")
+    axis = _unit_vector(axis, "axis")
     degrees = tuple(int(l) for l in degrees)
     if min(degrees, default=0) < 0:
         raise ValueError(f"degrees must be >= 0, got {degrees}")

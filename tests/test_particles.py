@@ -50,6 +50,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ParticleEnsemble(n=3, positions=np.array([[1.0, 1.0, 0.0]]), rng=np.random.default_rng(0))
 
+    def test_rejects_non_finite_positions(self):
+        # NaN passes a "norm - 1 > tol" test; left in, order_axis fails in eigh
+        with pytest.raises(ValueError, match="unit vectors"):
+            ParticleEnsemble(n=3, positions=[[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]], rng=np.random.default_rng(0))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ParticleEnsemble(n=3, positions=np.zeros((0, 3)), rng=np.random.default_rng(0))
@@ -105,6 +110,11 @@ class TestKernelForce:
         ens = uniform_ensemble(3, 8, seed=0)
         with pytest.raises(ValueError):
             kernel_force(TRANSFORMER3, np.array([2.0, 0.0, 0.0]), ens)
+
+    def test_rejects_nan_point(self):
+        ens = uniform_ensemble(3, 8, seed=0)
+        with pytest.raises(ValueError, match="x must be a unit vector"):
+            kernel_force(TRANSFORMER3, np.array([math.nan, 0.0, 0.0]), ens)
 
 
 def _drift_input(n, count):
@@ -244,6 +254,11 @@ class TestOrderAxisAndMoments:
         ens = uniform_ensemble(3, 8, seed=0)
         with pytest.raises(ValueError):
             empirical_moments(ens, np.array([0.0, 0.0, 2.0]), degrees=(1,))
+
+    def test_rejects_nan_axis(self):
+        ens = uniform_ensemble(3, 8, seed=0)
+        with pytest.raises(ValueError, match="axis must be a unit vector"):
+            empirical_moments(ens, np.array([0.0, 0.0, math.nan]), degrees=(1,))
 
 
 class TestSimulate:

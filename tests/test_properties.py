@@ -19,7 +19,7 @@ from spheremv.harmonics import (
 )
 from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
 from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
-from spheremv.particles import _pairwise_drift, uniform_ensemble
+from spheremv.particles import ParticleEnsemble, SimConfig, _pairwise_drift, step, uniform_ensemble
 from spheremv.solver import (
     GibbsOperator,
     SolverConfig,
@@ -400,6 +400,36 @@ def test_drift_is_permutation_equivariant_and_tangent(spec, count, seed):
     scale = max(1.0, np.max(np.abs(drift)))
     assert np.allclose(_pairwise_drift(spec, x[perm]), drift[perm], rtol=1e-12, atol=1e-13 * scale)
     assert np.max(np.abs(np.sum(drift * x, axis=1))) <= 1e-13
+
+
+def _step_spec(family, n):
+    if family == "inert":
+        return KernelSpec(n=n, family="custom", profile=np.ones_like, profile_derivative=np.zeros_like)
+    parameter = {"transformer": {"beta": 1.0}, "opinion": {"p": 5.0}}.get(family, {})
+    return KernelSpec(n=n, family=family, **parameter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["onsager", "transformer", "opinion", "inert"]),
+    st.sampled_from([3, 4, 5]),
+    st.integers(1, 300),
+    st.one_of(st.floats(0.5, 50.0), st.just(math.inf)),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_is_blind_to_the_input_layout(family, n, count, gamma, seed):
+    # the same step from a row-major and a column-major copy of one ensemble;
+    # a noisy step hands back column-major positions whatever it was given
+    spec, config = _step_spec(family, n), SimConfig(dt=1e-3, gamma=gamma)
+    rows = uniform_ensemble(n, count, seed=seed).positions
+    outs = [
+        step(ParticleEnsemble(n=n, positions=x, rng=np.random.default_rng(seed)), spec, config)
+        for x in (rows, np.asfortranarray(rows))
+    ]
+    assert np.allclose(outs[0].positions, outs[1].positions, rtol=0.0, atol=1e-15)
+    assert outs[0].rng.bit_generator.state == outs[1].rng.bit_generator.state
+    if math.isfinite(gamma):
+        assert all(out.positions.T.flags.c_contiguous for out in outs)
 
 
 JSON_VALUES = st.recursive(
