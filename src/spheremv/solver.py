@@ -606,10 +606,10 @@ def _arc(
     corrector fails or its point passes the next gamma.  A prediction that would pass the
     next gamma is cut to land on it, and `_newton` runs there from `moment_image(gamma, a)`
     at the prediction: a root that the guard accepts is yielded and the arc restarts from
-    it, and a rejected root halves the step.  The arc returns when a Jacobian is singular,
-    an iterate is not finite, h falls below _ARC_FLOOR or _ARC_POINTS points do not reach
-    the next gamma.  tally["newton"] adds up the Newton steps at the grid gammas and
-    tally["points"] the arc points.
+    it.  The arc returns when the guard rejects that root, so it calls `_newton` at most once
+    per grid gamma, and when a Jacobian is singular, an iterate is not finite, h falls below
+    _ARC_FLOOR or _ARC_POINTS points do not reach the next gamma.  tally["newton"] adds up
+    the Newton steps at the grid gammas and tally["points"] the arc points.
     """
     support = op.resolved_support(grid[-1])  # it holds the mode: gamma |W_hat_k| > 1, h_k >= 1
     j = int(np.searchsorted(support, mode))
@@ -617,12 +617,12 @@ def _arc(
     z, t, h = np.zeros(len(support) + 1), np.zeros(len(support) + 1), _ARC_STEP
     z[-1], t[j] = 1.0, sign
     for gamma in grid:
-        end, points, root = gamma / gamma_k, 0, None
+        end, points = gamma / gamma_k, 0
         # an overflow shows up as a non-finite iterate, which ends the arc; the caller's
         # error state is back at each yield
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                while root is None:
+                while True:
                     if h < _ARC_FLOOR or points == _ARC_POINTS:
                         return
                     if t[-1] > 0.0 and z[-1] + h * t[-1] >= end:  # cut to land on gamma
@@ -631,8 +631,8 @@ def _arc(
                         root, steps = _newton(op, gamma, start, config)
                         tally["newton"] += steps
                         if root is None:
-                            h = 0.5 * cut
-                        continue
+                            return
+                        break
                     corrected = _arc_corrector(op, z + h * t, t, gamma_k)
                     if corrected is None or corrected[0][-1] >= end:
                         h *= 0.5
@@ -659,20 +659,21 @@ def trace_branch(
 
     The first point has two sides, one per sign of the mode's eigenvector,
     and the smaller-amplitude non-uniform state of the two is kept as the
-    branch.  Where a lone solve at the first gamma would hand off to Newton
-    (no basin ball there and _HANDOFF above tol) and the mode is a simple
-    unstable mode (the rule of `bifurcation_points`) with gamma_k below the
-    first gamma, each side is an arc continued from the bifurcation point
-    (a = 0, gamma_k) along +e_k or -e_k by pseudo-arclength (`_arc`), and its
-    guarded-Newton root at the first gamma is the side's state, with no Picard
-    step, so its `iterations` is 0.  The kept side's arc then gives every
-    later point in the same way.  A side with no arc, or whose arc ends or
-    reaches a uniform root at the first gamma, is the `gibbs_fixed_point`
-    solve from the uniform state kicked by +-0.01 Y_mode; a later point with
-    no arc, or where it ends or reaches a uniform root, is the
-    `gibbs_fixed_point` solve started from the previous state, and so is every
-    point after it.  Returns the traced points and a diagnostic string ('' when
-    the whole grid was covered).
+    branch.  Where a lone solve would hand off to Newton (_HANDOFF above tol)
+    and the mode is a simple unstable mode (the rule of `bifurcation_points`)
+    with gamma_k below the first gamma, so that gamma_# is too and no basin
+    ball exists there, each side is an arc continued from the bifurcation
+    point (a = 0, gamma_k) along +e_k or -e_k by pseudo-arclength (`_arc`),
+    and its guarded-Newton root at the first gamma is the side's state, with
+    no Picard step, so its `iterations` is 0.  The kept side's arc then gives
+    every later point in the same way.  An arc ends at the first root that
+    the guard rejects.  A side with no arc, or whose arc ends or reaches a
+    uniform root at the first gamma, is the `gibbs_fixed_point` solve from
+    the uniform state kicked by +-0.01 Y_mode; a later point with no arc, or
+    where it ends or reaches a uniform root, is the `gibbs_fixed_point` solve
+    started from the previous state, and so is every point after it.  Returns
+    the traced points and a diagnostic string ('' when the whole grid was
+    covered).
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
@@ -681,10 +682,9 @@ def trace_branch(
     op = GibbsOperator(kernel, rule, config.K)
     seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
     gamma_k = dict(_simple_modes(kernel).points).get(mode) if mode <= config.K else None
-    by_newton = op.basin_bound(gamma_grid[0], config.tau) <= 0.0 and _HANDOFF > config.tol
     tally = {"newton": 0, "points": 0}
     arcs = [None, None]
-    if by_newton and gamma_k is not None and gamma_k < gamma_grid[0]:
+    if _HANDOFF > config.tol and gamma_k is not None and gamma_k < gamma_grid[0]:
         arcs = [_arc(op, mode, sign, gamma_grid, config, tally) for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
     diagnostic, picard, continued, fell_back = "", 0, 0, 0

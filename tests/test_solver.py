@@ -645,7 +645,6 @@ class TestTraceBranch:
                         z = np.append(op._basin[0][: len(support)] @ root[0], gamma / gamma_k)
                 previous = event
             assert landed == list(grid) and len(roots[sign]) == len(grid)
-        return refused
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [kept] = [sign for sign in roots if np.allclose(
@@ -655,11 +654,11 @@ class TestTraceBranch:
             assert point.iterations == 0 and point.residual <= FAST.tol
             if previous is not None:  # the arc moved: not the previous state again
                 assert not np.allclose(values, previous.density.values, rtol=1e-3, atol=0.0)
+        return refused
 
     def test_rejected_predictions_keep_the_warm_started_walk(self, monkeypatch):
-        # once the guard rejects every root at a grid gamma, the arc halves its step down to
-        # the floor and ends, and the rest of the walk is the Picard solve from each previous
-        # state, bit for bit
+        # once the guard rejects the root at a grid gamma, the arc ends, and the rest of the
+        # walk is the Picard solve from each previous state, bit for bit
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         newton, solve, inits = solver._newton, solver.gibbs_fixed_point, []
         monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
@@ -686,22 +685,84 @@ class TestTraceBranch:
             assert point.iterations > 0
             state = result.density
 
-    def test_rejected_root_halves_the_step(self, monkeypatch):
-        # a root the guard rejects halves the step and the arc goes on: it comes back to that
-        # gamma from a nearer point, and the walk needs no Picard step
+    def test_rejected_root_ends_the_arc(self, monkeypatch):
+        # a root the guard rejects ends the arc, which does not come back to that gamma: the
+        # rest of the walk is the Picard solve from each previous state, bit for bit
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
-        tried, newton = [], solver._newton
+        events, newton, solve = [], solver._newton, solver.gibbs_fixed_point
 
         def rejected_once(op, gamma, values, config):
-            tried.append(gamma)
-            if gamma == grid[1] and tried.count(gamma) == 1:
+            events.append(("newton", gamma))
+            if gamma == grid[1] and events.count(("newton", gamma)) == 1:
                 return None, 0
             return newton(op, gamma, values, config)
 
+        def spied(kernel, gamma, init, *args, **kwargs):
+            events.append(("solve", gamma, init.values.copy()))
+            return solve(kernel, gamma, init, *args, **kwargs)
+
         monkeypatch.setattr(solver, "_newton", rejected_once)
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        assert diag == "" and [p.iterations for p in branch] == [0] * len(grid)
-        assert tried.count(grid[1]) >= 2
+        # the arc's tries come before the first solve; the solves' own Newton calls follow
+        by_arc = itertools.takewhile(lambda event: event[0] == "newton", events)
+        assert [gamma for _, gamma in by_arc].count(grid[1]) == 1
+        assert diag == "" and len(branch) == len(grid) and branch[0].iterations == 0
+        inits = [event[1:] for event in events if event[0] == "solve"]
+        assert [gamma for gamma, _ in inits] == list(grid[1:])
+        for (_, values), previous in zip(inits, branch):
+            assert np.array_equal(values, previous.density.values)
+
+        state = branch[0].density
+        for gamma, point in zip(grid[1:], branch[1:]):
+            result = solve(ONSAGER3, gamma, state, FAST)
+            assert np.array_equal(point.density.values, result.density.values)
+            assert (point.residual, point.iterations) == (result.residual, result.iterations)
+            assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
+            assert point.iterations > 0
+            state = result.density
+
+    @pytest.mark.parametrize("spec, mode", [
+        (KernelSpec(n=3, family="onsager"), 4),
+        (KernelSpec(n=3, family="opinion", p=5.0), 2),
+    ], ids=["onsager-mode-4", "opinion-mode-2"])
+    def test_picard_unstable_branch_ends_each_arc_at_its_first_root(self, monkeypatch, spec, mode):
+        # the guard rejects every root on a branch that Picard cannot reach, so each side's arc
+        # calls `_newton` once, at the first gamma, and the walk is the one with no arc
+        config = SolverConfig(K=16, M=40)
+        kernel = coefficients(spec, config.K)
+        gamma_k = dict(bifurcation_points(kernel).points)[mode]
+        grid = np.linspace(1.05 * gamma_k, 3.0 * gamma_k, 6)
+        by_arc, solving, newton, solve = [], [], solver._newton, solver.gibbs_fixed_point
+
+        def spied_newton(op, gamma, values, config):
+            out = newton(op, gamma, values, config)
+            if not solving:
+                by_arc.append((gamma, out[0]))
+            return out
+
+        def spied(*args, **kwargs):
+            solving.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(solver, "_newton", spied_newton)
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        branch, diag = trace_branch(kernel, mode, grid, config)
+        assert [gamma for gamma, _ in by_arc] == [grid[0], grid[0]]
+        assert all(root is None for _, root in by_arc)
+
+        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
+        plain, plain_diag = trace_branch(kernel, mode, grid, config)
+        assert diag == plain_diag and len(branch) == len(plain) > 0
+        for point, other in zip(branch, plain):
+            assert np.array_equal(point.density.values, other.density.values)
+            assert (point.gamma, point.dominant_mode, point.amplitude, point.residual,
+                    point.iterations) == (other.gamma, other.dominant_mode, other.amplitude,
+                                          other.residual, other.iterations)
+            assert point.free_energy == other.free_energy
 
     def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
         # each side starts at the bifurcation point (0, gamma_1), along +e_1 or -e_1
