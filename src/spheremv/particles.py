@@ -119,14 +119,18 @@ def _pairwise_drift(spec: KernelSpec, positions: np.ndarray) -> np.ndarray:
     p_i = sum_{j != i} W'(t_ij) x_j of both its row block and its column
     block, and its temporaries stay in cache.  The radial term comes from the
     pull: sum_j W'(t_ij) t_ij = <x_i, p_i>, so the drift is -(p_i - <x_i, p_i> x_i)/N.
+    The inner products of a tile multiply by a slice of one C-ordered copy of
+    the transposed positions, a plain GEMM: a transposed view takes numpy's
+    slower paths, and on a diagonal tile the symmetric A A^T one.
     """
     count = positions.shape[0]
+    columns = np.ascontiguousarray(positions.T)
     pull = np.zeros_like(positions)
     for i in range(0, count, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, count, _TILE):
             cols = slice(j, j + _TILE)
-            dw = profile_derivative(spec, positions[rows] @ positions[cols].T)
+            dw = profile_derivative(spec, positions[rows] @ columns[:, cols])
             if i == j:
                 np.fill_diagonal(dw, 0.0)  # no self force
             pull[rows] += dw @ positions[cols]

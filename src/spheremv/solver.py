@@ -221,25 +221,36 @@ class GibbsOperator:
 
         Let B = max_i (sum_{k in S} W_hat_k^2 Y_k(t_i)^2)^(1/2),
         q = max_{k in S} |1 - tau (1 + gamma W_hat_k)| and, when q < 1,
-        s = min(1, (1 - q) / (3 e tau gamma B)) and r = s / (gamma B); else r = 0.
-        An empty S gives r = inf (G is then constant), and so does a gamma B
-        that underflows.
+        x = (1 - q) / (tau gamma B), s = x / ((1 + x) e^x) for x <= 1 and
+        s = min(1, x / (2 e)) for x > 1, and r = s / (gamma B); else r = 0.
+        Either way s (1 + s) e^s <= x: for x <= 1, s <= x; for x > 1,
+        s <= 1 and s <= x / (2 e).  An empty S gives r = inf (G is then
+        constant), and so does a gamma B that underflows; an x that overflows
+        gives s = 1.
 
         Proof.  G depends on rho only through a = P_S rho.  Put
         u = -gamma sum_{k in S} W_hat_k a_k Y_k; by Cauchy-Schwarz
-        |u| <= gamma B ||a|| =: sigma <= s <= 1 on the nodes.  The rows of
+        |u| <= gamma B ||a|| =: sigma <= s on the nodes.  The rows of
         {Y_0} u S are orthonormal under the rule, so <u> = 0, and Jensen gives
-        Z = <e^u> >= 1.  With e^u = 1 + u + g, |g| <= (sigma^2 / 2) e^sigma,
-        G = e^u / Z = 1 + u + f where f = (g - <g> - u <g>) / Z and
-        |f| <= (sigma^2 / 2) e^sigma (2 + sigma) <= (3 e / 2) sigma^2.
+        Z = <e^u> >= 1.  Write e^u = 1 + u + g: g = e^u - 1 - u lies in
+        [0, phi] with phi = e^sigma - 1 - sigma <= (sigma^2 / 2) e^sigma
+        wherever |u| <= sigma, and so does its mean <g>.  Then
+        G = e^u / Z = 1 + u + f with f = (g - <g> - u <g>) / Z, and since
+        |g - <g>| <= phi, |f| <= phi (1 + sigma) <= (sigma^2 / 2)(1 + sigma) e^sigma.
         P_S u has entries -gamma W_hat_k a_k, so one step
         a' = (1 - tau) a + tau P_S G has entries
         (1 - tau (1 + gamma W_hat_k)) a_k + tau (P_S f)_k, and by Bessel
-        ||a'|| <= q ||a|| + tau ||f|| <= q ||a|| + tau (3 e / 2) gamma B ||a|| sigma
-        <= ((1 + q) / 2) ||a||, since sigma <= (1 - q) / (3 e tau gamma B).
+        ||a'|| <= q ||a|| + tau ||f||
+        <= q ||a|| + (tau gamma B / 2) sigma (1 + sigma) e^sigma ||a||
+        <= ((1 + q) / 2) ||a||, since sigma (1 + sigma) e^sigma <= s (1 + s) e^s <= x.
         The ball ||a|| <= r is invariant and a -> 0 geometrically, so
         G(a_n) -> 1 uniformly and
         rho_n = (1 - tau)^n rho_0 + sum_j tau (1 - tau)^(n-1-j) G(a_j) -> 1.
+
+        s, r and the test ||a||^2 <= r^2 are rounded floats, so s (1 + s) e^s
+        may exceed x by a relative delta of a few ulps.  That only moves the
+        rate to (1 + q) / 2 + delta (1 - q) / 2, still below 1 for q < 1, so
+        the ball stays invariant and a still tends to 0.
 
         Bessel and <u> = 0 need the support orthonormal under the rule; when
         max |sum_i w_i Y_j Y_k - delta_jk| over {0} u S exceeds 1e-10 (the
@@ -260,7 +271,9 @@ class GibbsOperator:
         gb = gamma * sup_bound
         if gb == 0.0:
             return math.inf
-        return min(1.0, (1.0 - q) / (3.0 * math.e * tau * gb)) / gb
+        x = (1.0 - q) / tau / gb  # inf where it overflows, never a ZeroDivisionError
+        s = x / ((1.0 + x) * math.exp(x)) if x <= 1.0 else min(1.0, x / (2.0 * math.e))
+        return s / gb
 
 
 @dataclass(frozen=True)
@@ -850,8 +863,9 @@ def find_transition(
     seeds of up to 16 gammas are solved as one Picard block, each seed
     leaving it at the step it would stop alone.  In grid order, each gamma is
     scored by its moments in one `free_energy_gap` call at the step where its
-    last seed leaves, and stepping stops at the first gamma where a candidate
-    beats uniform; the seeds of the gammas above it are dropped unscored.
+    last seed leaves (no call when every settled seed is certified uniform),
+    and stepping stops at the first gamma where a candidate beats uniform; the
+    seeds of the gammas above it are dropped unscored.
     Bisection then narrows the bracket in rounds: the midpoints of four
     levels of halving (lo, hi), where a piece is still wider than the
     tolerance (up to 15), are solved and scored in the same way as one
@@ -917,9 +931,12 @@ def find_transition(
         tally["within_tol"] += settled.size
         block = values[:, settled]
         # `_damped_picard` yields a certified column as exactly 1
-        tally["certified"] += int(np.count_nonzero(np.all(block == 1.0, axis=0)))
+        certified = np.all(block == 1.0, axis=0)
+        tally["certified"] += int(np.count_nonzero(certified))
         gaps = np.empty(0)
-        if settled.size:
+        # a certified column's gap is round-off and cannot win; with any other column the
+        # whole settled block is scored, since its gaps depend on the column count
+        if not certified.all():
             gaps = free_energy_gap(kernel, basis, gamma, block / (rule.weights @ block))
         if competitor is not None:  # its own call: a column more moves the seeds' gaps by round-off
             gaps = np.append(gaps, free_energy_gap(kernel, basis, gamma, competitor))
@@ -927,7 +944,7 @@ def find_transition(
             return 0.0, {"kind": "uniform"}
         best = int(np.argmin(gaps))  # the first of equal gaps: seed order, then the competitor
         gap = float(gaps[best])
-        if best == settled.size:
+        if competitor is not None and best == gaps.size - 1:
             return gap, {**rival, "gap": gap}
         column = settled[best]
         mode, amp = make_density(kernel.n, rule, values[:, column], config.K).dominant_mode()

@@ -264,6 +264,38 @@ def test_each_yield_holds_the_columns_stopped_by_then(dims, runs, tau, max_iters
     assert seen[-1][0].all() and seen[-1][3] == stops.max() <= max_iters
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.floats(1e-4, 3.0),
+    st.floats(0.05, 2.0),
+    st.one_of(st.none(), st.floats(1e-9, 0.5)),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 1e-3, 1.0, 1e-6, 0)  # nearly attained: a tiny mass at u = sigma
+@example(2, 2.0, 1.0, 1e-6, 0)
+def test_basin_lemma_bounds_the_nonlinear_part(points, sigma, concentration, mass, seed):
+    # The lemma behind `GibbsOperator.basin_radius`: under probability weights with
+    # <u> = 0 and |u| <= sigma, sup |e^u / <e^u> - 1 - u| <= (e^sigma - 1 - sigma)(1 + sigma).
+    # A mass is a two-point law, u = sigma at that mass and the counterweight elsewhere;
+    # a tiny one brings the sup to about phi(sigma), within 1 + 4 sigma / 3 of the bound.
+    rng = np.random.default_rng(seed)
+    if mass is not None:
+        p = np.array([mass, 1.0 - mass])
+        u = np.array([1.0, -mass / (1.0 - mass)])
+    else:
+        p = rng.dirichlet(np.full(points, concentration))  # skewed for a small concentration
+        u = rng.uniform(-1.0, 1.0, points)
+        u -= p @ u
+    u *= sigma / np.max(np.abs(u))  # |u| <= sigma with equality
+    e = np.exp(u)
+    f = np.max(np.abs(e / (p @ e) - 1.0 - u))
+    bound = (math.expm1(sigma) - sigma) * (1.0 + sigma)
+    assert f <= bound * (1.0 + 1e-12) + 1e-15  # e / Z - 1 - u cancels to within 1e-15
+    if mass is not None and mass <= 1e-6 and sigma <= 1e-3:
+        assert f >= 0.99 * bound
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     truncations(max_K=12),

@@ -353,18 +353,97 @@ class TestBasinCertificate:
         assert abs(1.0 - (1.0 + gamma * w2)) < 1.0
         assert op.basin_radius(gamma, 1.0) == 0.0
 
-    @pytest.mark.parametrize("gamma", [1.0, 0.01])
+    @pytest.mark.parametrize("gamma", [1.0, 0.2, 0.01])
     def test_radius_follows_its_formula_on_one_mode(self, gamma):
-        # W_hat = (0, 0, -1/2): S = {2}, B = |W_hat_2| max_i |Y_2(t_i)| and
-        # q = |1 - tau (1 + gamma W_hat_2)|; s is capped at 1 for the small gamma
+        # W_hat = (0, 0, -1/2): S = {2}, B = |W_hat_2| max_i |Y_2(t_i)|,
+        # q = |1 - tau (1 + gamma W_hat_2)| and x = (1 - q) / (tau gamma B): x <= 1 at
+        # gamma = 1, 1 < x < 2e at 0.2, and s is capped at 1 for the small gamma
         tau, w2 = 0.5, -0.5
         rule = gauss_jacobi_rule(3, 8)
         op = GibbsOperator(ZonalCoefficients(n=3, coeffs=np.array([0.0, 0.0, w2])), rule, 2)
         B = abs(w2) * np.max(np.abs(y_l0(2, 3, rule.nodes)))
         q = abs(1.0 - tau * (1.0 + gamma * w2))
-        s = min(1.0, (1.0 - q) / (3.0 * math.e * tau * gamma * B))
-        assert (s == 1.0) == (gamma == 0.01)
+        x = (1.0 - q) / (tau * gamma * B)
+        assert (x <= 1.0, x < 2.0 * math.e) == {1.0: (True, True), 0.2: (False, True), 0.01: (False, False)}[gamma]
+        # s (1 + s) e^s <= x: x e^-x / (1 + x) up to x = 1, then min(1, x / 2e)
+        s = x * math.exp(-x) / (1.0 + x) if x <= 1.0 else min(1.0, x / (2.0 * math.e))
         assert op.basin_radius(gamma, tau) == pytest.approx(s / (gamma * B), rel=1e-13)
+
+    @pytest.mark.parametrize("family", ["onsager", "opinion"])
+    def test_radius_beats_the_old_constant_and_meets_its_inequality(self, family):
+        # the lemma's radius against the old s = min(1, x / 3e) on a (gamma, tau) grid, and
+        # s (1 + s) e^s <= x in 30-digit arithmetic at the float s = r gamma B returned
+        import mpmath
+
+        kernel = ONSAGER3 if family == "onsager" else self.OPINION3
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        w = kernel.coeffs[support]
+        table = np.array([y_l0(k, 3, RULE3.nodes) for k in support])
+        B = float(np.max(np.sqrt(((w[:, None] * table) ** 2).sum(axis=0))))
+        op = GibbsOperator(kernel, RULE3, FAST.K)
+        gs = gamma_sharp(kernel).gamma
+        checked = 0
+        for fraction, tau in itertools.product(
+            (0.05, 0.2, 0.5, 0.8, 0.9, 0.917, 0.95, 0.99, 0.999), (0.1, 0.25, 0.5, 0.75, 1.0)
+        ):
+            gamma = fraction * gs
+            q = float(np.max(np.abs(1.0 - tau * (1.0 + gamma * w))))
+            r = op.basin_radius(gamma, tau)
+            if q >= 1.0:
+                assert r == 0.0
+                continue
+            gb = gamma * B
+            x = (1.0 - q) / (tau * gb)
+            old = min(1.0, (1.0 - q) / (3.0 * math.e * tau * gb)) / gb
+            # (1 + x) e^x <= 2e < 3e for x <= 1; where both s are 1 they differ only by
+            # the rounding of B here and in the operator
+            assert r / old >= (1.5 if x <= 1.0 else 1.0 - 1e-15)
+            if fraction == 0.917:  # near gamma_c the old constant was 7.5x too small
+                assert r / old > 7.4
+            with mpmath.workdps(30):
+                s = mpmath.mpf(r) * mpmath.mpf(gamma) * mpmath.mpf(B)
+                exact_x = (1 - mpmath.mpf(q)) / (mpmath.mpf(tau) * mpmath.mpf(gamma) * mpmath.mpf(B))
+                assert s * (1 + s) * mpmath.exp(s) <= exact_x
+            checked += 1
+        assert checked >= 30
+
+    def test_radius_stays_below_the_onsager_saddles(self):
+        # The uniform state's basin cannot hold another fixed point.  Below gamma_# the
+        # subcritical mode-2 branch of Onsager n = 3 has a saddle between uniform and the
+        # stable state; plain Newton on the moments a = <rho, Y_k>, k in S, finds it at
+        # ||a|| = 0.4824, 0.1852 and 0.03225 (0.9, 0.95, 0.99 gamma_#), 22x, 18x and 16x r.
+        support = np.flatnonzero(ONSAGER3.coeffs[1:]) + 1
+        w_hat = ONSAGER3.coeffs[support]
+        table = np.array([y_l0(k, 3, RULE3.nodes) for k in support])
+        weights = RULE3.weights
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        mode2 = list(support).index(2)
+
+        def image(gamma, a):
+            """The weighted Gibbs density p = G(a) on the nodes and its moments P_S p."""
+            p = np.exp(-gamma * ((w_hat * a) @ table))
+            p *= weights / (weights @ p)
+            return p, table @ p
+
+        def newton(gamma, a):
+            """A root of a - P_S G(a), with the Jacobian I + gamma Cov_p(Y_S) diag(W_hat_S)."""
+            for _ in range(100):
+                p, mean = image(gamma, a)
+                cov = (table * p) @ table.T - np.outer(mean, mean)
+                a = a - np.linalg.solve(np.eye(len(a)) + gamma * cov * w_hat, a - mean)
+            return a, np.linalg.norm(a - image(gamma, a)[1])
+
+        for fraction in (0.9, 0.95, 0.99):
+            gamma = fraction * GAMMA_SHARP_ONSAGER
+            roots = []
+            for start in (0.05, 0.2, 0.5):
+                a, res = newton(gamma, start * np.eye(len(support))[mode2])
+                assert res <= 1e-14
+                roots.append(np.linalg.norm(a))
+            saddle = min(norm for norm in roots if norm > 1e-6)
+            assert saddle < 0.5
+            for tau in (0.1, 0.5, 1.0):
+                assert 0.0 < op.basin_radius(gamma, tau) < saddle
 
     def test_extreme_gamma_raises_no_warning(self):
         kernel = ZonalCoefficients(n=3, coeffs=np.array([1.0, 10.0, -5.0]))
@@ -1146,7 +1225,9 @@ class TestResolvedSupport:
         for gamma, tau in itertools.product((0.3 * gs, 0.9 * gs), (0.5, 1.0)):
             q = np.max(np.abs(1.0 - tau * (1.0 + gamma * w)))
             gb = gamma * sup_bound
-            radius = min(1.0, (1.0 - q) / (3.0 * math.e * tau * gb)) / gb
+            x = (1.0 - q) / (tau * gb)
+            s = x * math.exp(-x) / (1.0 + x) if x <= 1.0 else min(1.0, x / (2.0 * math.e))
+            radius = s / gb
             assert op.basin_radius(gamma, tau) == pytest.approx(radius, rel=1e-12)
         if spec.family in ("heat", "transformer"):
             assert len(op.resolved_support(gs)) < len(support)
@@ -1320,15 +1401,19 @@ class TestFindTransition:
                 return evaluate(op, gamma, values)
 
             def damped_picard(op, gamma, values, config):
-                blocks.append({"gammas": gamma, "seeds": values, "scored": []})
+                blocks.append({"gammas": gamma, "seeds": values, "scored": [], "seeds_scored": []})
                 for state in solve(op, gamma, values, config):
                     blocks[-1]["last"] = state  # the last yield the scan reads
                     yield state
 
             def free_energy_gap(kernel, basis, gamma, values):
-                if values.ndim == 2:  # the seeds' call; the competitor's takes one density
+                # the competitor's call takes one density and is made at every scored gamma;
+                # the seeds' call comes before it, where a settled seed is not certified
+                if values.ndim == 1:
                     scored.append(gamma)
                     blocks[-1]["scored"].append(gamma)
+                else:
+                    blocks[-1]["seeds_scored"].append((gamma, values.shape[1]))
                 return gap(kernel, basis, gamma, values)
 
             with monkeypatch.context() as patch:
@@ -1384,6 +1469,15 @@ class TestFindTransition:
             alone = assert_columns_solve_alone(op, ONSAGER3, gammas[stopped], seeds[:, stopped], FAST, left)
             assert stopped[gammas <= last].all()
             assert steps == max(n for g, (_, _, n) in zip(gammas[stopped], alone) if g <= last)
+            # the seeds' call scores the whole settled block of each gamma where a settled
+            # seed is not certified (a certified column is exactly 1), and no other gamma
+            expected = []
+            for gamma in block["scored"]:
+                settled = (gammas == gamma) & (res <= FAST.tol)
+                if not np.all(values[:, settled] == 1.0):
+                    expected.append((gamma, int(np.count_nonzero(settled))))
+            assert block["seeds_scored"] == expected
+        assert sum(len(block["seeds_scored"]) for block in blocks) < len(scored)
 
     def test_round_ends_at_its_lowest_winner(self, monkeypatch):
         # The gap need not change sign once along a round: among the midpoints
@@ -1405,19 +1499,62 @@ class TestFindTransition:
         assert report.gamma_c_bracket == (points[2], points[3])
         assert report.witness["gap"] == -1.0
 
+    def test_competitor_wins_where_every_seed_is_certified(self, monkeypatch):
+        # at 0.3-0.4 gamma_# every seed enters the basin ball, so no gamma has a seeds'
+        # call and the competitor's gap alone decides
+        seed_calls, gap = [], solver.free_energy_gap
+        threshold = 0.35 * GAMMA_SHARP_ONSAGER
+
+        def free_energy_gap(kernel, basis, gamma, values):
+            if values.ndim == 2:
+                seed_calls.append(gamma)
+                return gap(kernel, basis, gamma, values)
+            return -1.0 if gamma >= threshold else 1.0
+
+        monkeypatch.setattr(solver, "free_energy_gap", free_energy_gap)
+        grid = [0.3 * GAMMA_SHARP_ONSAGER, 0.4 * GAMMA_SHARP_ONSAGER]
+        report = find_transition(ONSAGER3, gamma_grid=grid, config=FAST)
+        lo, hi = report.gamma_c_bracket
+        assert lo < threshold <= hi and (hi - lo) / hi <= solver._BRACKET_RTOL
+        assert report.witness["kind"] == "competitor" and report.witness["gap"] == -1.0
+        assert seed_calls == []
+
+    def test_last_seed_wins_without_a_competitor(self):
+        # opinion p = 5 has no cubic competitor (u3 = 0); above gamma_# no seed is
+        # certified, and the last settled seed column is reported as the winning seed
+        kernel = coefficients(KernelSpec(n=3, family="opinion", p=5.0), FAST.K)
+        gs = gamma_sharp(kernel).gamma
+        threshold = 1.5 * gs
+
+        def free_energy_gap(kernel, basis, gamma, values):
+            assert values.ndim == 2  # no competitor's call
+            gaps = np.ones(values.shape[1])
+            if gamma >= threshold:
+                gaps[-1] = -1.0
+            return gaps
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "free_energy_gap", free_energy_gap)
+            report = find_transition(kernel, gamma_grid=[1.4 * gs, 1.6 * gs], config=FAST)
+        lo, hi = report.gamma_c_bracket
+        assert lo < threshold <= hi
+        assert report.witness["kind"] == "fixed-point" and report.witness["gap"] == -1.0
+        assert report.witness["seed"].endswith("-0.8")  # the last label of each seed mode
+
     def test_scan_builds_at_most_one_density_per_gamma(self, monkeypatch):
         # the seed groups are scored by moments; a ZonalDensity is built only for
         # the best column of a gamma where it beats uniform, to read its dominant mode
         events, gap, build = [], solver.free_energy_gap, solver.make_density
 
         def free_energy_gap(kernel, basis, gamma, values):
+            # at each scored gamma: the seeds' call, where a settled seed is not certified,
+            # then the competitor's, which takes one density
             gaps = gap(kernel, basis, gamma, values)
-            if values.ndim == 2:  # the seeds' call; the competitor's takes one density
-                events.append(float(np.min(gaps)))
+            events.append(("seeds" if values.ndim == 2 else "competitor", float(np.min(gaps))))
             return gaps
 
         def make_density(*args):
-            events.append("density")
+            events.append(("density", None))
             return build(*args)
 
         def free_energy(*args):
@@ -1429,18 +1566,25 @@ class TestFindTransition:
         report = find_transition(ONSAGER3, config=FAST)
         monkeypatch.undo()
         assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
-        scan = events[events.index(next(e for e in events if e != "density")):]
-        # one density right after each gamma whose best seed beats uniform, none elsewhere
-        wins = [i for i, e in enumerate(scan) if e != "density" and e < -solver._GAP_TOL]
-        assert [i for i, e in enumerate(scan) if e == "density"] == [i + 1 for i in wins]
+        kinds = [kind for kind, _ in events]
+        scan = events[min(kinds.index("seeds"), kinds.index("competitor")):]
+        # one density right after each gamma whose best seed beats uniform (the first of
+        # equal gaps in seed order, then the competitor), none elsewhere
+        wins = [
+            i for i, (kind, best) in enumerate(scan)
+            if kind == "competitor" and i and scan[i - 1][0] == "seeds"
+            and scan[i - 1][1] < -solver._GAP_TOL and scan[i - 1][1] <= best
+        ]
+        assert [i for i, (kind, _) in enumerate(scan) if kind == "density"] == [i + 1 for i in wins]
         assert len(wins) >= 2  # the first winner on the grid, then bisection
-        assert len([e for e in scan if e != "density"]) > 100  # the grid up to gamma_c, then bisection
+        assert kinds.count("competitor") > 100  # the grid up to gamma_c, then bisection
 
     def test_basin_exit_bounds_the_grid_work(self, monkeypatch):
         # G evaluations (block steps) and their columns over the whole Onsager
-        # K=32/M=48 scan: 772 and 28,418 when each column leaves the block at its
-        # own stop (certified exit included) and a bisection round ends at its
-        # lowest winner; 1,829 and 111,008 when stopped columns stepped on with
+        # K=32/M=48 scan: 710 and 17,246 when each column leaves the block at its
+        # own stop through the basin ball of the (e^s - 1 - s) lemma and a bisection
+        # round ends at its lowest winner; 772 and 28,418 with the ball's old
+        # constant 3e; 1,829 and 111,008 when stopped columns stepped on with
         # their group
         counts = {"steps": 0, "columns": 0}
         evaluate = GibbsOperator.gibbs
@@ -1455,7 +1599,7 @@ class TestFindTransition:
         monkeypatch.undo()
         assert report.gamma_c_bracket == (9.337795154936023, 9.342524730089181)
         assert report.witness["seed"] == "mode2+0.8"
-        assert 0 < counts["steps"] <= 900 and 0 < counts["columns"] <= 45_000
+        assert 0 < counts["steps"] <= 800 and 0 < counts["columns"] <= 20_000
 
     def test_scan_logs_one_debug_line(self, caplog, monkeypatch):
         grid = np.geomspace(0.2 * GAMMA_SHARP_ONSAGER, GAMMA_SHARP_ONSAGER, 5)
@@ -1502,7 +1646,8 @@ class TestFindTransition:
         assert report.witness["seed"] == "mode2+0.8"
 
     def test_opinion_bracket_is_pinned(self, monkeypatch):
-        # 1,414 block steps when a block ends at its first winner; 2,736 when the
+        # 1,021 block steps with the basin ball of the (e^s - 1 - s) lemma, 1,414 with
+        # its old constant 3e, when a block ends at its first winner; 2,736 when the
         # last grid block also solved gamma = 0.26039, just below gamma_#, for
         # 1,792 steps although no gamma above the winner 0.25621 is scored
         steps, evaluate = [], GibbsOperator.gibbs
@@ -1517,7 +1662,7 @@ class TestFindTransition:
         monkeypatch.undo()
         assert report.gamma_c_bracket == (0.25478880553522026, 0.2549177902410441)
         assert report.type == "discontinuous" and report.witness["kind"] == "fixed-point"
-        assert 0 < len(steps) <= 1500
+        assert 0 < len(steps) <= 1200
 
     def test_json_round_trip(self):
         # the JSON document itself is tested through the CLI (TestTransition)
