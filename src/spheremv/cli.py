@@ -146,8 +146,7 @@ def _state_row(point: BranchPoint) -> tuple:
 
 
 def _cmd_decompose(args, spec: KernelSpec) -> int:
-    coeffs = coefficients(spec, args.K)
-    rows = [(k, c) for k, c in enumerate(coeffs.coeffs)]
+    rows = list(enumerate(coefficients(spec, args.K).coeffs.tolist()))
     _emit(args, _resolved_config(args), rows, ["k", "coeff"])
     return 0
 
@@ -161,14 +160,13 @@ def _cmd_bifurcations(args, spec: KernelSpec) -> int:
     header = _resolved_config(args)
     if bif.ties:
         header["ties"] = list(bif.ties)
-    _emit(args, header, [(k, g) for k, g in bif.points], ["k", "gamma_k"])
+    _emit(args, header, [(k, float(g)) for k, g in bif.points], ["k", "gamma_k"])
     return 0
 
 
 def _cmd_spectrum(args, spec: KernelSpec) -> int:
     coeffs = coefficients(spec, args.K)
-    spectrum = linear_spectrum(coeffs, args.gamma, args.K)
-    rows = [(l, v) for l, v in enumerate(spectrum.eigenvalues)]
+    rows = list(enumerate(linear_spectrum(coeffs, args.gamma, args.K).eigenvalues.tolist()))
     _emit(args, _resolved_config(args), rows, ["l", "lambda_l"])
     return 0
 

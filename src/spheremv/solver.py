@@ -516,8 +516,9 @@ def _simple_modes(kernel: ZonalCoefficients) -> BifurcationSet:
     """`bifurcation_points` without the error: empty on a stable kernel."""
     unstable = stability_check(kernel).unstable_modes
     coeffs = kernel.coeffs
-    # the count includes W_hat_k itself, so > 1 means another j >= 1 ties with it
-    ties = tuple(k for k in unstable if np.sum(np.abs(coeffs[1:] - coeffs[k]) <= _COEFF_TOL) > 1)
+    # column k counts the j >= 1 within _COEFF_TOL of W_hat_k, itself included, so > 1 is a tie
+    counts = np.sum(np.abs(coeffs[1:, None] - coeffs[list(unstable)]) <= _COEFF_TOL, axis=0)
+    ties = tuple(k for k, count in zip(unstable, counts) if count > 1)
     points = tuple((k, -1.0 / coeffs[k]) for k in unstable if k not in ties)
     return BifurcationSet(points=points, ties=ties)
 

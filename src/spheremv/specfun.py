@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -99,8 +98,9 @@ def gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
-    if order > 1:  # eigh_tridiagonal returns the eigenvalues, the nodes, in ascending order
-        nodes, vecs = eigh_tridiagonal(np.zeros(order), _recurrence_coefficients(n, order - 1))
+    if order > 1:  # numpy's dense eigh returns the eigenvalues, the nodes, in ascending order
+        a = _recurrence_coefficients(n, order - 1)
+        nodes, vecs = np.linalg.eigh(np.diag(a, 1) + np.diag(a, -1))
         weights = vecs[0] ** 2
         weights /= math.fsum(weights)  # the eigenvectors have unit norm only up to round-off
     else:

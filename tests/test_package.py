@@ -53,16 +53,25 @@ def _fresh_python(*args):
     )
 
 
-def _deferred_modules_after(code):
-    """The DEFERRED modules loaded after running code in a fresh interpreter (this
-    process may hold them already)."""
-    loaded = f"[m for m in sys.modules if m.startswith({DEFERRED})]"
+def _modules_after(code, prefixes=DEFERRED):
+    """The modules named by prefixes loaded after running code in a fresh
+    interpreter (this process may hold them already)."""
+    loaded = f"[m for m in sys.modules if m.startswith({prefixes!r})]"
     script = "\n".join(["import json, sys", code, f"print(json.dumps({loaded}))"])
     return json.loads(_fresh_python("-c", script).stdout)
 
 
 def test_import_loads_no_interpolator():
-    assert _deferred_modules_after("import spheremv, spheremv.cli") == []
+    assert _modules_after("import spheremv, spheremv.cli") == []
+
+
+def test_solve_loads_no_linalg():
+    # the Gauss-Jacobi rule comes from numpy's eigh: loading scipy.linalg would
+    # cost every process about 45 ms and 6.5 MB
+    argv = ["solve", "--kernel", '{"n": 3, "family": "onsager"}', "--gamma", "13", "--mode", "2"]
+    argv += ["--out", os.devnull]
+    code = f"import spheremv, spheremv.cli; assert spheremv.cli.main({argv!r}) == 0"
+    assert _modules_after(code, ("scipy.linalg",)) == []
 
 
 def test_import_builds_no_parser():
@@ -81,7 +90,7 @@ def test_fresh_process_prints_what_main_prints(capsys):
 def test_reading_a_table_loads_the_interpolator():
     table = '{"n": 3, "family": "custom", "profile": [[-1, 1], [0, 0], [1, 1]]}'
     code = f"import spheremv; spheremv.kernel_spec_from_json({table!r})"
-    assert "scipy.interpolate" in _deferred_modules_after(code)
+    assert "scipy.interpolate" in _modules_after(code)
 
 
 def test_table_is_scipys_cubic_spline_bit_for_bit():

@@ -17,7 +17,7 @@ from spheremv.harmonics import (
     reconstruct,
     spectral_basis,
 )
-from spheremv.kernels import KernelSpec, kernel_spec_from_json, stability_check
+from spheremv.kernels import _COEFF_TOL, KernelSpec, kernel_spec_from_json, stability_check
 from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import ParticleEnsemble, SimConfig, _pairwise_drift, step, uniform_ensemble
 from spheremv.solver import (
@@ -420,6 +420,17 @@ def test_mode_zero_does_not_decide_stability(dims, shift):
         outcomes.append(outcome)
     report, gs, bif = outcomes
     assert report.stable == (gs == "raises") == (bif == "raises")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_coefficients())
+def test_ties_are_the_modes_another_mode_matches(dims):
+    n, coeffs = dims
+    unstable = [k for k in range(1, len(coeffs)) if coeffs[k] < -_COEFF_TOL]
+    ties = [k for k in unstable if sum(abs(c - coeffs[k]) <= _COEFF_TOL for c in coeffs[1:]) > 1]
+    found = solver._simple_modes(ZonalCoefficients(n=n, coeffs=coeffs))
+    assert list(found.ties) == ties
+    assert found.points == tuple((k, -1.0 / coeffs[k]) for k in unstable if k not in ties)
 
 
 @FEW

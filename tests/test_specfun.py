@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_gegenbauer
 
-from spheremv.specfun import QuadratureRule, gauss_jacobi_rule, zonal_table
+from spheremv.specfun import (
+    QuadratureRule, _recurrence_coefficients, gauss_jacobi_rule, zonal_table,
+)
 
 from helpers import c_lambda, gegenbauer_at_one, gegenbauer_norm_sq, zonal_norm
 
@@ -162,6 +165,25 @@ class TestGaussJacobiRule:
         for k in range(6):
             for j in range(k + 1, 8):
                 assert abs(rule.integrate(table[k] * table[j])) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 100, 4096, 10**9])
+    def test_matches_scipys_tridiagonal_golub_welsch(self, n):
+        # the off-diagonal is the textbook Jacobi matrix of (1-t^2)^alpha, whose
+        # monic recurrence has beta_j = j (j+2 alpha) / ((2j+2 alpha)^2 - 1)
+        alpha = 0.5 * (n - 3)
+        j = np.arange(1.0, 424)
+        beta = j * (j + 2 * alpha) / ((2 * j + 2 * alpha) ** 2 - 1.0)
+        np.testing.assert_allclose(_recurrence_coefficients(n, 423), np.sqrt(beta), rtol=1e-15)
+        # the oracle is scipy's tridiagonal eigensolver on that same matrix: a
+        # weight far below the largest one is exact only to an absolute round-off,
+        # so a re-rounded off-diagonal would move it by more than 1e-13 of itself
+        for order in (2, 3, 8, 33, 129, 424):
+            off = _recurrence_coefficients(n, order - 1)
+            nodes, vecs = eigh_tridiagonal(np.zeros(order), off)
+            weights = vecs[0] ** 2 / math.fsum(vecs[0] ** 2)
+            rule = gauss_jacobi_rule(n, order)
+            np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rule.weights, weights, rtol=1e-13, atol=0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
