@@ -184,10 +184,6 @@ class GibbsOperator:
         """G(rho) at gamma, a float or one value per column of a block (S,)."""
         self.evaluations += 1
         self.columns += 1 if values.ndim == 1 else values.shape[1]
-        return self._image(gamma, values)
-
-    def _image(self, gamma, values: np.ndarray) -> np.ndarray:
-        # `gibbs` is one Picard evaluation; `uniform_residual` measures without one
         return self._boltzmann(gamma, self.conv_matrix @ values)
 
     def _boltzmann(self, gamma, expo: np.ndarray) -> np.ndarray:
@@ -207,9 +203,9 @@ class GibbsOperator:
         return math.sqrt(mean_sq) if d.ndim == 1 else np.sqrt(mean_sq)
 
     def uniform_residual(self, gamma: float) -> float:
-        """||1 - G(1)|| at gamma."""
+        """||1 - G(1)|| at gamma, measured without the Picard evaluation that `gibbs` counts."""
         ones = np.ones(self.rule.order)
-        return self.norm(ones - self._image(gamma, ones))
+        return self.norm(ones - self._boltzmann(gamma, self.conv_matrix @ ones))
 
     def basin_bound(self, gamma: float, tau: float) -> float:
         """basin_radius^2, the bound on ||P_S rho||^2, or -1 when the radius is 0."""
@@ -343,7 +339,6 @@ def _damped_picard(op: GibbsOperator, gamma, values: np.ndarray, config: SolverC
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), values.shape[1:])
     distinct, which = np.unique(gammas, return_inverse=True)
     bounds = np.array([op.basin_bound(g, tau) for g in distinct])[which]
-    check = bool(np.any(bounds > 0.0))  # the ball test runs only where some radius is positive
     uniform = functools.cache(op.uniform_residual)  # once per gamma that certifies a column
     out, last = np.empty_like(values), np.empty(len(gammas))
     stopped = np.zeros(len(gammas), dtype=bool)
@@ -357,9 +352,8 @@ def _damped_picard(op: GibbsOperator, gamma, values: np.ndarray, config: SolverC
                 delta = values - op.gibbs(gammas, values)
                 res = op.norm(delta)
                 stepping = (res > tol) & (res < math.inf)
-                if check:  # inside: above tol, finite and in the ball, so certified
-                    inside = stepping & (op.moments_sq(values) <= bounds)
-                    stepping &= ~inside
+                inside = stepping & (op.moments_sq(values) <= bounds)  # certified; no ball at -1
+                stepping &= ~inside
                 if step == config.max_iters:
                     stepping[:] = False
                 if not stepping.all():
@@ -367,7 +361,7 @@ def _damped_picard(op: GibbsOperator, gamma, values: np.ndarray, config: SolverC
                 step += 1
             stop = live[~stepping]  # the stopped columns leave the block
             out[:, stop], last[stop], stopped[stop] = values[:, ~stepping], res[~stepping], True
-            if check and inside.any():  # the proven limit replaces the iterate
+            if inside.any():  # the proven limit replaces the iterate
                 out[:, live[inside]] = 1.0
                 last[live[inside]] = [uniform(float(g)) for g in gammas[inside]]
                 op.certified += int(np.count_nonzero(inside))
@@ -429,7 +423,7 @@ def _newton(
             attracts = np.all(np.abs(1.0 - config.tau * np.linalg.eigvals(jac)) < 1.0)
         except np.linalg.LinAlgError:
             return None, steps
-    near = np.linalg.norm(f_start - jac @ (start - a)) <= 0.25 * np.linalg.norm(f_start)
+        near = np.linalg.norm(f_start - jac @ (start - a)) <= 0.25 * np.linalg.norm(f_start)
     if attracts and near and np.all(values > 0.0):
         return (values, res), steps
     return None, steps

@@ -98,13 +98,11 @@ def gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_jacobi_rule(n: int, order: int) -> QuadratureRule:
-    if order > 1:  # numpy's dense eigh returns the eigenvalues, the nodes, in ascending order
-        a = _recurrence_coefficients(n, order - 1)
-        nodes, vecs = np.linalg.eigh(np.diag(a, 1) + np.diag(a, -1))
-        weights = vecs[0] ** 2
-        weights /= math.fsum(weights)  # the eigenvectors have unit norm only up to round-off
-    else:
-        nodes, weights = np.zeros(1), np.ones(1)
+    # numpy's eigh gives the nodes in ascending order, and node 0 with weight 1 for order 1
+    a = _recurrence_coefficients(n, order - 1)
+    nodes, vecs = np.linalg.eigh(np.diag(a, 1) + np.diag(a, -1))
+    weights = vecs[0] ** 2
+    weights /= math.fsum(weights)  # the eigenvectors have unit norm only up to round-off
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(n=n, order=order, nodes=nodes, weights=weights)

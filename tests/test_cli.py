@@ -210,6 +210,12 @@ class TestSolve:
         row = json.loads(out)["rows"][0]
         assert (row["mode"], row["amplitude"]) == (0, 0.0)
 
+    def test_extreme_gamma_prints_no_warning(self, capsys):
+        # stderr carries only the JSON error object, and this solve has no error
+        argv = ["solve", "--kernel", ONSAGER, "--gamma", "1e300", "--K", "32"]
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "") and out
+
     def test_nonuniform_state_keeps_its_mode(self, capsys):
         code, out, _ = _run(capsys, ["solve", "--kernel", ONSAGER, "--gamma", "12", "--mode", "2"])
         assert code == 0

@@ -235,6 +235,10 @@ class TestConvexityThreshold:
         expected = (n - 2.0) / (4.0 * max(2 ** (p - 1) * p, 2 ** (p - 2) * p * (p - 1)))
         assert got == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [0.5, 1.5])
+    def test_opinion_with_a_singular_derivative_not_applicable(self, p):
+        assert convexity_threshold(_spec(3, "opinion", p=p)) is None
+
     def test_onsager_not_applicable(self):
         assert convexity_threshold(_spec(3, "onsager")) is None
 
@@ -281,6 +285,10 @@ PROFILE_SPECS = [
 
 
 class TestProfiles:
+    def test_custom_derivative_must_be_supplied(self):
+        with pytest.raises(ValueError, match="no derivative"):
+            profile_derivative(_spec(3, "custom", profile=lambda t: t**2), np.zeros(3))
+
     def test_onsager_derivative_clamped_at_poles(self):
         vals = profile_derivative(_spec(3, "onsager"), np.array([-1.0, 1.0]))
         assert np.all(np.isfinite(vals))

@@ -206,11 +206,15 @@ def test_each_column_of_a_block_stops_as_if_alone(dims, gamma, tau, max_iters, t
     st.floats(0.1, 0.5),
     st.integers(1, 30),
     st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
-    st.data(),
+    st.integers(0, 23),
     st.integers(0, 2**32 - 1),
 )
+# every gamma at or above gamma_# = 1.2994050403559874 of the seed-13 kernel, so that no
+# column has a basin radius and the ball test certifies none
+@example(dims=(3, 4, 8), runs=[(1.2994050403559874, 1), (2.0, 2), (4.0, 3)], tau=0.5,
+         max_iters=30, tol=1e-2, nan_at=2, seed=13)
 def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
-    dims, runs, tau, max_iters, tol, data, seed
+    dims, runs, tau, max_iters, tol, nan_at, seed
 ):
     # One gamma per column, in runs of equal gamma, and one NaN column: each column
     # leaves the block at its own stop, so it is its lone (M,) solve at its gamma.
@@ -222,7 +226,7 @@ def test_each_column_of_a_mixed_gamma_block_stops_as_if_alone(
     block = np.column_stack(
         [_random_setup(n, K, M, seed + j + 1)[1].values for j in range(len(gammas))]
     )
-    block[:, data.draw(st.integers(0, len(gammas) - 1))] = np.nan
+    block[:, nan_at % len(gammas)] = np.nan
     result = block_solve(op, gammas, block, config)
     alone = assert_columns_solve_alone(op, kernel, gammas, block, config, result)
     assert result[2] == max(steps for _, _, steps in alone) <= max_iters

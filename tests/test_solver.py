@@ -283,6 +283,41 @@ class TestNewtonHandoff:
             assert p.residual <= config.tol
         assert sum(p.iterations for p in newton) < sum(q.iterations for q in picard)
 
+    def test_newton_out_of_steps_keeps_the_picard_solve(self, monkeypatch):
+        # the handoff's Newton needs more than one step here, so a budget of one rejects
+        # its root and the solve is the plain Picard solve
+        gamma = 1.05 * GAMMA_SHARP_ONSAGER
+        init = _kicked_uniform(3, RULE3, 2, 0.2, FAST.K)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        accepted = gibbs_fixed_point(ONSAGER3, gamma, init, FAST, op=op)
+        assert op.handoffs == 1 and op.rejected == 0 and accepted.newton_steps > 1
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        result = gibbs_fixed_point(ONSAGER3, gamma, init, FAST, op=op)
+        assert op.handoffs == op.rejected == 1 and result.newton_steps == 1
+        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
+        plain = gibbs_fixed_point(ONSAGER3, gamma, init, FAST)
+        assert np.array_equal(result.density.values, plain.density.values)
+        assert (result.residual, result.iterations, result.converged, result.message) == (
+            plain.residual, plain.iterations, plain.converged, plain.message)
+        assert result.iterations > accepted.iterations
+
+    def test_overflowing_guard_raises_no_warning(self):
+        # at gamma = 1e300 the guard's linear test overflows; it rejects the root in silence
+        op, init = GibbsOperator(ONSAGER3, RULE3, FAST.K), uniform_density(3, RULE3, FAST.K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = gibbs_fixed_point(ONSAGER3, 1e300, init, FAST, op=op)
+        assert op.handoffs == op.rejected == 1 and np.all(np.isfinite(result.density.values))
+
+    def test_walk_to_an_overflowing_gamma_raises_no_warning(self):
+        heat = coefficients(KernelSpec(n=3, family="heat", epsilon=0.3), FAST.K)
+        grid = [1.05 * gamma_sharp(heat).gamma, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branch, _ = trace_branch(heat, 1, grid, FAST)
+        assert branch and branch[0].residual <= FAST.tol
+
     def test_singular_jacobian_keeps_the_picard_solve(self, monkeypatch):
         gamma = 1.2 * GAMMA_SHARP_ONSAGER
         init = _kicked_uniform(3, RULE3, 2, 0.3, FAST.K)
@@ -933,7 +968,8 @@ class TestTraceBranch:
         continued, fell_back, _ = [int(word) for word in message.split() if word.isdigit()][-6:-3]
         assert (continued, fell_back) == (2, 0)
 
-    @pytest.mark.parametrize("failure", ["floor", "singular", "non-finite", "budget", "guard"])
+    @pytest.mark.parametrize(
+        "failure", ["floor", "singular", "non-finite", "budget", "corrector", "guard"])
     def test_failed_continuation_keeps_the_seeded_walk(self, caplog, monkeypatch, failure):
         # each way the arc can fail leaves the walk of the two seeded solves, bit for bit:
         # the walk with no arc, written out at its first point as the smaller-amplitude state
@@ -950,6 +986,8 @@ class TestTraceBranch:
                 v * np.nan for v in system(op, z, gamma_k, border)))
         elif failure == "budget":
             monkeypatch.setattr(solver, "_ARC_POINTS", 1)
+        elif failure == "corrector":  # only a prediction already within _ARC_TOL is a point
+            monkeypatch.setattr(solver, "_ARC_NEWTON", 0)
         else:  # every root at the first gamma is rejected, the seeded solves' too
             monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
                 (None, 0) if gamma == grid[0] else newton(op, gamma, values, config)))
@@ -963,6 +1001,8 @@ class TestTraceBranch:
         # the guard sees a root only once a prediction reaches the first gamma
         if failure == "guard":
             assert arc_points >= 2
+        elif failure == "corrector":
+            assert arc_points > 0
         else:
             assert arc_points == (2 if failure == "budget" else 0)
         monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))

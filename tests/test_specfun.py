@@ -185,6 +185,13 @@ class TestGaussJacobiRule:
             np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rule.weights, weights, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("n", [3, 100, 10**9])
+    def test_one_node_rule_is_the_origin(self, n):
+        # eigh of the 1x1 zero Jacobi matrix: node 0 with the whole mass
+        rule = gauss_jacobi_rule(n, 1)
+        assert rule.nodes.tolist() == [0.0] and rule.weights.tolist() == [1.0]
+        assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             gauss_jacobi_rule(2, 5)
