@@ -3,6 +3,7 @@ the particle drift and the kernel JSON reader."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,25 +89,37 @@ def test_gibbs_image_is_positive_with_unit_mass(dims, gamma, seed):
     st.integers(1, 60),
     st.integers(0, 2**32 - 1),
 )
+# Picard reaches the handoff residual at its last allowed step and Newton is rejected,
+# so no steps are left for Picard to resume with
+@example(dims=(8, 10, 17), gamma=9.0, tau=0.90625, max_iters=9, seed=4712)
 def test_picard_evaluates_gibbs_once_per_iteration(dims, gamma, tau, max_iters, seed):
     n, K, M = dims
     kernel, density = _random_setup(n, K, M, seed)
     op = GibbsOperator(kernel, density.rule, K)
-    calls = []
+    calls, runs = [], []
     evaluate = op.gibbs
 
     def counted(g, values):
         calls.append(g)
         return evaluate(g, values)
 
+    def recorded(*args):
+        out = _picard_alone(*args)
+        runs.append(out[2])
+        return out
+
     op.gibbs = counted
     config = SolverConfig(tau=tau, tol=1e-9, max_iters=max_iters, K=K, M=M)
-    result = gibbs_fixed_point(kernel, gamma, density, config, op=op)
-    # i Picard steps evaluate G at i + 1 iterates; a Newton handoff adds n + 1 for its n
-    # steps, and a rejected one one more, as Picard resumes at the handoff iterate
+    with mock.patch.object(solver, "_picard_alone", recorded):
+        result = gibbs_fixed_point(kernel, gamma, density, config, op=op)
+    # a Picard run of i steps evaluates G at i + 1 iterates, and a Newton handoff adds
+    # n + 1 for its n steps; Picard resumes at the handoff iterate after a rejected
+    # handoff, unless the first run took every step
     assert op.rejected <= op.handoffs <= 1
-    newton = op.handoffs * (result.newton_steps + 1) + op.rejected
-    assert len(calls) == result.iterations + 1 + newton
+    assert len(runs) == 1 + (op.rejected and runs[0] < max_iters)
+    assert sum(runs) == result.iterations
+    newton = op.handoffs * (result.newton_steps + 1)
+    assert len(calls) == result.iterations + len(runs) + newton
     assert result.iterations <= max_iters
     assert result.newton_steps <= solver._NEWTON_STEPS * op.handoffs
 
