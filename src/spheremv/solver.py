@@ -17,7 +17,8 @@ moments a = P_S rho (`_newton`), S cut to the modes that G can resolve at gamma
 (`GibbsOperator.resolved_support`).  There a branch walk follows one
 pseudo-arclength arc per side from the bifurcation point (a = 0, gamma_k),
 along +e_k and -e_k (`_arc`), and takes each point by `_newton` alone from
-the arc's prediction at its gamma.
+the arc's prediction at its gamma, with no Picard-limit test: that part of
+the guard serves lone solves only.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -381,22 +382,23 @@ _NEWTON_STEPS = 8
 
 
 def _newton(
-    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig
+    op: GibbsOperator, gamma: float, values: np.ndarray, config: SolverConfig, *,
+    picard_limit: bool = True,
 ) -> tuple[Optional[tuple[np.ndarray, float]], int]:
     """Newton on F(a) = a - P_S G(a), a = P_S rho, S = S_gamma (`GibbsOperator.resolved_support`),
-    from the Picard iterate `values`.
+    from `values`.
 
-    Returns ((root, residual) or None, steps).  Each step solves
-    dF/da d = -F at a = P_S rho and takes rho <- G(a + d), so it evaluates
-    G twice: through `GibbsOperator.moment_image`, and through `gibbs` for the
-    residual ||rho - G(rho)|| and the next F; so n steps make n + 1 `gibbs`
-    calls.  It takes at least one step, so that a start already within tol
-    is polished.  The root is accepted only when its residual is at most tol,
-    the residual fell at every step (at most _NEWTON_STEPS), rho > 0 on every
-    node, and it is the Picard limit of `values`: every eigenvalue lambda of
-    dF/da at the root a_N has |1 - tau lambda| < 1, and
-    ||F(a_h) - dF/da(a_N) (a_h - a_N)|| <= ||F(a_h)|| / 4 at a_h = P_S values.
-    A singular dF/da rejects the root too.
+    Returns ((root, residual) or None, steps).  Each step solves dF/da d = -F at a = P_S rho
+    and takes rho <- G(a + d), so it evaluates G twice: through `GibbsOperator.moment_image`,
+    and through `gibbs` for the residual ||rho - G(rho)|| and the next F; so n steps make
+    n + 1 `gibbs` calls.  It takes at least one step, so that a start already within tol is
+    polished.  The root is accepted only when its residual is at most tol, the residual fell
+    at every step (at most _NEWTON_STEPS), rho > 0 on every node and dF/da was never
+    singular.  The Picard-limit test (picard_limit) serves lone solves only: there the root
+    must also be the Picard limit of `values`, that is every eigenvalue lambda of dF/da at
+    the root a_N has |1 - tau lambda| < 1, and ||F(a_h) - dF/da(a_N) (a_h - a_N)|| <=
+    ||F(a_h)|| / 4 at a_h = P_S values.  A branch walk's arc passes picard_limit=False, since
+    the arc, not Picard, says which branch its root is on.
     """
     proj = op._basin[0][: len(op.resolved_support(gamma))]
     # an overflow shows up as a non-finite residual, which rejects the root
@@ -419,14 +421,14 @@ def _newton(
                     return None, steps
                 a = proj @ values
                 f = a - proj @ image
-            jac = op.moment_jacobian(gamma, image)
-            attracts = np.all(np.abs(1.0 - config.tau * np.linalg.eigvals(jac)) < 1.0)
+            accept = bool(np.all(values > 0.0))
+            if accept and picard_limit:
+                jac = op.moment_jacobian(gamma, image)
+                near = np.linalg.norm(f_start - jac @ (start - a)) <= 0.25 * np.linalg.norm(f_start)
+                accept = near and np.all(np.abs(1.0 - config.tau * np.linalg.eigvals(jac)) < 1.0)
         except np.linalg.LinAlgError:
             return None, steps
-        near = np.linalg.norm(f_start - jac @ (start - a)) <= 0.25 * np.linalg.norm(f_start)
-    if attracts and near and np.all(values > 0.0):
-        return (values, res), steps
-    return None, steps
+    return (values, res) if accept else None, steps
 
 
 def gibbs_fixed_point(
@@ -603,8 +605,8 @@ def _arc(
     op: GibbsOperator, mode: int, sign: float, grid: Sequence[float], config: SolverConfig,
     tally: dict,
 ):
-    """The guarded-Newton root (values, residual) at each gamma of the ascending grid in turn,
-    on the branch continued by pseudo-arclength from (a = 0, gamma_k) along sign * e_k.
+    """(density, residual, 0 Picard steps) at each gamma of the ascending grid in turn, on the
+    branch continued by pseudo-arclength from (a = 0, gamma_k) along sign * e_k.
 
     The arc runs on S_gamma of the last gamma (`GibbsOperator.resolved_support`) in
     z = (a, gamma / gamma_k), so that one step rule serves every gamma_k.  Each point is
@@ -613,11 +615,12 @@ def _arc(
     _ARC_STEP, doubles after a point corrected in at most _ARC_FAST steps and halves when the
     corrector fails or its point passes the next gamma.  A prediction that would pass the
     next gamma is cut to land on it, and `_newton` runs there from `moment_image(gamma, a)`
-    at the prediction: a root that the guard accepts is yielded and the arc restarts from
-    it.  The arc returns when the guard rejects that root, so it calls `_newton` at most once
-    per grid gamma, and when a Jacobian is singular, an iterate is not finite, h falls below
-    _ARC_FLOOR or _ARC_POINTS points do not reach the next gamma.  tally["newton"] adds up
-    the Newton steps at the grid gammas and tally["points"] the arc points.
+    at the prediction, with no Picard-limit test (that test serves lone solves only): its
+    root is yielded and the arc restarts from it, and a failed Newton halves h to half the
+    cut.  The arc returns, with the reason in tally["end"], when a Jacobian is singular, an
+    iterate is not finite, h falls below _ARC_FLOOR or _ARC_POINTS points do not reach the
+    next gamma.  tally["newton"] adds up the Newton steps at the grid gammas and
+    tally["points"] the arc points.
     """
     support = op.resolved_support(grid[-1])  # it holds the mode: gamma |W_hat_k| > 1, h_k >= 1
     j = int(np.searchsorted(support, mode))
@@ -632,15 +635,17 @@ def _arc(
             try:
                 while True:
                     if h < _ARC_FLOOR or points == _ARC_POINTS:
+                        tally["end"] = "step floor" if h < _ARC_FLOOR else "point budget"
                         return
                     if t[-1] > 0.0 and z[-1] + h * t[-1] >= end:  # cut to land on gamma
                         cut = (end - z[-1]) / t[-1]
                         start = op.moment_image(gamma, z[:-1] + cut * t[:-1])
-                        root, steps = _newton(op, gamma, start, config)
+                        root, steps = _newton(op, gamma, start, config, picard_limit=False)
                         tally["newton"] += steps
-                        if root is None:
-                            return
-                        break
+                        if root is not None:
+                            break
+                        h = 0.5 * cut
+                        continue
                     corrected = _arc_corrector(op, z + h * t, t, gamma_k)
                     if corrected is None or corrected[0][-1] >= end:
                         h *= 0.5
@@ -652,9 +657,10 @@ def _arc(
                     h *= 2.0 if steps <= _ARC_FAST else 1.0
                 z = np.append(op._basin[0][: len(support)] @ root[0], end)
                 t = _arc_tangent(_arc_system(op, z, gamma_k, t)[1])
-            except (np.linalg.LinAlgError, FloatingPointError):
+            except (np.linalg.LinAlgError, FloatingPointError) as exc:
+                tally["end"] = str(exc)  # "Singular matrix", or the non-finite iterate
                 return
-        yield root
+        yield make_density(op.rule.n, op.rule, root[0], op.K), root[1], 0
 
 
 def trace_branch(
@@ -665,78 +671,70 @@ def trace_branch(
 ) -> tuple[list[BranchPoint], str]:
     """Continue the non-uniform branch of the given mode along an ascending grid.
 
-    The first point has two sides, one per sign of the mode's eigenvector,
-    and the smaller-amplitude non-uniform state of the two is kept as the
-    branch.  Where a lone solve would hand off to Newton (_HANDOFF above tol)
-    and the mode is a simple unstable mode (the rule of `bifurcation_points`)
-    with gamma_k below the first gamma, so that gamma_# is too and no basin
-    ball exists there, each side is an arc continued from the bifurcation
-    point (a = 0, gamma_k) along +e_k or -e_k by pseudo-arclength (`_arc`),
-    and its guarded-Newton root at the first gamma is the side's state, with
-    no Picard step, so its `iterations` is 0.  The kept side's arc then gives
-    every later point in the same way.  An arc ends at the first root that
-    the guard rejects.  A side with no arc, or whose arc ends or reaches a
-    uniform root at the first gamma, is the `gibbs_fixed_point` solve from
-    the uniform state kicked by +-0.01 Y_mode; a later point with no arc, or
-    where it ends or reaches a uniform root, is the `gibbs_fixed_point` solve
-    started from the previous state, and so is every point after it.  Returns
-    the traced points and a diagnostic string ('' when the whole grid was
-    covered).
+    The walk has two sides, one per sign of the mode's eigenvector, each a generator of
+    (density, residual, Picard steps) along the grid.  Where a lone solve would hand off to
+    Newton (_HANDOFF above tol) and the mode is a simple unstable mode (the rule of
+    `bifurcation_points`) with gamma_k below the first gamma, so that gamma_# is too and no
+    basin ball exists there, each side is an arc from the bifurcation point (a = 0, gamma_k)
+    along +e_k or -e_k (`_arc`), whose points are Newton roots with no Picard step and no
+    Picard-limit test: that guard serves lone solves only.  Elsewhere each side is the
+    `gibbs_fixed_point` solve from the uniform state kicked by +-0.01 Y_mode, and then from
+    its previous state.  The smaller-amplitude non-uniform state of the two at the first
+    gamma is kept, and its side gives every later point.  The walk ends where its side ends
+    (an arc ends, a solve does not converge) or reaches a uniform state.  Returns the points
+    and a diagnostic ('' when the whole grid was covered) that names the gamma where the walk
+    ended; the walk's debug line gives the reason.
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
         return [], "empty gamma grid"
     rule = gauss_jacobi_rule(kernel.n, config.M)
     op = GibbsOperator(kernel, rule, config.K)
-    seeds = [_seeded_density(kernel.n, rule, config.K, mode, sign * 0.01) for sign in (+1.0, -1.0)]
     gamma_k = dict(_simple_modes(kernel).points).get(mode) if mode <= config.K else None
-    tally = {"newton": 0, "points": 0}
-    arcs = [None, None]
-    if _HANDOFF > config.tol and gamma_k is not None and gamma_k < gamma_grid[0]:
-        arcs = [_arc(op, mode, sign, gamma_grid, config, tally) for sign in (+1.0, -1.0)]
+    tally = {"picard": 0, "newton": 0, "points": 0, "end": ""}
+
+    def solves(sign: float):
+        state = _seeded_density(kernel.n, rule, config.K, mode, sign * 0.01)
+        for gamma in gamma_grid:
+            result = gibbs_fixed_point(kernel, gamma, state, config, op=op)
+            tally["picard"] += result.iterations
+            tally["newton"] += result.newton_steps
+            if not result.converged:
+                tally["end"] = result.message
+                return
+            state = result.density
+            yield state, result.residual, result.iterations
+
+    arced = _HANDOFF > config.tol and gamma_k is not None and gamma_k < gamma_grid[0]
+    sides = [_arc(op, mode, sign, gamma_grid, config, tally) if arced else solves(sign)
+             for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
-    diagnostic, picard, continued, fell_back = "", 0, 0, 0
-
-    def non_uniform(result: SolveResult) -> Optional[tuple[float, int, float, SolveResult]]:
-        l, amp = result.density.dominant_mode()
-        if result.converged and abs(amp) > 10 * config.tol:
-            return abs(amp), l, amp, result
-        return None
-
+    diagnostic = ""
     for gamma in gamma_grid:
         found = []
-        for arc, seed in zip(arcs, seeds):
-            root = None if arc is None else next(arc, None)
-            side = None if root is None else non_uniform(SolveResult(
-                density=make_density(kernel.n, rule, root[0], config.K), residual=root[1],
-                iterations=0, converged=True))
-            if arc is not None and not branch:
-                continued, fell_back = continued + (side is not None), fell_back + (side is None)
-            if side is None:
-                arc, result = None, gibbs_fixed_point(kernel, gamma, seed, config, op=op)
-                picard += result.iterations
-                tally["newton"] += result.newton_steps
-                side = non_uniform(result)
-            if side is not None:
-                found.append((*side, arc))
+        for side in sides:
+            point = next(side, None)
+            l, amp = (0, 0.0) if point is None else point[0].dominant_mode()
+            if abs(amp) > 10 * config.tol:
+                found.append((abs(amp), l, amp, point, side))
+            elif point is not None:
+                tally["end"] = "uniform state"
         if not found:
-            diagnostic = (f"branch lost at gamma={gamma} (fell back to uniform)" if branch
-                          else f"branch not found at gamma={gamma}")
+            note = " (arc ended)" if arced else " (fell back to uniform)" if branch else ""
+            diagnostic = f"branch {'lost' if branch else 'not found'} at gamma={gamma}{note}"
             break
-        _, l, amp, result, arc = min(found, key=lambda c: c[0])
-        branch.append(
-            BranchPoint(gamma, result.density, l, amp, free_energy(kernel, result.density, gamma),
-                        result.residual, result.iterations)
-        )
-        arcs, seeds = [arc], [result.density]
+        _, l, amp, (density, res, iterations), side = min(found, key=lambda c: c[0])
+        branch.append(BranchPoint(gamma, density, l, amp, free_energy(kernel, density, gamma),
+                                  res, iterations))
+        sides = [side]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs "
-            "rejected, %d first-point sides continued from gamma_k, %d fell back to their seeds, "
-            "%d arc points; %d to %d of %d support modes resolved",
-            len(branch), picard, tally["newton"], op.rejected, op.handoffs, continued, fell_back,
+            "rejected, %d arc points; %d to %d of %d support modes resolved; ended: %s",
+            len(branch), tally["picard"], tally["newton"], op.rejected, op.handoffs,
             tally["points"], len(op.resolved_support(gamma_grid[0])),
             len(op.resolved_support(gamma_grid[-1])), len(op._support),
+            tally["end"] if diagnostic else "whole grid",
         )
     return branch, diagnostic
 

@@ -243,19 +243,20 @@ class TestBranch:
         assert calls == [row[0] for row in rows]
 
 
-    def test_singular_newton_jacobian_keeps_the_picard_walk(self, capsys, monkeypatch):
-        # np.linalg.LinAlgError is a ValueError, so one reaching `main` would exit 2
-        argv = ["branch", *BOTH_FORMATS["branch"]]
-        monkeypatch.setattr(solver, "_HANDOFF", 0.0)
-        expected = _run(capsys, argv)
-        monkeypatch.undo()
+    def test_singular_newton_jacobian_ends_the_walk(self, capsys, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, so one reaching `main` would exit 2; a singular
+        # Jacobian ends the arc of both sides at the first gamma, which the diagnostic names
+        argv = ["branch", *BOTH_FORMATS["branch"], "--format", "json"]
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        assert _run(capsys, argv) == expected
-        assert expected[0] == 0
+        code, out, err = _run(capsys, argv)
+        payload = json.loads(out)
+        first = float(argv[argv.index("--gamma-min") + 1])
+        assert (code, err, payload["rows"]) == (0, "", [])
+        assert payload["config"]["diagnostic"] == f"branch not found at gamma={first} (arc ended)"
 
 
 def _benchmark_round(capsys, monkeypatch, name):

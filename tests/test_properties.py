@@ -1,5 +1,5 @@
 """Property-based checks of the shared spectral basis, the Picard engine, the free-energy gap,
-the particle drift and the kernel JSON reader."""
+the branch walk's arc, the particle drift and the kernel JSON reader."""
 
 import json
 import math
@@ -18,7 +18,13 @@ from spheremv.harmonics import (
     reconstruct,
     spectral_basis,
 )
-from spheremv.kernels import _COEFF_TOL, KernelSpec, kernel_spec_from_json, stability_check
+from spheremv.kernels import (
+    _COEFF_TOL,
+    KernelSpec,
+    coefficients,
+    kernel_spec_from_json,
+    stability_check,
+)
 from spheremv.meanfield import convolve, free_energy_gap, gamma_sharp, linear_spectrum, make_density
 from spheremv.particles import ParticleEnsemble, SimConfig, _pairwise_drift, step, uniform_ensemble
 from spheremv.solver import (
@@ -28,6 +34,7 @@ from spheremv.solver import (
     _picard_alone,
     bifurcation_points,
     gibbs_fixed_point,
+    trace_branch,
 )
 from spheremv import solver
 from spheremv.specfun import gauss_jacobi_rule
@@ -448,6 +455,41 @@ def test_ties_are_the_modes_another_mode_matches(dims):
     found = solver._simple_modes(ZonalCoefficients(n=n, coeffs=coeffs))
     assert list(found.ties) == ties
     assert found.points == tuple((k, -1.0 / coeffs[k]) for k in unstable if k not in ties)
+
+
+FIRST_MODE_SPECS = [
+    KernelSpec(n=3, family="onsager"), KernelSpec(n=4, family="transformer", beta=1.0),
+    KernelSpec(n=3, family="opinion", p=5.0), KernelSpec(n=3, family="heat", epsilon=0.3),
+    KernelSpec(n=4, family="onsager"), KernelSpec(n=5, family="onsager"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIRST_MODE_SPECS), st.floats(1.003, 1.5))
+def test_first_mode_walk_is_the_guarded_walk(spec, scale):
+    # the arc's Newton leaves out the Picard-limit test of a lone solve; wherever that test
+    # would accept every root of the walk, the walk is the one with the test, bit for bit
+    config = SolverConfig(K=16, M=40)
+    kernel = coefficients(spec, config.K)
+    mode, gamma_k = bifurcation_points(kernel).points[0]
+    grid = np.linspace(scale * gamma_k, 3.0 * gamma_k, 6)
+    branch, diagnostic = trace_branch(kernel, mode, grid, config)
+    newton, rejected = solver._newton, []
+
+    def guarded(op, gamma, values, config, picard_limit=True):
+        out = newton(op, gamma, values, config)
+        rejected.extend([] if picard_limit or out[0] is not None else [gamma])
+        return out
+
+    with mock.patch.object(solver, "_newton", guarded):
+        guarded_branch, guarded_diagnostic = trace_branch(kernel, mode, grid, config)
+    assume(not rejected)
+    assert branch and diagnostic == guarded_diagnostic and len(branch) == len(guarded_branch)
+    for p, q in zip(branch, guarded_branch):
+        assert np.array_equal(p.density.values, q.density.values)
+        assert (p.gamma, p.dominant_mode, p.amplitude, p.residual, p.iterations) == (
+            q.gamma, q.dominant_mode, q.amplitude, q.residual, q.iterations)
+        assert p.free_energy == q.free_energy
 
 
 @FEW

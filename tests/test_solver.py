@@ -655,8 +655,8 @@ class TestTraceBranch:
             results.append(solve(*args, **kwargs))
             return results[-1]
 
-        def spied_newton(*args):
-            newton_calls.append(newton(*args))
+        def spied_newton(*args, **kwargs):
+            newton_calls.append(newton(*args, **kwargs))
             return newton_calls[-1]
 
         def spied_corrector(*args):
@@ -671,21 +671,19 @@ class TestTraceBranch:
             branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [record] = caplog.records
-        counts = [int(word) for word in record.getMessage().replace(",", "").split() if word.isdigit()]
-        (points, picard, steps, rejected, handoffs, continued, fell_back, arc_points,
-         first_resolved, last_resolved, support) = counts
-        assert points == len(branch)
+        counts, ended = _walk_log(record)
+        assert counts["points"] == len(branch) and ended == "whole grid"
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        assert (first_resolved, last_resolved, support) == (
+        assert (counts["first_resolved"], counts["last_resolved"], counts["support"]) == (
             len(op.resolved_support(grid[0])), len(op.resolved_support(grid[-1])),
             np.count_nonzero(ONSAGER3.coeffs[1:]))
         # both sides of the first point and every later point come from the arc, so the walk
         # makes no seeded or warm-started solve and no Picard step
-        assert (continued, fell_back) == (2, 0) and results == []
-        assert (picard, handoffs, rejected) == (0, 0, 0)
+        assert results == [] and (counts["picard"], counts["handoffs"], counts["rejected"]) == (
+            0, 0, 0)
         assert [p.iterations for p in branch] == [0] * len(grid)
-        assert arc_points == len([c for c in corrected if c is not None]) >= 2
-        assert steps == sum(taken for _, taken in newton_calls)
+        assert counts["arc_points"] == len([c for c in corrected if c is not None]) >= 2
+        assert counts["newton"] == sum(taken for _, taken in newton_calls)
         # one accepted _newton root per side at the first gamma and one per later gamma,
         # each after at least one step
         accepted = [taken for root, taken in newton_calls if root is not None]
@@ -705,76 +703,41 @@ class TestTraceBranch:
         # with z the last arc point or accepted root below that gamma and t its unit tangent;
         # the walk's points are the roots of one side's arc.  Returns how many corrected arc
         # points the walk refused.
-        events = []
-        newton, corrector, tangent = solver._newton, solver._arc_corrector, solver._arc_tangent
-
-        def spied_newton(op, gamma, values, config):
-            out = newton(op, gamma, values, config)
-            events.append(("newton", gamma, values.copy(), out[0]))
-            return out
-
-        def spied_corrector(*args):
-            out = corrector(*args)
-            events.append(("point", None if out is None else out[0].copy()))
-            return out
-
-        def spied_tangent(bordered):
-            events.append(("tangent", tangent(bordered)))
-            return events[-1][1]
-
         monkeypatch.setattr(solver, "_ARC_STEP", first_step)
-        monkeypatch.setattr(solver, "_newton", spied_newton)
-        monkeypatch.setattr(solver, "_arc_corrector", spied_corrector)
-        monkeypatch.setattr(solver, "_arc_tangent", spied_tangent)
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
-        support = op.resolved_support(grid[-1])
-        j, gamma_k = list(support).index(2), -1.0 / ONSAGER3.coeffs[2]
+        gamma_k = -1.0 / ONSAGER3.coeffs[2]
         roots, refused = {}, 0
         for sign in (+1.0, -1.0):
-            events.clear()
-            roots[sign] = list(solver._arc(op, 2, sign, grid, FAST, {"newton": 0, "points": 0}))
-            z, t = np.zeros(len(support) + 1), np.zeros(len(support) + 1)
-            z[-1], t[j] = 1.0, sign
-            landed, previous = [], None
-            for event in events:
-                if event[0] == "tangent":
-                    if previous[0] == "point":  # an accepted point: its tangent comes next
-                        z = previous[1]
-                    t = event[1]
-                elif event[0] == "point":
-                    refused += previous is not None and previous[0] == "point" and (
-                        previous[1] is not None)
-                elif event[0] == "newton":
-                    _, gamma, values, root = event
-                    cut = (gamma / gamma_k - z[-1]) / t[-1]
-                    # t is the unit null vector of dF/dz at z, the point or root it leaves
-                    _, bordered = solver._arc_system(op, z, gamma_k, t)
-                    assert np.max(np.abs(bordered[:-1] @ t)) <= 1e-12
-                    # equal up to the round-off of BLAS on differently aligned vectors
-                    expected = op.moment_image(gamma, z[:-1] + cut * t[:-1])
-                    assert 0.0 < cut and np.allclose(values, expected, rtol=1e-13, atol=0.0)
-                    if root is not None:
-                        landed.append(gamma)
-                        z = np.append(op._basin[0][: len(support)] @ root[0], gamma / gamma_k)
-                previous = event
+            roots[sign], landings, more = _arc_landings(monkeypatch, op, 2, sign, grid, FAST)
+            refused += more
+            for gamma, z, t, cut, start, root, _ in landings:
+                # t is the unit null vector of dF/dz at z, the point or root it leaves
+                _, bordered = solver._arc_system(op, z, gamma_k, t)
+                assert np.max(np.abs(bordered[:-1] @ t)) <= 1e-12
+                # equal up to the round-off of BLAS on differently aligned vectors
+                expected = op.moment_image(gamma, z[:-1] + cut * t[:-1])
+                assert 0.0 < cut and np.allclose(start, expected, rtol=1e-13, atol=0.0)
+            landed = [gamma for gamma, *_, root, _ in landings if root is not None]
             assert landed == list(grid) and len(roots[sign]) == len(grid)
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
         [kept] = [sign for sign in roots if np.allclose(
-            roots[sign][0][0], branch[0].density.values, rtol=1e-12, atol=0.0)]
-        for (values, _), previous, point in zip(roots[kept], [None, *branch], branch):
-            assert np.allclose(point.density.values, values, rtol=1e-12, atol=0.0)
+            roots[sign][0][0].values, branch[0].density.values, rtol=1e-12, atol=0.0)]
+        for (density, _, _), previous, point in zip(roots[kept], [None, *branch], branch):
+            assert np.allclose(point.density.values, density.values, rtol=1e-12, atol=0.0)
             assert point.iterations == 0 and point.residual <= FAST.tol
             if previous is not None:  # the arc moved: not the previous state again
-                assert not np.allclose(values, previous.density.values, rtol=1e-3, atol=0.0)
+                assert not np.allclose(density.values, previous.density.values, rtol=1e-3,
+                                       atol=0.0)
         return refused
 
     def test_rejected_predictions_keep_the_warm_started_walk(self, monkeypatch):
-        # once the guard rejects the root at a grid gamma, the arc ends, and the rest of the
-        # walk is the Picard solve from each previous state, bit for bit
+        # with no arc, each later point is the solve warm-started from the previous state, bit
+        # for bit, also where the guard of its Newton handoff rejects the root
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         newton, solve, inits = solver._newton, solver.gibbs_fixed_point, []
+        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
         monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
             (None, 0) if gamma >= grid[2] else newton(op, gamma, values, config)))
 
@@ -785,46 +748,9 @@ class TestTraceBranch:
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
         branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
         assert diag == "" and len(branch) == len(grid)
-        assert [gamma for gamma, _ in inits] == list(grid[2:])
-        assert [p.iterations for p in branch[:2]] == [0, 0]
-        for (_, values), previous in zip(inits, branch[1:]):
-            assert np.array_equal(values, previous.density.values)
-
-        state = branch[1].density
-        for gamma, point in zip(grid[2:], branch[2:]):
-            result = solve(ONSAGER3, gamma, state, FAST)
-            assert np.array_equal(point.density.values, result.density.values)
-            assert (point.residual, point.iterations) == (result.residual, result.iterations)
-            assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
-            assert point.iterations > 0
-            state = result.density
-
-    def test_rejected_root_ends_the_arc(self, monkeypatch):
-        # a root the guard rejects ends the arc, which does not come back to that gamma: the
-        # rest of the walk is the Picard solve from each previous state, bit for bit
-        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
-        events, newton, solve = [], solver._newton, solver.gibbs_fixed_point
-
-        def rejected_once(op, gamma, values, config):
-            events.append(("newton", gamma))
-            if gamma == grid[1] and events.count(("newton", gamma)) == 1:
-                return None, 0
-            return newton(op, gamma, values, config)
-
-        def spied(kernel, gamma, init, *args, **kwargs):
-            events.append(("solve", gamma, init.values.copy()))
-            return solve(kernel, gamma, init, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "_newton", rejected_once)
-        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
-        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        # the arc's tries come before the first solve; the solves' own Newton calls follow
-        by_arc = itertools.takewhile(lambda event: event[0] == "newton", events)
-        assert [gamma for _, gamma in by_arc].count(grid[1]) == 1
-        assert diag == "" and len(branch) == len(grid) and branch[0].iterations == 0
-        inits = [event[1:] for event in events if event[0] == "solve"]
-        assert [gamma for gamma, _ in inits] == list(grid[1:])
-        for (_, values), previous in zip(inits, branch):
+        # the two seeds at the first gamma, then the kept side from each previous state
+        assert [gamma for gamma, _ in inits] == [grid[0], *grid]
+        for (_, values), previous in zip(inits[2:], branch):
             assert np.array_equal(values, previous.density.values)
 
         state = branch[0].density
@@ -835,48 +761,102 @@ class TestTraceBranch:
             assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
             assert point.iterations > 0
             state = result.density
+        # past the rejections Picard runs on from the handoff iterate
+        assert min(p.iterations for p in branch[2:]) > max(p.iterations for p in branch[1:2])
 
-    @pytest.mark.parametrize("spec, mode", [
-        (KernelSpec(n=3, family="onsager"), 4),
-        (KernelSpec(n=3, family="opinion", p=5.0), 2),
-    ], ids=["onsager-mode-4", "opinion-mode-2"])
-    def test_picard_unstable_branch_ends_each_arc_at_its_first_root(self, monkeypatch, spec, mode):
-        # the guard rejects every root on a branch that Picard cannot reach, so each side's arc
-        # calls `_newton` once, at the first gamma, and the walk is the one with no arc
+    def test_rejected_root_ends_the_arc(self, caplog, monkeypatch):
+        # a root rejected at every try ends the arc at that gamma: each failed Newton halves
+        # the step, the arc lands again from nearer, and the walk ends there, Picard-free
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        newton, solves = solver._newton, []
+
+        def rejected(op, gamma, values, config, **kwargs):
+            return (None, 0) if gamma == grid[1] else newton(op, gamma, values, config, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", rejected)
+        monkeypatch.setattr(solver, "gibbs_fixed_point", lambda *args, **kw: solves.append(args))
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == f"branch lost at gamma={grid[1]} (arc ended)"
+        assert len(branch) == 1 and branch[0].iterations == 0 and solves == []
+        counts, ended = _walk_log(caplog.records[-1])
+        assert ended == "step floor" and counts["picard"] == 0
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        for sign in (+1.0, -1.0):
+            points, landings, _ = _arc_landings(monkeypatch, op, 2, sign, grid, FAST)
+            cuts = [cut for gamma, _, _, cut, *_ in landings if gamma == grid[1]]
+            assert len(points) == 1 and len(cuts) > 1
+            assert all(b < a for a, b in zip(cuts, cuts[1:])) and cuts[-1] < 4 * solver._ARC_FLOOR
+
+    def test_rejected_root_halves_the_step(self, monkeypatch):
+        # a root rejected once halves the step to half the cut, and the arc lands on that gamma
+        # again from a nearer point: the walk takes every point from the arc
+        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
+        newton, tries = solver._newton, []
+
+        def rejected_once(op, gamma, values, config, **kwargs):
+            tries.append(gamma)
+            if gamma == grid[1] and tries.count(gamma) == 1:
+                return None, 0
+            return newton(op, gamma, values, config, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", rejected_once)
+        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert diag == "" and len(branch) == len(grid) and tries.count(grid[1]) == 2
+        assert [p.iterations for p in branch] == [0] * len(grid)
+        assert all(p.dominant_mode == 2 and p.residual <= FAST.tol for p in branch)
+        tries.clear()
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        _, landings, _ = _arc_landings(monkeypatch, op, 2, +1.0, grid, FAST)
+        [(first, refused), (second, root)] = [
+            (cut, root) for gamma, _, _, cut, _, root, _ in landings if gamma == grid[1]]
+        assert refused is None and root is not None and second < first
+
+    @pytest.mark.parametrize("spec, mode, start", [
+        (KernelSpec(n=3, family="onsager"), 4, 1.05),
+        (KernelSpec(n=3, family="opinion", p=5.0), 2, 1.05),
+        (KernelSpec(n=5, family="onsager"), 4, 1.5),  # a landing fails, and h is halved
+    ], ids=["onsager-mode-4", "opinion-mode-2", "onsager-n5-mode-4"])
+    def test_picard_unstable_branch_stays_on_its_mode(self, monkeypatch, spec, mode, start):
+        # the states of a second mode of `bifurcation_points` are saddles of zonal index 1,
+        # which damped Picard leaves; the arc, whose Newton has no Picard-limit test, follows
+        # the branch to every point, and no step of the moments is longer than the arc walked
         config = SolverConfig(K=16, M=40)
         kernel = coefficients(spec, config.K)
         gamma_k = dict(bifurcation_points(kernel).points)[mode]
-        grid = np.linspace(1.05 * gamma_k, 3.0 * gamma_k, 6)
-        by_arc, solving, newton, solve = [], [], solver._newton, solver.gibbs_fixed_point
-
-        def spied_newton(op, gamma, values, config):
-            out = newton(op, gamma, values, config)
-            if not solving:
-                by_arc.append((gamma, out[0]))
-            return out
-
-        def spied(*args, **kwargs):
-            solving.append(True)
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                solving.pop()
-
-        monkeypatch.setattr(solver, "_newton", spied_newton)
-        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        grid = np.linspace(start * gamma_k, 3.0 * gamma_k, 6)
         branch, diag = trace_branch(kernel, mode, grid, config)
-        assert [gamma for gamma, _ in by_arc] == [grid[0], grid[0]]
-        assert all(root is None for _, root in by_arc)
+        assert diag == "" and len(branch) == len(grid)
+        rule = gauss_jacobi_rule(kernel.n, config.M)
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+        moments = [table @ (rule.weights * p.density.values) for p in branch]
+        for point, a in zip(branch, moments):
+            assert (point.dominant_mode, point.iterations) == (mode, 0)
+            assert point.residual <= config.tol
+            assert _zonal_index(kernel, rule, support, a, point.gamma) == 1
 
-        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
-        plain, plain_diag = trace_branch(kernel, mode, grid, config)
-        assert diag == plain_diag and len(branch) == len(plain) > 0
-        for point, other in zip(branch, plain):
-            assert np.array_equal(point.density.values, other.density.values)
-            assert (point.gamma, point.dominant_mode, point.amplitude, point.residual,
-                    point.iterations) == (other.gamma, other.dominant_mode, other.amplitude,
-                                          other.residual, other.iterations)
-            assert point.free_energy == other.free_energy
+        # the arc of the kept side: from each root through its points to the next prediction
+        op = GibbsOperator(kernel, rule, config.K)
+        assert np.array_equal(op.resolved_support(grid[-1]), support)
+        landings = _kept_landings(monkeypatch, op, mode, grid, config, branch[0])
+        landed = [(cut, path) for _, _, _, cut, _, root, path in landings if root is not None]
+        assert len(landed) == len(grid) and (len(landings) > len(grid)) == (start > 1.05)
+        for a, b, (cut, path) in zip(moments, moments[1:], landed[1:]):
+            length = cut + sum(np.linalg.norm(q - p) for p, q in zip(path, path[1:]))
+            assert np.linalg.norm(b - a) <= length
+
+    def test_zonal_index_of_the_uniform_state(self):
+        # the oracle of `_zonal_index`: at a = 0 the eigenvalues of dF/da are 1 + gamma W_hat_k
+        config = SolverConfig(K=16, M=40)
+        kernel = coefficients(KernelSpec(n=3, family="onsager"), config.K)
+        rule = gauss_jacobi_rule(kernel.n, config.M)
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        gamma_2, gamma_4 = (dict(bifurcation_points(kernel).points)[k] for k in (2, 4))
+        gammas = [0.5 * gamma_2, 1.5 * gamma_2, 1.05 * gamma_4]
+        indices = [_zonal_index(kernel, rule, support, np.zeros(len(support)), g) for g in gammas]
+        assert indices == [int(np.sum(1.0 + g * kernel.coeffs[support] < 0.0)) for g in gammas]
+        assert indices == [0, 1, 2]
 
     def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
         # each side starts at the bifurcation point (0, gamma_1), along +e_1 or -e_1
@@ -909,8 +889,8 @@ class TestTraceBranch:
             assert gamma_k == gamma_1 and np.array_equal(tangent, along)
             assert np.array_equal(first[:-1], solver._ARC_STEP * along[:-1]) and first[-1] == 1.0
 
-        # with no arc, the two seeded solves get the +-0.01 Y_1 seeds
-        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
+        # with no simple mode there is no arc, and the two seeded solves get the +-0.01 Y_1 seeds
+        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
         inits, solve = [], solver.gibbs_fixed_point
 
         def spied(kernel, gamma, init, *args, **kwargs):
@@ -918,8 +898,10 @@ class TestTraceBranch:
             return solve(kernel, gamma, init, *args, **kwargs)
 
         monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
+        sides.clear()
         branch, diag = trace_branch(kernel, 1, grid, FAST)
         assert diag == "" and len(branch) == len(grid) and branch[0].iterations > 0
+        assert sides == []
         first = [values for gamma, values in inits if gamma == grid[0]]
         assert len(first) == 2
         for values, sign in zip(first, (+1.0, -1.0)):
@@ -927,11 +909,11 @@ class TestTraceBranch:
 
     @pytest.mark.parametrize("name", sorted(CLI_SPECS))
     def test_continued_first_point_equals_the_seeded_solve(self, monkeypatch, name):
-        # the same state, mirror side included, as the two seeded solves it replaces
+        # the same state, mirror side included, as the two seeded solves of a walk with no arc
         config = SolverConfig(K=48, M=72)
         kernel, mode, grid = _cli_walk(name, config.K)
         [point], diag = trace_branch(kernel, mode, grid[:1], config)
-        monkeypatch.setattr(solver, "_arc", lambda *args: iter(()))
+        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
         [seeded], seeded_diag = trace_branch(kernel, mode, grid[:1], config)
         assert diag == seeded_diag == ""
         assert point.iterations == 0 < seeded.iterations and point.residual <= config.tol
@@ -950,32 +932,60 @@ class TestTraceBranch:
         assert [p.iterations for p in branch] == [0] * len(grid)
         assert all(p.residual <= config.tol for p in branch)
 
+    def test_roots_land_near_their_predictions(self, monkeypatch):
+        # the arc's Newton has no test of which branch its root is on, and the walks need none
+        # here: on the CLI walks and on the K = 16 walks from 1.05 gamma_k of the first two
+        # modes of each kernel below, every point is a root within a fifth of the cut step of
+        # the prediction it starts from
+        walks = [(*_cli_walk(name, 48), SolverConfig(K=48, M=72)) for name in sorted(CLI_SPECS)]
+        config = SolverConfig(K=16, M=40)
+        for spec in SWEEP_SPECS:
+            kernel = coefficients(spec, config.K)
+            for mode, gamma_k in bifurcation_points(kernel).points[:2]:
+                walks.append((kernel, mode, np.linspace(1.05 * gamma_k, 3.0 * gamma_k, 6), config))
+        for kernel, mode, grid, config in walks:
+            branch, _ = trace_branch(kernel, mode, grid, config)
+            op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, config.M), config.K)
+            landings = _kept_landings(monkeypatch, op, mode, grid, config, branch[0])
+            roots = [(z, t, cut, root) for _, z, t, cut, _, root, _ in landings if root]
+            assert len(roots) == len(branch) > 0
+            for (z, t, cut, (values, _)), point in zip(roots, branch):
+                assert np.allclose(values, point.density.values, rtol=1e-12, atol=0.0)
+                a = op._basin[0][: len(z) - 1] @ values
+                assert np.linalg.norm(a - (z[:-1] + cut * t[:-1])) <= 0.2 * cut
+
     @pytest.mark.parametrize("spec, mode, K, M", [
         (KernelSpec(n=5, family="onsager"), 2, 48, 72),
         (KernelSpec(n=4, family="opinion", p=7.0), 1, 16, 40),
     ], ids=["onsager-n5", "opinion-n4-p7"])
     def test_both_sides_pass_a_turn_in_the_mode_moment(self, caplog, spec, mode, K, M):
         # on these walks the branch turns in a_k on the way to the first gamma; the arc
-        # passes the turn on both sides, so neither falls back to its seeded solve
+        # passes the turn on both sides, and the kept one reaches every point
         kernel = coefficients(spec, K)
+        config = SolverConfig(K=K, M=M)
         gamma_k = dict(bifurcation_points(kernel).points)[mode]
         grid = np.linspace(1.05 * gamma_k, 3.0 * gamma_k, 6)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
-            branch, diag = trace_branch(kernel, mode, grid, SolverConfig(K=K, M=M))
+            branch, diag = trace_branch(kernel, mode, grid, config)
         assert diag == "" and len(branch) == len(grid)
         assert [p.iterations for p in branch] == [0] * len(grid)
-        message = caplog.records[-1].getMessage().replace(",", "")
-        continued, fell_back, _ = [int(word) for word in message.split() if word.isdigit()][-6:-3]
-        assert (continued, fell_back) == (2, 0)
+        counts, ended = _walk_log(caplog.records[-1])
+        assert ended == "whole grid" and counts["picard"] == 0
+        op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, M), K)
+        tally = {"newton": 0, "points": 0}
+        for sign in (+1.0, -1.0):
+            [(density, _, _)] = itertools.islice(
+                solver._arc(op, mode, sign, grid, config, tally), 1)
+            assert abs(density.dominant_mode()[1]) > 10 * config.tol  # not uniform
 
     @pytest.mark.parametrize(
         "failure", ["floor", "singular", "non-finite", "budget", "corrector", "guard"])
     def test_failed_continuation_keeps_the_seeded_walk(self, caplog, monkeypatch, failure):
-        # each way the arc can fail leaves the walk of the two seeded solves, bit for bit:
-        # the walk with no arc, written out at its first point as the smaller-amplitude state
-        # of the two seeds
+        # each way the arc can fail ends the walk where it fails, with a diagnostic, no Picard
+        # solve and the reason in the debug line; the walk with no arc, the seeded walk, runs
+        # on to the end as before
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
-        system, newton = solver._arc_system, solver._newton
+        system, newton, solve, solves = solver._arc_system, solver._newton, gibbs_fixed_point, []
         if failure == "floor":
             monkeypatch.setattr(solver, "_arc_corrector", lambda op, z, tangent, gamma_k: None)
         elif failure == "singular":
@@ -989,34 +999,130 @@ class TestTraceBranch:
         elif failure == "corrector":  # only a prediction already within _ARC_TOL is a point
             monkeypatch.setattr(solver, "_ARC_NEWTON", 0)
         else:  # every root at the first gamma is rejected, the seeded solves' too
-            monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
-                (None, 0) if gamma == grid[0] else newton(op, gamma, values, config)))
+            monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config, **kwargs: (
+                (None, 0) if gamma == grid[0] else newton(op, gamma, values, config, **kwargs)))
+
+        def spied(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        message = caplog.records[-1].getMessage().replace(",", "")
-        counts = [int(word) for word in message.split() if word.isdigit()]
-        continued, fell_back, arc_points = counts[-6:-3]
-        assert (continued, fell_back) == (0, 2)
+        assert branch == [] and diag == f"branch not found at gamma={grid[0]} (arc ended)"
+        assert solves == []
+        counts, ended = _walk_log(caplog.records[-1])
+        assert counts["picard"] == 0
         # one point per side within a budget of one; none where the first corrector fails;
         # the guard sees a root only once a prediction reaches the first gamma
-        if failure == "guard":
-            assert arc_points >= 2
-        elif failure == "corrector":
-            assert arc_points > 0
+        assert ended == {"singular": "Singular matrix", "non-finite": "non-finite continuation "
+                         "iterate", "budget": "point budget"}.get(failure, "step floor")
+        if failure in ("guard", "corrector"):
+            assert counts["arc_points"] > 0
         else:
-            assert arc_points == (2 if failure == "budget" else 0)
+            assert counts["arc_points"] == (2 if failure == "budget" else 0)
         monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
         seeded, seeded_diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        assert diag == seeded_diag == "" and len(branch) == len(seeded) == len(grid)
-        for p, q in zip(branch, seeded):
-            assert np.array_equal(p.density.values, q.density.values)
-            assert (p.residual, p.iterations, p.dominant_mode, p.amplitude) == (
-                q.residual, q.iterations, q.dominant_mode, q.amplitude)
-        results = [gibbs_fixed_point(ONSAGER3, grid[0], _mirror_seed(ONSAGER3, 2, sign), FAST)
-                   for sign in (+1.0, -1.0)]
-        first = min(results, key=lambda r: abs(r.density.dominant_mode()[1]))
-        assert np.array_equal(branch[0].density.values, first.density.values)
-        assert branch[0].iterations == first.iterations > 0
+        assert seeded_diag == "" and len(seeded) == len(grid)
+        assert len(solves) == len(grid) + 1 and seeded[0].iterations > 0
+
+
+SWEEP_SPECS = [
+    KernelSpec(n=3, family="onsager"), KernelSpec(n=4, family="onsager"),
+    KernelSpec(n=5, family="onsager"), KernelSpec(n=4, family="transformer", beta=1.0),
+    KernelSpec(n=16, family="transformer", beta=2.0), KernelSpec(n=3, family="opinion", p=5.0),
+    KernelSpec(n=3, family="opinion", p=3.0), KernelSpec(n=4, family="opinion", p=7.0),
+    KernelSpec(n=3, family="heat", epsilon=0.3),
+]
+
+
+def _walk_log(record):
+    """({name: count}, end reason) of `trace_branch`'s debug line."""
+    counts, ended = record.getMessage().split("; ended: ")
+    names = ("points", "picard", "newton", "rejected", "handoffs", "arc_points",
+             "first_resolved", "last_resolved", "support")
+    values = [int(word) for word in counts.replace(",", "").split() if word.isdigit()]
+    assert len(values) == len(names)
+    return dict(zip(names, values)), ended
+
+
+def _arc_landings(monkeypatch, op, mode, sign, grid, config):
+    """One side's `_arc` along the grid, spied: (its points, landings, refused points).
+
+    There is one landing per `_newton` call at a grid gamma: (gamma, z, t, cut, start, root,
+    path), with z the last arc point or root below gamma and t its unit tangent, so that the
+    prediction cut to land on gamma is z + cut t; start is the state `_newton` ran from, root
+    its (values, residual) or None, and path the root that the arc last left (first the
+    bifurcation point) and the arc points accepted since, z last.  A refused point is a
+    corrected point that the arc did not take because it passed the next gamma."""
+    events = []
+    newton, corrector, tangent = solver._newton, solver._arc_corrector, solver._arc_tangent
+
+    def spied_newton(op, gamma, values, config, **kwargs):
+        out = newton(op, gamma, values, config, **kwargs)
+        events.append(("newton", gamma, values.copy(), out[0]))
+        return out
+
+    def spied_corrector(*args):
+        out = corrector(*args)
+        events.append(("point", None if out is None else out[0].copy()))
+        return out
+
+    def spied_tangent(bordered):
+        events.append(("tangent", tangent(bordered)))
+        return events[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_newton", spied_newton)
+        patch.setattr(solver, "_arc_corrector", spied_corrector)
+        patch.setattr(solver, "_arc_tangent", spied_tangent)
+        points = list(solver._arc(op, mode, sign, grid, config, {"newton": 0, "points": 0}))
+    support = op.resolved_support(grid[-1])
+    j = list(support).index(mode)
+    gamma_k = -1.0 / op._w_support[j]
+    z, t = np.zeros(len(support) + 1), np.zeros(len(support) + 1)
+    z[-1], t[j] = 1.0, sign
+    landings, path, refused, previous = [], [z], 0, None
+    for event in events:
+        if event[0] == "tangent":
+            if previous[0] == "point":  # an accepted point: its tangent comes next
+                z = previous[1]
+                path.append(z)
+            t = event[1]
+        elif event[0] == "point":
+            refused += previous is not None and previous[0] == "point" and (
+                previous[1] is not None)
+        else:
+            _, gamma, start, root = event
+            cut = (gamma / gamma_k - z[-1]) / t[-1]
+            landings.append((gamma, z, t, cut, start, root, list(path)))
+            if root is not None:
+                z = np.append(op._basin[0][: len(support)] @ root[0], gamma / gamma_k)
+                path = [z]
+        previous = event
+    return points, landings, refused
+
+
+def _kept_landings(monkeypatch, op, mode, grid, config, first):
+    """The `_arc_landings` of the side whose first point is the walk's first point."""
+    sides = [_arc_landings(monkeypatch, op, mode, sign, grid, config) for sign in (1.0, -1.0)]
+    [landings] = [landings for points, landings, _ in sides
+                  if points and np.array_equal(points[0][0].values, first.density.values)]
+    return landings
+
+
+def _zonal_index(kernel, rule, support, a, gamma, h=1e-6):
+    """The zonal index of the fixed point a at gamma: the number of eigenvalues of dF/da with
+    negative real part, F from `_moment_map` and dF/da by central differences.  Damped Picard
+    leaves a fixed point of index >= 1."""
+    jac = np.empty((len(a), len(a)))
+    for col in range(len(a)):
+        up, down = a.copy(), a.copy()
+        up[col] += h
+        down[col] -= h
+        jac[:, col] = (_moment_map(kernel, rule, support, up, gamma)[0]
+                       - _moment_map(kernel, rule, support, down, gamma)[0]) / (2 * h)
+    return int(np.sum(np.linalg.eigvals(jac).real < 0.0))
 
 
 def _mirror_seed(kernel, mode, sign):
@@ -1127,8 +1233,8 @@ class TestContinuation:
             points.extend([] if out is None else [out[0]])
             return out
 
-        def spied_newton(*args):
-            out = newton(*args)
+        def spied_newton(*args, **kwargs):
+            out = newton(*args, **kwargs)
             roots.append(out[0])
             return out
 
@@ -1209,8 +1315,8 @@ class TestResolvedSupport:
         # continued sides, or from a seeded solve's handoff where they fall back
         roots, newton = [], solver._newton
 
-        def spied(*args):
-            out = newton(*args)
+        def spied(*args, **kwargs):
+            out = newton(*args, **kwargs)
             roots.extend([] if out[0] is None else [out[0][0]])
             return out
 
