@@ -14,11 +14,12 @@ provably relaxes to the uniform state (`GibbsOperator.basin_radius`), and it
 is returned as that limit, 1.  Where no such ball exists, a lone solve runs
 Picard down to the residual _HANDOFF and finishes with guarded Newton on the
 moments a = P_S rho (`_newton`), S cut to the modes that G can resolve at gamma
-(`GibbsOperator.resolved_support`).  There a branch walk follows one
-pseudo-arclength arc per side from the bifurcation point (a = 0, gamma_k),
-along +e_k and -e_k (`_arc`), and takes each point by `_newton` alone from
-the arc's prediction at its gamma, with no Picard-limit test: that part of
-the guard serves lone solves only.
+(`GibbsOperator.resolved_support`).  A branch walk runs no Picard at all: it
+follows one pseudo-arclength arc per side from the bifurcation point
+(a = 0, gamma_k), along +e_k and -e_k (`_arc`), through folds, and takes
+each point by `_newton` alone from the arc's prediction where the arc
+crosses its gamma going up, with no Picard-limit test: that part of the
+guard serves lone solves only.
 Densities are relative to the normalized measure (see `meanfield`), so Z
 and the residual ||rho - G(rho)|| are plain quadrature means.
 """
@@ -457,10 +458,11 @@ def gibbs_fixed_point(
     before = op.certified
     handoff = config.tol if op.basin_bound(gamma, config.tau) > 0.0 else max(config.tol, _HANDOFF)
     values, res, iters = _picard_alone(op, gamma, init.values, replace(config, tol=handoff))
-    newton_steps = 0
+    newton_steps, newton = 0, "no Newton handoff"
     if config.tol < res <= handoff:
         op.handoffs += 1
         root, newton_steps = _newton(op, gamma, values, config)
+        newton = f"Newton root {'rejected' if root is None else 'accepted'}"
         if root is not None:
             values, res = root
         else:
@@ -481,8 +483,8 @@ def gibbs_fixed_point(
         msg = f"non-finite residual at iteration {iters}"
     if _log.isEnabledFor(logging.DEBUG):  # resolved_support builds the tail sums
         _log.debug(
-            "gibbs_fixed_point: gamma %.6g, %d Picard steps, %d Newton steps (%d of %d support "
-            "modes resolved), residual %.3g", gamma, iters, newton_steps,
+            "gibbs_fixed_point: gamma %.6g, %d Picard steps, %d Newton steps (%s; %d of %d "
+            "support modes resolved), residual %.3g", gamma, iters, newton_steps, newton,
             len(op.resolved_support(gamma)), len(op._support), res,
         )
     density = make_density(init.n, init.rule, values, op.K)
@@ -605,26 +607,29 @@ def _arc(
     op: GibbsOperator, mode: int, sign: float, grid: Sequence[float], config: SolverConfig,
     tally: dict,
 ):
-    """(density, residual, 0 Picard steps) at each gamma of the ascending grid in turn, on the
-    branch continued by pseudo-arclength from (a = 0, gamma_k) along sign * e_k.
+    """(density, residual) at each gamma of the ascending grid in turn, on the branch continued
+    by pseudo-arclength from (a = 0, gamma_k) along sign * e_k.
 
-    The arc runs on S_gamma of the last gamma (`GibbsOperator.resolved_support`) in
-    z = (a, gamma / gamma_k), so that one step rule serves every gamma_k.  Each point is
-    predicted along the unit tangent t as z + h t and corrected in the plane normal to t
-    (`_arc_corrector`), and its tangent is the next t (`_arc_tangent`).  The step h starts at
-    _ARC_STEP, doubles after a point corrected in at most _ARC_FAST steps and halves when the
-    corrector fails or its point passes the next gamma.  A prediction that would pass the
-    next gamma is cut to land on it, and `_newton` runs there from `moment_image(gamma, a)`
-    at the prediction, with no Picard-limit test (that test serves lone solves only): its
-    root is yielded and the arc restarts from it, and a failed Newton halves h to half the
-    cut.  The arc returns, with the reason in tally["end"], when a Jacobian is singular, an
-    iterate is not finite, h falls below _ARC_FLOOR or _ARC_POINTS points do not reach the
-    next gamma.  tally["newton"] adds up the Newton steps at the grid gammas and
-    tally["points"] the arc points.
+    The arc runs in z = (a, gamma / gamma_k), so that one step rule serves every gamma_k, on
+    S_gamma at the larger of gamma_k and the last gamma (`GibbsOperator.resolved_support`).
+    Each point is predicted along the unit tangent t as z + h t and corrected in the plane
+    normal to t (`_arc_corrector`); its tangent is the next t (`_arc_tangent`).  The step h
+    starts at _ARC_STEP, doubles after a point corrected in at most _ARC_FAST steps and
+    halves when the corrector fails or its point crosses the next gamma going up.  The arc
+    lands only where it crosses the next gamma going up, so it may first run down through a
+    fold: the prediction is cut to land there, and `_newton` runs from `moment_image(gamma,
+    a)` at it, with no Picard-limit test (that serves lone solves only).  A root whose
+    moments lie within the cut step of the prediction is yielded and the arc restarts from
+    it; a failed Newton, or a farther root, on another branch, halves h to half the cut.
+    The arc returns, with the reason in tally["end"], when it lies above the next gamma and
+    still rises, a Jacobian is singular, an iterate is not finite, h falls below _ARC_FLOOR
+    or _ARC_POINTS points do not reach the next gamma.  tally["newton"] adds up the Newton
+    steps at the grid gammas and tally["points"] the arc points.
     """
-    support = op.resolved_support(grid[-1])  # it holds the mode: gamma |W_hat_k| > 1, h_k >= 1
-    j = int(np.searchsorted(support, mode))
+    j = int(np.searchsorted(op._support, mode))
     gamma_k = -1.0 / op._w_support[j]
+    # it holds the mode: gamma |W_hat_k| >= 1 and h_k >= 1
+    support = op.resolved_support(max(grid[-1], gamma_k))
     z, t, h = np.zeros(len(support) + 1), np.zeros(len(support) + 1), _ARC_STEP
     z[-1], t[j] = 1.0, sign
     for gamma in grid:
@@ -637,17 +642,23 @@ def _arc(
                     if h < _ARC_FLOOR or points == _ARC_POINTS:
                         tally["end"] = "step floor" if h < _ARC_FLOOR else "point budget"
                         return
-                    if t[-1] > 0.0 and z[-1] + h * t[-1] >= end:  # cut to land on gamma
+                    if z[-1] < end <= z[-1] + h * t[-1]:  # cut to land on gamma, going up
                         cut = (end - z[-1]) / t[-1]
-                        start = op.moment_image(gamma, z[:-1] + cut * t[:-1])
+                        guess = z[:-1] + cut * t[:-1]
+                        start = op.moment_image(gamma, guess)
                         root, steps = _newton(op, gamma, start, config, picard_limit=False)
                         tally["newton"] += steps
                         if root is not None:
-                            break
+                            a = op._basin[0][: len(support)] @ root[0]
+                            if np.linalg.norm(a - guess) <= cut:
+                                break
                         h = 0.5 * cut
                         continue
+                    if end <= z[-1] and t[-1] > 0.0:
+                        tally["end"] = "branch above gamma"
+                        return
                     corrected = _arc_corrector(op, z + h * t, t, gamma_k)
-                    if corrected is None or corrected[0][-1] >= end:
+                    if corrected is None or z[-1] < end <= corrected[0][-1]:
                         h *= 0.5
                         continue
                     z, jac, steps = corrected
@@ -655,12 +666,12 @@ def _arc(
                     points += 1
                     tally["points"] += 1
                     h *= 2.0 if steps <= _ARC_FAST else 1.0
-                z = np.append(op._basin[0][: len(support)] @ root[0], end)
+                z = np.append(a, end)
                 t = _arc_tangent(_arc_system(op, z, gamma_k, t)[1])
             except (np.linalg.LinAlgError, FloatingPointError) as exc:
                 tally["end"] = str(exc)  # "Singular matrix", or the non-finite iterate
                 return
-        yield make_density(op.rule.n, op.rule, root[0], op.K), root[1], 0
+        yield make_density(op.rule.n, op.rule, root[0], op.K), root[1]
 
 
 def trace_branch(
@@ -671,43 +682,29 @@ def trace_branch(
 ) -> tuple[list[BranchPoint], str]:
     """Continue the non-uniform branch of the given mode along an ascending grid.
 
-    The walk has two sides, one per sign of the mode's eigenvector, each a generator of
-    (density, residual, Picard steps) along the grid.  Where a lone solve would hand off to
-    Newton (_HANDOFF above tol) and the mode is a simple unstable mode (the rule of
-    `bifurcation_points`) with gamma_k below the first gamma, so that gamma_# is too and no
-    basin ball exists there, each side is an arc from the bifurcation point (a = 0, gamma_k)
-    along +e_k or -e_k (`_arc`), whose points are Newton roots with no Picard step and no
-    Picard-limit test: that guard serves lone solves only.  Elsewhere each side is the
-    `gibbs_fixed_point` solve from the uniform state kicked by +-0.01 Y_mode, and then from
-    its previous state.  The smaller-amplitude non-uniform state of the two at the first
-    gamma is kept, and its side gives every later point.  The walk ends where its side ends
-    (an arc ends, a solve does not converge) or reaches a uniform state.  Returns the points
-    and a diagnostic ('' when the whole grid was covered) that names the gamma where the walk
-    ended; the walk's debug line gives the reason.
+    The mode k must be a simple unstable mode up to K (the rule of `bifurcation_points`);
+    for any other mode (tied, stable or above K) the walk runs no solve and returns no points
+    and a diagnostic that names it.  The walk's two sides are arcs from the bifurcation point
+    (a = 0, gamma_k) along +e_k and -e_k (`_arc`), whose points are Newton roots with no
+    Picard step and no Picard-limit test: that guard serves lone solves only.  An arc lands
+    only where it crosses a grid gamma going up, so from below gamma_k it reaches the states
+    past a fold.  The smaller-amplitude non-uniform state of the two at the first gamma is
+    kept, and its side gives every later point.  The walk ends where its arc ends or lands
+    on a uniform state.  Returns the points and a diagnostic ('' when the whole grid was
+    covered) that names the gamma where the walk ended; the walk's debug line gives the
+    reason.  Raises ValueError unless the grid is positive, finite and strictly ascending.
     """
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
         return [], "empty gamma grid"
+    if not all(low < high for low, high in zip([0.0, *gamma_grid], [*gamma_grid, math.inf])):
+        raise ValueError("gamma grid must be positive, finite and strictly ascending")
+    if mode > config.K or mode not in dict(_simple_modes(kernel).points):
+        return [], f"mode {mode} is not a simple unstable mode up to K={config.K}"
     rule = gauss_jacobi_rule(kernel.n, config.M)
     op = GibbsOperator(kernel, rule, config.K)
-    gamma_k = dict(_simple_modes(kernel).points).get(mode) if mode <= config.K else None
-    tally = {"picard": 0, "newton": 0, "points": 0, "end": ""}
-
-    def solves(sign: float):
-        state = _seeded_density(kernel.n, rule, config.K, mode, sign * 0.01)
-        for gamma in gamma_grid:
-            result = gibbs_fixed_point(kernel, gamma, state, config, op=op)
-            tally["picard"] += result.iterations
-            tally["newton"] += result.newton_steps
-            if not result.converged:
-                tally["end"] = result.message
-                return
-            state = result.density
-            yield state, result.residual, result.iterations
-
-    arced = _HANDOFF > config.tol and gamma_k is not None and gamma_k < gamma_grid[0]
-    sides = [_arc(op, mode, sign, gamma_grid, config, tally) if arced else solves(sign)
-             for sign in (+1.0, -1.0)]
+    tally = {"newton": 0, "points": 0, "end": ""}
+    sides = [_arc(op, mode, sign, gamma_grid, config, tally) for sign in (+1.0, -1.0)]
     branch: list[BranchPoint] = []
     diagnostic = ""
     for gamma in gamma_grid:
@@ -720,19 +717,17 @@ def trace_branch(
             elif point is not None:
                 tally["end"] = "uniform state"
         if not found:
-            note = " (arc ended)" if arced else " (fell back to uniform)" if branch else ""
-            diagnostic = f"branch {'lost' if branch else 'not found'} at gamma={gamma}{note}"
+            diagnostic = f"branch {'lost' if branch else 'not found'} at gamma={gamma} (arc ended)"
             break
-        _, l, amp, (density, res, iterations), side = min(found, key=lambda c: c[0])
+        _, l, amp, (density, res), side = min(found, key=lambda c: c[0])
         branch.append(BranchPoint(gamma, density, l, amp, free_energy(kernel, density, gamma),
-                                  res, iterations))
+                                  res, 0))
         sides = [side]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "trace_branch: %d points, %d Picard steps, %d Newton steps, %d of %d handoffs "
-            "rejected, %d arc points; %d to %d of %d support modes resolved; ended: %s",
-            len(branch), tally["picard"], tally["newton"], op.rejected, op.handoffs,
-            tally["points"], len(op.resolved_support(gamma_grid[0])),
+            "trace_branch: %d points, %d Newton steps, %d arc points; %d to %d of %d support "
+            "modes resolved; ended: %s",
+            len(branch), tally["newton"], tally["points"], len(op.resolved_support(gamma_grid[0])),
             len(op.resolved_support(gamma_grid[-1])), len(op._support),
             tally["end"] if diagnostic else "whole grid",
         )

@@ -531,6 +531,13 @@ class TestErrors:
         assert code == EXIT_CONFIG and out == ""
         assert "--mode" in json.loads(err)["message"]
 
+    def test_descending_branch_grid_is_config_error(self, capsys):
+        argv = ["branch", "--kernel", ONSAGER, "--K", "16", "--mode", "2", "--gamma-min", "13",
+                "--gamma-max", "10.3", "--gamma-steps", "4"]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert "strictly ascending" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("command,extra", [("transition", []), ("branch", ["--mode", "2"])])
     def test_empty_gamma_grid_is_config_error(self, capsys, command, extra):
         argv = [command, "--kernel", ONSAGER, "--K", "8", *extra, "--gamma-min", "1",

@@ -270,18 +270,21 @@ class TestNewtonHandoff:
 
     @pytest.mark.parametrize("name", sorted(CLI_SPECS))
     def test_walk_matches_picard_all_the_way(self, monkeypatch, name):
+        # each later point of the walk, which takes no Picard step, is the plain Picard solve
+        # warm-started from the point before it
         config = SolverConfig(K=16, M=28)
         kernel, mode, grid = _cli_walk(name, config.K)
-        newton, diagnostic = trace_branch(kernel, mode, grid, config)
+        branch, diagnostic = trace_branch(kernel, mode, grid, config)
+        assert diagnostic == "" and len(branch) == len(grid)
         monkeypatch.setattr(solver, "_HANDOFF", 0.0)
-        picard, picard_diagnostic = trace_branch(kernel, mode, grid, config)
-        assert diagnostic == picard_diagnostic == "" and len(newton) == len(picard) == len(grid)
-        for p, q in zip(newton, picard):
-            assert p.dominant_mode == q.dominant_mode
-            assert p.amplitude == pytest.approx(q.amplitude, rel=1e-7)  # the same mirror state
+        for previous, p in zip(branch, branch[1:]):
+            q = gibbs_fixed_point(kernel, p.gamma, previous.density, config)
+            q_mode, q_amp = q.density.dominant_mode()
+            assert q.converged and q.iterations > 0 == p.iterations
+            assert p.dominant_mode == q_mode
+            assert p.amplitude == pytest.approx(q_amp, rel=1e-7)  # the same mirror state
             assert np.allclose(p.density.values, q.density.values, rtol=1e-7, atol=0.0)
             assert p.residual <= config.tol
-        assert sum(p.iterations for p in newton) < sum(q.iterations for q in picard)
 
     def test_newton_out_of_steps_keeps_the_picard_solve(self, monkeypatch):
         # the handoff's Newton needs more than one step here, so a budget of one rejects
@@ -355,6 +358,20 @@ class TestNewtonHandoff:
         _, tight_amp = tight.density.dominant_mode()
         _, picard_amp = picard.density.dominant_mode()
         assert abs(amp - tight_amp) < 1e-3 * abs(picard_amp - tight_amp)
+
+    @pytest.mark.parametrize("scale, eps, newton, counts", [
+        (0.9, 0.3, "no Newton handoff", (0, 0)), (1.05, 0.2, "Newton root accepted", (1, 0)),
+        (1.2, 1e-8, "Newton root rejected", (1, 1)),
+    ], ids=["certified", "accepted", "rejected"])
+    def test_debug_line_says_what_became_of_the_newton_root(self, caplog, scale, eps, newton,
+                                                            counts):
+        init = _kicked_uniform(3, RULE3, 2, eps, FAST.K)
+        op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            gibbs_fixed_point(ONSAGER3, scale * GAMMA_SHARP_ONSAGER, init, FAST, op=op)
+        [record] = caplog.records
+        assert f"Newton steps ({newton}; " in record.getMessage()
+        assert (op.handoffs, op.rejected) == counts
 
     def test_no_handoff_where_a_basin_ball_exists(self):
         # below gamma_# the certificate ends the solve, as before
@@ -678,10 +695,8 @@ class TestTraceBranch:
             len(op.resolved_support(grid[0])), len(op.resolved_support(grid[-1])),
             np.count_nonzero(ONSAGER3.coeffs[1:]))
         # both sides of the first point and every later point come from the arc, so the walk
-        # makes no seeded or warm-started solve and no Picard step
-        assert results == [] and (counts["picard"], counts["handoffs"], counts["rejected"]) == (
-            0, 0, 0)
-        assert [p.iterations for p in branch] == [0] * len(grid)
+        # makes no lone solve and no Picard step
+        assert results == [] and [p.iterations for p in branch] == [0] * len(grid)
         assert counts["arc_points"] == len([c for c in corrected if c is not None]) >= 2
         assert counts["newton"] == sum(taken for _, taken in newton_calls)
         # one accepted _newton root per side at the first gamma and one per later gamma,
@@ -724,45 +739,13 @@ class TestTraceBranch:
         assert diag == "" and len(branch) == len(grid)
         [kept] = [sign for sign in roots if np.allclose(
             roots[sign][0][0].values, branch[0].density.values, rtol=1e-12, atol=0.0)]
-        for (density, _, _), previous, point in zip(roots[kept], [None, *branch], branch):
+        for (density, _), previous, point in zip(roots[kept], [None, *branch], branch):
             assert np.allclose(point.density.values, density.values, rtol=1e-12, atol=0.0)
             assert point.iterations == 0 and point.residual <= FAST.tol
             if previous is not None:  # the arc moved: not the previous state again
                 assert not np.allclose(density.values, previous.density.values, rtol=1e-3,
                                        atol=0.0)
         return refused
-
-    def test_rejected_predictions_keep_the_warm_started_walk(self, monkeypatch):
-        # with no arc, each later point is the solve warm-started from the previous state, bit
-        # for bit, also where the guard of its Newton handoff rejects the root
-        grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
-        newton, solve, inits = solver._newton, solver.gibbs_fixed_point, []
-        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
-        monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config: (
-            (None, 0) if gamma >= grid[2] else newton(op, gamma, values, config)))
-
-        def spied(kernel, gamma, init, *args, **kwargs):
-            inits.append((gamma, init.values.copy()))
-            return solve(kernel, gamma, init, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
-        branch, diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        assert diag == "" and len(branch) == len(grid)
-        # the two seeds at the first gamma, then the kept side from each previous state
-        assert [gamma for gamma, _ in inits] == [grid[0], *grid]
-        for (_, values), previous in zip(inits[2:], branch):
-            assert np.array_equal(values, previous.density.values)
-
-        state = branch[0].density
-        for gamma, point in zip(grid[1:], branch[1:]):
-            result = solve(ONSAGER3, gamma, state, FAST)
-            assert np.array_equal(point.density.values, result.density.values)
-            assert (point.residual, point.iterations) == (result.residual, result.iterations)
-            assert (point.dominant_mode, point.amplitude) == result.density.dominant_mode()
-            assert point.iterations > 0
-            state = result.density
-        # past the rejections Picard runs on from the handoff iterate
-        assert min(p.iterations for p in branch[2:]) > max(p.iterations for p in branch[1:2])
 
     def test_rejected_root_ends_the_arc(self, caplog, monkeypatch):
         # a root rejected at every try ends the arc at that gamma: each failed Newton halves
@@ -780,7 +763,7 @@ class TestTraceBranch:
         assert diag == f"branch lost at gamma={grid[1]} (arc ended)"
         assert len(branch) == 1 and branch[0].iterations == 0 and solves == []
         counts, ended = _walk_log(caplog.records[-1])
-        assert ended == "step floor" and counts["picard"] == 0
+        assert ended == "step floor"
         op = GibbsOperator(ONSAGER3, RULE3, FAST.K)
         for sign in (+1.0, -1.0):
             points, landings, _ = _arc_landings(monkeypatch, op, 2, sign, grid, FAST)
@@ -858,7 +841,7 @@ class TestTraceBranch:
         assert indices == [int(np.sum(1.0 + g * kernel.coeffs[support] < 0.0)) for g in gammas]
         assert indices == [0, 1, 2]
 
-    def test_first_point_solves_the_two_mirror_seeds(self, monkeypatch):
+    def test_each_side_leaves_the_bifurcation_point(self, monkeypatch):
         # each side starts at the bifurcation point (0, gamma_1), along +e_1 or -e_1
         kernel = coefficients(CLI_SPECS["transformer"], FAST.K)
         sides, arc, corrector = [], solver._arc, solver._arc_corrector
@@ -889,37 +872,23 @@ class TestTraceBranch:
             assert gamma_k == gamma_1 and np.array_equal(tangent, along)
             assert np.array_equal(first[:-1], solver._ARC_STEP * along[:-1]) and first[-1] == 1.0
 
-        # with no simple mode there is no arc, and the two seeded solves get the +-0.01 Y_1 seeds
-        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
-        inits, solve = [], solver.gibbs_fixed_point
-
-        def spied(kernel, gamma, init, *args, **kwargs):
-            inits.append((gamma, init.values.copy()))
-            return solve(kernel, gamma, init, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "gibbs_fixed_point", spied)
-        sides.clear()
-        branch, diag = trace_branch(kernel, 1, grid, FAST)
-        assert diag == "" and len(branch) == len(grid) and branch[0].iterations > 0
-        assert sides == []
-        first = [values for gamma, values in inits if gamma == grid[0]]
-        assert len(first) == 2
-        for values, sign in zip(first, (+1.0, -1.0)):
-            assert np.array_equal(values, _mirror_seed(kernel, 1, sign).values)
-
     @pytest.mark.parametrize("name", sorted(CLI_SPECS))
-    def test_continued_first_point_equals_the_seeded_solve(self, monkeypatch, name):
-        # the same state, mirror side included, as the two seeded solves of a walk with no arc
+    def test_continued_first_point_equals_the_seeded_solve(self, name):
+        # the same state, mirror side included, as the smaller-amplitude of the two lone solves
+        # from the +-0.01 Y_mode seeds
         config = SolverConfig(K=48, M=72)
         kernel, mode, grid = _cli_walk(name, config.K)
         [point], diag = trace_branch(kernel, mode, grid[:1], config)
-        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
-        [seeded], seeded_diag = trace_branch(kernel, mode, grid[:1], config)
-        assert diag == seeded_diag == ""
+        solves = [gibbs_fixed_point(kernel, grid[0], _mirror_seed(kernel, mode, sign, config),
+                                    config) for sign in (+1.0, -1.0)]
+        assert all(s.converged and abs(s.density.dominant_mode()[1]) > 1e-3 for s in solves)
+        seeded = min(solves, key=lambda s: abs(s.density.dominant_mode()[1]))  # first of equals
+        seeded_mode, seeded_amp = seeded.density.dominant_mode()
+        assert diag == ""
         assert point.iterations == 0 < seeded.iterations and point.residual <= config.tol
-        assert point.dominant_mode == seeded.dominant_mode  # opinion's is 2, past its fold
-        assert np.sign(point.amplitude) == np.sign(seeded.amplitude)
-        assert point.amplitude == pytest.approx(seeded.amplitude, rel=1e-9, abs=0.0)
+        assert point.dominant_mode == seeded_mode  # opinion's is 2, past its fold
+        assert np.sign(point.amplitude) == np.sign(seeded_amp)
+        assert point.amplitude == pytest.approx(seeded_amp, rel=1e-9, abs=0.0)
         assert np.allclose(point.density.values, seeded.density.values, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(CLI_SPECS))
@@ -933,10 +902,10 @@ class TestTraceBranch:
         assert all(p.residual <= config.tol for p in branch)
 
     def test_roots_land_near_their_predictions(self, monkeypatch):
-        # the arc's Newton has no test of which branch its root is on, and the walks need none
-        # here: on the CLI walks and on the K = 16 walks from 1.05 gamma_k of the first two
-        # modes of each kernel below, every point is a root within a fifth of the cut step of
-        # the prediction it starts from
+        # the arc refuses a root more than one cut step from its prediction, and these walks
+        # stay well inside that: on the CLI walks and on the K = 16 walks from 1.05 gamma_k of
+        # the first two modes of each kernel below, every point is a root within a fifth of the
+        # cut step of the prediction it starts from
         walks = [(*_cli_walk(name, 48), SolverConfig(K=48, M=72)) for name in sorted(CLI_SPECS)]
         config = SolverConfig(K=16, M=40)
         for spec in SWEEP_SPECS:
@@ -970,20 +939,20 @@ class TestTraceBranch:
         assert diag == "" and len(branch) == len(grid)
         assert [p.iterations for p in branch] == [0] * len(grid)
         counts, ended = _walk_log(caplog.records[-1])
-        assert ended == "whole grid" and counts["picard"] == 0
+        assert ended == "whole grid" and counts["points"] == len(grid)
         op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, M), K)
         tally = {"newton": 0, "points": 0}
         for sign in (+1.0, -1.0):
-            [(density, _, _)] = itertools.islice(
+            [(density, _)] = itertools.islice(
                 solver._arc(op, mode, sign, grid, config, tally), 1)
             assert abs(density.dominant_mode()[1]) > 10 * config.tol  # not uniform
 
     @pytest.mark.parametrize(
         "failure", ["floor", "singular", "non-finite", "budget", "corrector", "guard"])
     def test_failed_continuation_keeps_the_seeded_walk(self, caplog, monkeypatch, failure):
-        # each way the arc can fail ends the walk where it fails, with a diagnostic, no Picard
-        # solve and the reason in the debug line; the walk with no arc, the seeded walk, runs
-        # on to the end as before
+        # each way the arc can fail ends the walk where it fails, with a diagnostic, no lone
+        # solve and the reason in the debug line; with the arc intact the same walk covers
+        # the grid
         grid = np.linspace(1.05 * GAMMA_SHARP_ONSAGER, 1.3 * GAMMA_SHARP_ONSAGER, 4)
         system, newton, solve, solves = solver._arc_system, solver._newton, gibbs_fixed_point, []
         if failure == "floor":
@@ -998,7 +967,7 @@ class TestTraceBranch:
             monkeypatch.setattr(solver, "_ARC_POINTS", 1)
         elif failure == "corrector":  # only a prediction already within _ARC_TOL is a point
             monkeypatch.setattr(solver, "_ARC_NEWTON", 0)
-        else:  # every root at the first gamma is rejected, the seeded solves' too
+        else:  # every root at the first gamma is rejected
             monkeypatch.setattr(solver, "_newton", lambda op, gamma, values, config, **kwargs: (
                 (None, 0) if gamma == grid[0] else newton(op, gamma, values, config, **kwargs)))
 
@@ -1012,7 +981,6 @@ class TestTraceBranch:
         assert branch == [] and diag == f"branch not found at gamma={grid[0]} (arc ended)"
         assert solves == []
         counts, ended = _walk_log(caplog.records[-1])
-        assert counts["picard"] == 0
         # one point per side within a budget of one; none where the first corrector fails;
         # the guard sees a root only once a prediction reaches the first gamma
         assert ended == {"singular": "Singular matrix", "non-finite": "non-finite continuation "
@@ -1021,10 +989,88 @@ class TestTraceBranch:
             assert counts["arc_points"] > 0
         else:
             assert counts["arc_points"] == (2 if failure == "budget" else 0)
-        monkeypatch.setattr(solver, "_simple_modes", lambda kernel: solver.BifurcationSet(()))
-        seeded, seeded_diag = trace_branch(ONSAGER3, 2, grid, FAST)
-        assert seeded_diag == "" and len(seeded) == len(grid)
-        assert len(solves) == len(grid) + 1 and seeded[0].iterations > 0
+        monkeypatch.undo()
+        walk, walk_diag = trace_branch(ONSAGER3, 2, grid, FAST)
+        assert walk_diag == "" and [p.iterations for p in walk] == [0] * len(grid)
+
+    @pytest.mark.parametrize("spec, mode", [
+        (KernelSpec(n=3, family="onsager"), 2), (KernelSpec(n=3, family="opinion", p=5.0), 1),
+    ], ids=["onsager", "opinion"])
+    def test_walk_from_below_reaches_the_ordered_state(self, monkeypatch, spec, mode):
+        # these branches fold back below gamma_k: the arc runs down through the fold and lands
+        # on each gamma on its way up, at a stable state (zonal index 0) that beats uniform
+        kernel = coefficients(spec, FAST.K)
+        gamma_k = dict(bifurcation_points(kernel).points)[mode]
+        grid = np.linspace(0.95 * gamma_k, 1.25 * gamma_k, 4)
+        solves = []
+        monkeypatch.setattr(solver, "gibbs_fixed_point", lambda *args, **kw: solves.append(args))
+        branch, diag = trace_branch(kernel, mode, grid, FAST)
+        assert diag == "" and len(branch) == len(grid) and solves == []
+        assert branch[0].dominant_mode == mode
+        rule = gauss_jacobi_rule(kernel.n, FAST.M)
+        basis = spectral_basis(kernel.n, FAST.K, FAST.M)
+        support = np.flatnonzero(kernel.coeffs[1:]) + 1
+        table = np.array([y_l0(k, kernel.n, rule.nodes) for k in support])
+        for point in branch:
+            assert point.iterations == 0 and point.residual <= FAST.tol
+            assert free_energy_gap(kernel, basis, point.gamma, point.density.values) < 0.0
+            a = table @ (rule.weights * point.density.values)
+            assert _zonal_index(kernel, rule, support, a, point.gamma) == 0
+
+    def test_supercritical_walk_from_below_ends_above_gamma(self, caplog):
+        # transformer n = 4's branch rises from gamma_1 on both sides, so an arc from below
+        # gamma_1 never crosses the first gamma going up: each side ends after its first
+        # point, which lies above that gamma and still rises
+        kernel = coefficients(CLI_SPECS["transformer"], FAST.K)
+        gamma_1 = dict(bifurcation_points(kernel).points)[1]
+        grid = np.linspace(0.95 * gamma_1, 1.5 * gamma_1, 4)
+        with caplog.at_level(logging.DEBUG, logger="spheremv"):
+            branch, diag = trace_branch(kernel, 1, grid, FAST)
+        assert branch == [] and diag == f"branch not found at gamma={grid[0]} (arc ended)"
+        counts, ended = _walk_log(caplog.records[-1])
+        assert ended == "branch above gamma"
+        assert (counts["arc_points"], counts["newton"]) == (2, 0)
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4], ids=["tied-1", "tied-2", "stable", "above-K"])
+    def test_mode_without_a_simple_branch_runs_no_solve(self, monkeypatch, mode):
+        # W_hat = (0, -0.2, -0.2, 0.05) at K = 3: modes 1 and 2 are tied, mode 3 is stable and
+        # mode 4 lies above K; the walk names the mode and builds no operator to solve with
+        kernel = ZonalCoefficients(n=3, coeffs=np.array([0.0, -0.2, -0.2, 0.05]))
+
+        def built(*args, **kwargs):
+            raise AssertionError("the walk built an operator or ran a solve")
+
+        monkeypatch.setattr(solver, "GibbsOperator", built)
+        monkeypatch.setattr(solver, "gibbs_fixed_point", built)
+        branch, diag = trace_branch(kernel, mode, [6.0, 8.0], SolverConfig(K=3, M=8))
+        assert branch == [] and diag == f"mode {mode} is not a simple unstable mode up to K=3"
+
+    @pytest.mark.parametrize("n, K, M", [(4, 16, 40), (5, 16, 40), (4, 48, 72)])
+    def test_landings_stay_within_one_cut_step(self, monkeypatch, n, K, M):
+        # on these mode-4 walks from below gamma_4, Newton from a prediction at a high gamma
+        # converges 67 to 123 cut steps away, on another branch; the arc takes that as a failed
+        # landing, so each root it lands on lies within one cut step of its prediction
+        config = SolverConfig(K=K, M=M)
+        kernel = coefficients(KernelSpec(n=n, family="onsager"), K)
+        gamma_4 = dict(bifurcation_points(kernel).points)[4]
+        grid = np.linspace(0.95 * gamma_4, 3.0 * gamma_4, 6)
+        branch, _ = trace_branch(kernel, 4, grid, config)
+        op = GibbsOperator(kernel, gauss_jacobi_rule(kernel.n, M), K)
+        landings = _kept_landings(monkeypatch, op, 4, grid, config, branch[0])
+        roots = [(z, t, cut, root) for _, z, t, cut, _, root, _ in landings if root]
+        assert len(roots) == len(branch) >= 2
+        for (z, t, cut, (values, _)), point in zip(roots, branch):
+            assert np.allclose(values, point.density.values, rtol=1e-12, atol=0.0)
+            a = op._basin[0][: len(z) - 1] @ values
+            assert np.linalg.norm(a - (z[:-1] + cut * t[:-1])) <= cut
+
+    @pytest.mark.parametrize("grid", [
+        [10.3, math.nan], [10.3, -1.0], [10.3, 10.3], [13.0, 10.3], [0.0, 10.3], [10.3, math.inf],
+    ], ids=["nan", "negative", "repeated", "descending", "zero", "inf"])
+    def test_rejects_bad_grids_before_any_work(self, monkeypatch, grid):
+        monkeypatch.setattr(solver, "gauss_jacobi_rule", lambda *args: pytest.fail("rule built"))
+        with pytest.raises(ValueError, match="gamma grid must be positive, finite and strictly"):
+            trace_branch(ONSAGER3, 2, grid, FAST)
 
 
 SWEEP_SPECS = [
@@ -1039,8 +1085,7 @@ SWEEP_SPECS = [
 def _walk_log(record):
     """({name: count}, end reason) of `trace_branch`'s debug line."""
     counts, ended = record.getMessage().split("; ended: ")
-    names = ("points", "picard", "newton", "rejected", "handoffs", "arc_points",
-             "first_resolved", "last_resolved", "support")
+    names = ("points", "newton", "arc_points", "first_resolved", "last_resolved", "support")
     values = [int(word) for word in counts.replace(",", "").split() if word.isdigit()]
     assert len(values) == len(names)
     return dict(zip(names, values)), ended
@@ -1052,9 +1097,11 @@ def _arc_landings(monkeypatch, op, mode, sign, grid, config):
     There is one landing per `_newton` call at a grid gamma: (gamma, z, t, cut, start, root,
     path), with z the last arc point or root below gamma and t its unit tangent, so that the
     prediction cut to land on gamma is z + cut t; start is the state `_newton` ran from, root
-    its (values, residual) or None, and path the root that the arc last left (first the
-    bifurcation point) and the arc points accepted since, z last.  A refused point is a
-    corrected point that the arc did not take because it passed the next gamma."""
+    its (values, residual) where the arc landed on it, else None, and path the root that the
+    arc last left (first the bifurcation point) and the arc points accepted since, z last.
+    A root is landed on when the arc restarts from it, that is when a tangent follows it.  A
+    refused point is a corrected point that the arc did not take because it crossed the next
+    gamma."""
     events = []
     newton, corrector, tangent = solver._newton, solver._arc_corrector, solver._arc_tangent
 
@@ -1077,13 +1124,13 @@ def _arc_landings(monkeypatch, op, mode, sign, grid, config):
         patch.setattr(solver, "_arc_corrector", spied_corrector)
         patch.setattr(solver, "_arc_tangent", spied_tangent)
         points = list(solver._arc(op, mode, sign, grid, config, {"newton": 0, "points": 0}))
-    support = op.resolved_support(grid[-1])
-    j = list(support).index(mode)
+    j = list(op._support).index(mode)
     gamma_k = -1.0 / op._w_support[j]
+    support = op.resolved_support(max(grid[-1], gamma_k))
     z, t = np.zeros(len(support) + 1), np.zeros(len(support) + 1)
     z[-1], t[j] = 1.0, sign
     landings, path, refused, previous = [], [z], 0, None
-    for event in events:
+    for event, following in zip(events, events[1:] + [("end",)]):
         if event[0] == "tangent":
             if previous[0] == "point":  # an accepted point: its tangent comes next
                 z = previous[1]
@@ -1094,6 +1141,7 @@ def _arc_landings(monkeypatch, op, mode, sign, grid, config):
                 previous[1] is not None)
         else:
             _, gamma, start, root = event
+            root = root if following[0] == "tangent" else None
             cut = (gamma / gamma_k - z[-1]) / t[-1]
             landings.append((gamma, z, t, cut, start, root, list(path)))
             if root is not None:
@@ -1125,12 +1173,13 @@ def _zonal_index(kernel, rule, support, a, gamma, h=1e-6):
     return int(np.sum(np.linalg.eigvals(jac).real < 0.0))
 
 
-def _mirror_seed(kernel, mode, sign):
-    """The uniform state kicked by sign * 0.01 Y_mode, the seeds of a walk's first point."""
-    rule = gauss_jacobi_rule(kernel.n, FAST.M)
+def _mirror_seed(kernel, mode, sign, config):
+    """The uniform state kicked by sign * 0.01 Y_mode, the oracle's seeds of a walk's first
+    point."""
+    rule = gauss_jacobi_rule(kernel.n, config.M)
     base = 1.0 / rule.integrate(np.ones(rule.order))
     values = np.clip(base + sign * 0.01 * y_l0(mode, kernel.n, rule.nodes), 1e-14, None)
-    return make_density(kernel.n, rule, values, FAST.K)
+    return make_density(kernel.n, rule, values, config.K)
 
 
 class TestMomentTangent:
@@ -1311,8 +1360,7 @@ class TestResolvedSupport:
         assert np.array_equal(resolved, support[:size]) and size < len(support)
         assert bounds[size] <= 2.0**-53 < bounds[size - 1]
 
-        # every root that the guarded Newton accepts in a one-point walk: from the
-        # continued sides, or from a seeded solve's handoff where they fall back
+        # every root that the arc's Newton accepts in a one-point walk, on both sides
         roots, newton = [], solver._newton
 
         def spied(*args, **kwargs):
@@ -1382,7 +1430,9 @@ class TestResolvedSupport:
 
     def test_no_tail_sums_while_the_debug_line_is_off(self, caplog, monkeypatch):
         # a solve at 0.5 gamma_# from uniform takes no Picard or Newton step, so only a debug
-        # line would read its resolved support; with the line off the tail sums are not built
+        # line would read its resolved support; with the line off the tail sums are not built.
+        # A walk there runs its arc on the resolved support, so it builds them on its own
+        # operator
         config = SolverConfig(K=48, M=72)
         kernel = coefficients(CLI_SPECS["heat"], config.K)
         rule = gauss_jacobi_rule(kernel.n, config.M)
@@ -1395,8 +1445,10 @@ class TestResolvedSupport:
         uniform = uniform_density(kernel.n, rule, config.K)
         result = gibbs_fixed_point(kernel, gamma, uniform, config, op=op)
         assert result.converged and (result.iterations, result.newton_steps) == (0, 0)
-        assert trace_branch(kernel, 1, [gamma], config)[0] == []  # no arc below gamma_#
         assert built == []
+        assert trace_branch(kernel, 1, [gamma], config)[0] == []  # the arc rises past gamma
+        assert built and op not in built
+        built.clear()
         with caplog.at_level(logging.DEBUG, logger="spheremv"):
             gibbs_fixed_point(kernel, gamma, uniform, config, op=op)
         assert built == [op]
