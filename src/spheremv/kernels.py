@@ -14,6 +14,7 @@ condition; its coefficients come from quadrature.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.special import hyp0f1, poch
 
 from .harmonics import ZonalCoefficients, ZonalProfile, decompose
-from .specfun import gauss_jacobi_rule, zonal_table
+from .specfun import _recurrence_coefficients, gauss_jacobi_rule, zonal_table
 
 __all__ = [
     "KernelSpec",
@@ -200,22 +201,44 @@ def profile_derivative(spec: KernelSpec, t) -> np.ndarray:
     return np.multiply(out, -spec.p, out=out)
 
 
-def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
-    """The heat-kernel series (order 0) or its order-th derivative, taken term by term.
+@functools.lru_cache(maxsize=32)  # once per kernel and order, not once per drift tile
+def _heat_clenshaw_terms(n: int, eps: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c'_k, a_{k+1}^2): the order-th heat series in the monic zonal basis of S^{n+2 order-1}.
 
     d/dt Y_k^(n) = sqrt(n k (k+n-2) / (n-1)) Y_{k-1}^(n+2), so each derivative
     is a series in the zonal harmonics of the sphere two dimensions up.
+    Y_k = P_k / (a_1 ... a_k) with the monic P_{k+1} = t P_k - a_k^2 P_{k-1},
+    so c'_k = c_k / (a_1 ... a_k).  The arrays are read-only.
     """
-    n = spec.n
-    coeffs = _heat_series_coeffs(n, spec.epsilon)
+    coeffs = _heat_series_coeffs(n, eps)
     series = coeffs * zonal_table(coeffs.size - 1, n, 1.0)[:, 0]
     for d in range(n, n + 2 * order, 2):
         k = np.arange(1.0, series.size)
         series = series[1:] * np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
-    shape = np.shape(t)  # zonal_table lifts a 0-d t to shape (1,)
+    a_sq = _recurrence_coefficients(n + 2 * order, series.size) ** 2
+    series = series / np.sqrt(np.cumprod(np.r_[1.0, a_sq[:-1]]))
+    series.flags.writeable = a_sq.flags.writeable = False
+    return series, a_sq
+
+
+def _heat_series(spec: KernelSpec, t, order: int) -> np.ndarray:
+    """The heat-kernel series (order 0) or its order-th derivative, as a fresh array of t's shape.
+
+    Summed on t by Clenshaw's recurrence, b_k = c'_k + t b_{k+1} - a_{k+1}^2 b_{k+2}
+    from b_{K+1} = b_{K+2} = 0, whose b_0 is the sum; no table of the Y_k is built.
+    """
+    series, a_sq = _heat_clenshaw_terms(spec.n, spec.epsilon, order)
+    t = np.asarray(t, dtype=float)
     if series.size == 0:
-        return np.zeros(shape)
-    return np.tensordot(series, zonal_table(series.size - 1, n + 2 * order, t), axes=1).reshape(shape)
+        return np.zeros(t.shape)
+    b, b_next, scratch = np.full(t.shape, series[-1]), np.zeros(t.shape), np.empty(t.shape)
+    for k in range(series.size - 2, -1, -1):
+        np.multiply(t, b, out=scratch)
+        b_next *= -a_sq[k]
+        b_next += scratch
+        b_next += series[k]
+        b, b_next = b_next, b
+    return b
 
 
 def closed_form_coefficients(spec: KernelSpec, K: int) -> ZonalCoefficients:

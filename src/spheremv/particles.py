@@ -51,7 +51,7 @@ class ParticleEnsemble:
     """N unit vectors in R^n plus the generator state that produced them."""
 
     n: int
-    positions: np.ndarray  # shape (N, n); a noisy step leaves it column-major
+    positions: np.ndarray  # shape (N, n); a step leaves it column-major
     rng: np.random.Generator
 
     def __post_init__(self):
@@ -152,31 +152,43 @@ def kernel_force(spec: KernelSpec, x: np.ndarray, ensemble: ParticleEnsemble) ->
     return -_tangent_part(dw @ ensemble.positions, x) / ensemble.size
 
 
+def _advance(
+    x: np.ndarray, out: np.ndarray, spec: KernelSpec, config: SimConfig, rng: np.random.Generator
+) -> None:
+    """Write one projected Euler-Maruyama step from the column-major positions x into out.
+
+    Column-major, the per-particle dot products, norms and divides run along
+    length-N rows.  The normals are drawn straight into out in (n, N) order,
+    which fixes the normals a particle gets for a seed.  The step is
+    x' = (1 - s<xi, x>) x + s xi (+ dt drift), s = sqrt(2 dt / gamma), scaling
+    the dead x in place.  The O(N^2) drift tiles get a C-ordered copy of x.
+    """
+    drift = None if _kernel_is_inert(spec) else _pairwise_drift(spec, np.ascontiguousarray(x))
+    if math.isfinite(config.gamma):
+        s = math.sqrt(2.0 * config.dt / config.gamma)
+        rng.standard_normal(out=out.T)
+        x *= (1.0 - s * np.einsum("ij,ij->i", out, x))[:, None]
+        out *= s
+        out += x
+    else:
+        np.copyto(out, x)
+    if drift is not None:
+        out += config.dt * drift
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    if not np.all((norms >= 1e-8) & (norms < math.inf)):  # NaN fails both
+        raise RuntimeError("step left a particle non-finite or collapsed to the origin; reduce dt")
+    out /= norms
+
+
 def step(ensemble: ParticleEnsemble, spec: KernelSpec, config: SimConfig) -> ParticleEnsemble:
     """One projected Euler-Maruyama step; deterministic given the generator state.
 
-    A noisy step returns positions in column-major memory, so the
-    per-particle dot products, norms and divides run along contiguous
-    length-N rows.  The normals are drawn as an (N, n) array, n per particle
-    in turn, and copied into that layout: the draw order, not the layout,
-    fixes which normals a particle gets for a seed.  The O(N^2) drift tiles
-    read rows of particles, so they get a C-ordered copy of the positions.
+    The kernel of `simulate` on a column-major copy: the input is never written.
     """
-    pos = ensemble.positions
-    if _kernel_is_inert(spec):
-        new = pos
-    else:
-        new = pos + config.dt * _pairwise_drift(spec, np.ascontiguousarray(pos))
-    if math.isfinite(config.gamma):
-        xi = np.asfortranarray(ensemble.rng.standard_normal(pos.shape))
-        xi -= np.einsum("ij,ij->i", xi, pos)[:, None] * pos
-        xi *= math.sqrt(2.0 * config.dt / config.gamma)
-        new = np.add(new, xi, out=xi)
-    norms = np.sqrt(np.einsum("ij,ij->i", new, new))[:, None]
-    if not np.all((norms >= 1e-8) & (norms < math.inf)):  # NaN fails both
-        raise RuntimeError("step left a particle non-finite or collapsed to the origin; reduce dt")
-    # in place, unless new is still the caller's array (inert kernel, no noise)
-    return replace(ensemble, positions=np.divide(new, norms, out=None if new is pos else new))
+    x = np.array(ensemble.positions, dtype=float, order="F")
+    out = np.empty_like(x)
+    _advance(x, out, spec, config, ensemble.rng)
+    return replace(ensemble, positions=out)
 
 
 def order_axis(ensemble: ParticleEnsemble) -> np.ndarray:
@@ -238,7 +250,10 @@ def simulate(
 
     Moments are recorded every `config.record_every` steps after the burn-in
     fraction of the run; the result's ensemble is the final state.  A given
-    `init` must hold `count` particles on the sphere of `spec`.
+    `init` must hold `count` particles on the sphere of `spec`; it is copied
+    once and never written.  The run equals chained `step` calls bit for bit,
+    but steps in place between two buffers and builds (and checks) a
+    `ParticleEnsemble` only at each record and at the end.
     """
     if init is not None and (init.n != spec.n or init.size != count):
         raise ValueError(
@@ -246,15 +261,21 @@ def simulate(
             f"expected {count} on S^{spec.n - 1}"
         )
     ensemble = init if init is not None else uniform_ensemble(spec.n, count, config.seed)
+    x = np.array(ensemble.positions, dtype=float, order="F")
+    out = np.empty_like(x)
     first_record = int(config.burn_in * config.steps)
     recorded, rows = [], []
     for k in range(1, config.steps + 1):
-        ensemble = step(ensemble, spec, config)
+        _advance(x, out, spec, config, ensemble.rng)
+        x, out = out, x
         due = k >= first_record and k % config.record_every == 0
         if due or (k == config.steps and not rows):  # the final state when nothing was due
+            ensemble = ParticleEnsemble(n=spec.n, positions=x, rng=ensemble.rng)
             summary = empirical_moments(ensemble, order_axis(ensemble), degrees)
             recorded.append(k)
             rows.append(summary.means)
+    if recorded[-1] != config.steps:
+        ensemble = ParticleEnsemble(n=spec.n, positions=x, rng=ensemble.rng)
     return SimResult(
         ensemble=ensemble,
         recorded_steps=np.array(recorded),

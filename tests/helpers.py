@@ -135,11 +135,11 @@ def reference_step(positions, rng, spec, dt, gamma):
 
     A copy plus the dense drift, np.sum for the tangent projection of the
     noise and np.linalg.norm for the renormalisation; `rng` draws the same
-    normals as the step under test.
+    normals as the step under test, n blocks of N: component by component.
     """
     new = positions.copy() + dt * dense_drift(spec, positions)
     if math.isfinite(gamma):
-        xi = rng.standard_normal(positions.shape)
+        xi = rng.standard_normal(positions.shape[::-1]).T
         xi -= np.sum(xi * positions, axis=1, keepdims=True) * positions
         new = new + math.sqrt(2.0 * dt / gamma) * xi
     return new / np.linalg.norm(new, axis=1, keepdims=True)

@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
 Each test prints one PASS/FAIL line (run with -s to see them all).  The
-particle cross-validation runs at a reduced scale by default; set
-SPHEREMV_FULL_SCALE=1 for the full-size run (about two days on 2 cores).
+particle cross-validation runs at a reduced scale by default (N = 1000,
+2x10^4 steps, about 60 s on 2 cores); set SPHEREMV_FULL_SCALE=1 for the
+full-size run (about two days on 2 cores).
 """
 
 import math
@@ -255,7 +256,7 @@ def test_criterion_10_particle_pde_cross_validation():
     if FULL_SCALE:
         count, sim = 20_000, SimConfig(dt=1e-3, steps=200_000, gamma=gamma, seed=11, record_every=5000)
     else:
-        count, sim = 1_000, SimConfig(dt=2e-3, steps=10_000, gamma=gamma, seed=11, record_every=1000)
+        count, sim = 1_000, SimConfig(dt=2e-3, steps=20_000, gamma=gamma, seed=11, record_every=1000)
     result = simulate(spec, sim, count, degrees=(2,))
     axis = order_axis(result.ensemble)
     summary = empirical_moments(result.ensemble, axis, degrees=(2,))

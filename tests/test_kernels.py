@@ -19,7 +19,7 @@ from spheremv.kernels import (
     stability_check,
     _heat_series,
 )
-from spheremv.specfun import gauss_jacobi_rule
+from spheremv.specfun import gauss_jacobi_rule, zonal_table
 
 
 def _spec(n, family, **kw):
@@ -362,6 +362,34 @@ class TestProfiles:
         fd = (profile_derivative(spec, t + h) - profile_derivative(spec, t - h)) / (2 * h)
         second = _heat_series(spec, t, 2)
         assert np.max(np.abs(second - fd)) < 1e-8 * max(1.0, np.max(np.abs(second)))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    @pytest.mark.parametrize("eps", [0.02, 0.3])
+    def test_heat_clenshaw_sum_matches_the_table_form(self, eps, n, order):
+        # the table form: every Y_k of the sphere two dimensions up per derivative, summed by tensordot
+        from spheremv.kernels import _heat_series_coeffs
+
+        coeffs = _heat_series_coeffs(n, eps)
+        series = coeffs * zonal_table(coeffs.size - 1, n, 1.0)[:, 0]
+        for d in range(n, n + 2 * order, 2):
+            k = np.arange(1.0, series.size)
+            series = series[1:] * np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
+
+        def table_form(t):
+            table = zonal_table(series.size - 1, n + 2 * order, t)
+            return np.tensordot(series, table, axes=1).reshape(np.shape(t))
+
+        spec = _spec(n, "heat", epsilon=eps)
+        block = np.random.default_rng(n).uniform(-1.0, 1.0, size=(7, 9))
+        block[0, :3] = (-1.0, 0.0, 1.0)
+        # relative to the series' largest value on [-1, 1]: at eps = 0.02 the
+        # kernel spans eight decades, and both forms round off on that scale
+        scale = np.max(np.abs(table_form(np.linspace(-1.0, 1.0, 201))))
+        for t in (0.37, np.array(-0.81), block):
+            got, want = _heat_series(spec, t, order), table_form(t)
+            assert got.shape == np.shape(t) and isinstance(got, np.ndarray)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_heat_derivatives_vanish_past_the_series(self):
         # at eps = 30 the series stops at k = 0, at eps = 10 (n = 3) at k = 1

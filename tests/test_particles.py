@@ -30,6 +30,7 @@ CONSTANT3 = KernelSpec(
 )
 ONSAGER3 = KernelSpec(n=3, family="onsager")
 TRANSFORMER4 = KernelSpec(n=4, family="transformer", beta=1.0)
+HEAT3 = KernelSpec(n=3, family="heat", epsilon=0.3)
 # (kernel, N) chained against reference_step: the inert path at sizes around
 # one tile, and two kernels with a drift.
 ORACLE_CASES = [(CONSTANT3, 1), (CONSTANT3, 129), (CONSTANT3, 1000), (ONSAGER3, 300), (TRANSFORMER4, 200)]
@@ -307,6 +308,50 @@ class TestSimulate:
         result = simulate(heat, cfg, 32)
         assert list(result.recorded_steps) == [5]
         assert np.all(np.isfinite(result.ensemble.positions))
+
+    @pytest.mark.parametrize("count", [1, 129, 1000])
+    @pytest.mark.parametrize("gamma", [2.0, math.inf])
+    @pytest.mark.parametrize("spec", [CONSTANT3, ONSAGER3, TRANSFORMER4, HEAT3], ids=lambda s: s.family)
+    def test_equals_chained_steps_bit_for_bit(self, spec, gamma, count):
+        # a record at step 2 and the final state at step 3, which no record takes; no
+        # degrees, since one particle has no standard error (np.std with ddof=1 warns)
+        cfg = SimConfig(dt=1e-3, steps=3, gamma=gamma, seed=count, burn_in=0.0, record_every=2)
+        result = simulate(spec, cfg, count, degrees=())
+        ensemble = uniform_ensemble(spec.n, count, seed=count)
+        for _ in range(cfg.steps):
+            ensemble = step(ensemble, spec, cfg)
+        assert np.array_equal(result.ensemble.positions, ensemble.positions)
+        assert result.ensemble.rng.bit_generator.state == ensemble.rng.bit_generator.state
+
+    @pytest.mark.parametrize("gamma", [2.0, math.inf])
+    def test_never_writes_the_init_positions(self, gamma):
+        cfg = SimConfig(dt=1e-3, steps=4, gamma=gamma, seed=3, record_every=2)
+        init = uniform_ensemble(3, 64, seed=3)
+        before = init.positions.copy()
+        first = simulate(TRANSFORMER3, cfg, 64, init=init)
+        assert np.array_equal(init.positions, before)
+        kept = first.ensemble.positions.copy()
+        second = simulate(TRANSFORMER3, cfg, 64, init=first.ensemble)
+        assert np.array_equal(first.ensemble.positions, kept)
+        assert not np.shares_memory(second.ensemble.positions, first.ensemble.positions)
+
+    @pytest.mark.parametrize("steps", [9, 10])
+    def test_builds_an_ensemble_only_where_one_leaves_the_run(self, monkeypatch, steps):
+        calls = []
+        real = ParticleEnsemble.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            real(self)
+
+        init = uniform_ensemble(3, 32, seed=6)
+        monkeypatch.setattr(ParticleEnsemble, "__post_init__", spy)
+        cfg = SimConfig(dt=1e-3, steps=steps, gamma=2.0, seed=6, burn_in=0.0, record_every=3)
+        result = simulate(TRANSFORMER3, cfg, 32, init=init)
+        records = len(result.recorded_steps)  # steps 3, 6 and 9
+        assert records == 3
+        assert records <= len(calls) <= records + 1
+        assert calls[-1] is result.ensemble
 
     def test_noise_only_run_stays_uniform(self):
         # pure diffusion started from the uniform law must stay uniform: the
